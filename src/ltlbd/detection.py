@@ -72,6 +72,8 @@ def vertex_cover(graph: ConflictGraph, k: int) -> Optional[frozenset[str]]:
     Self-loop vertices are forced; branching picks the smallest uncovered
     edge and tries the lower-named endpoint first.
     """
+    if k < 0:
+        raise ValueError("backdoor size bound k must be nonnegative")
     forced = {next(iter(e)) for e in graph.edges if len(e) == 1}
     if len(forced) > k:
         return None
@@ -99,6 +101,8 @@ def hitting_set_3(family: HittingFamily, k: int) -> Optional[frozenset[str]]:
 
     Branches over the elements of the first unhit set in name order.
     """
+    if k < 0:
+        raise ValueError("backdoor size bound k must be nonnegative")
     sets = [tuple(sorted(s)) for s in family.sets]
 
     def search(chosen: set[str], budget: int) -> Optional[set[str]]:

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from . import _kernels
 from .evaluation import propositionalize, relabel_copy
 from .formula import Mod, SnfFormula
@@ -71,14 +69,8 @@ def _star_by_scan(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
     psi_mask = 0
     for v in phi.initial:
         psi_mask |= 1 << (n - 1 - index[v])
-    found, _, a0, wit = _kernels.star_scan(
-        n,
-        np.asarray(lvar, dtype=np.int32),
-        np.asarray(lstar, dtype=np.int8),
-        np.asarray(lsign, dtype=np.int8),
-        np.asarray(starts, dtype=np.int32),
-        psi_mask,
-    )
+    found, _, a0, wit = _kernels.star_scan(n, lvar, lstar, lsign, starts,
+                                           psi_mask)
     if not found:
         return None
 
@@ -86,8 +78,8 @@ def _star_by_scan(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
         return {v: bool((mask >> (n - 1 - i)) & 1)
                 for i, v in enumerate(variables)}
 
-    members = [row(int(a0))]
-    members.extend(row(int(w)) for w in wit[:n] if w >= 0)
+    members = [row(a0)]
+    members.extend(row(w) for w in wit if w >= 0)
     return from_assignment_set(AssignmentSet(tuple(members), members[0]))
 
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-import numpy as np
-
 from . import _kernels
 
 
@@ -88,8 +86,7 @@ def _int_arrays(cnf: PropCnf, atoms: list[Atom]):
             code = idx[a] + 1
             lits.append(code if pos else -code)
         starts.append(len(lits))
-    return (np.asarray(lits, dtype=np.int32),
-            np.asarray(starts, dtype=np.int32))
+    return lits, starts
 
 
 def brute_sat(cnf: PropCnf) -> Model:
@@ -255,8 +252,7 @@ def solve_cnf(cnf: PropCnf, branch_first: Iterable[Atom] = ()) -> Model:
     seen = set(head)
     order = head + [i for i in range(n) if i not in seen]
     lits, starts = _int_arrays(cnf, atoms)
-    status, values = _kernels.search_solve(
-        n, lits, starts, np.asarray(order, dtype=np.int32))
+    status, values = _kernels.search_solve(n, lits, starts, order)
     if not status:
         return None
     return {a: bool(values[i]) for i, a in enumerate(atoms)}

@@ -62,6 +62,14 @@ class TestDetect:
         assert main(["detect", path, "--class", "krom", "-k", "0"]) == 1
         assert "verdict: NONE" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("target", ["horn", "krom"])
+    def test_negative_k_is_an_input_error(self, tmp_path, capsys, target):
+        phi = SnfFormula(frozenset({Mod.STAR}), (),
+                         (Clause([Lit("x"), Lit("y"), Lit("z")]),))
+        path = snf(tmp_path, "f.snf", phi)
+        assert main(["detect", path, "--class", target, "-k", "-3"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_already_in_class_empty_backdoor(self, simple, capsys):
         assert main(["detect", simple, "--class", "horn", "-k", "0"]) == 0
         assert "backdoor: \n" in capsys.readouterr().out
