@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a positive verdict (valid, found, satisfiable), 1 for a
 negative one, 2 for input or syntax errors, 3 for contract violations such
-as a supplied set that is not a backdoor.
+as a supplied set that is not a backdoor, 4 for an internal error (any other
+exception, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -153,6 +154,15 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _write_formula(path: Path, phi, backdoor) -> Path:
+    """Write the formula and its comma-separated ``.backdoor`` sidecar;
+    returns the sidecar path."""
+    path.write_text(format_snf(phi), encoding="utf-8")
+    sidecar = path.with_suffix(path.suffix + ".backdoor")
+    sidecar.write_text(",".join(backdoor) + "\n", encoding="utf-8")
+    return sidecar
+
+
 def cmd_reduce(args) -> int:
     t0 = time.perf_counter()
     graph = parse_dimacs_col(_read(args.graph))
@@ -161,9 +171,7 @@ def cmd_reduce(args) -> int:
     else:
         phi, backdoor = threecol_to_fp_horn(graph)
     out = Path(args.out) if args.out else Path(args.graph).with_suffix(".snf")
-    out.write_text(format_snf(phi), encoding="utf-8")
-    sidecar = out.with_suffix(out.suffix + ".backdoor")
-    sidecar.write_text(",".join(backdoor) + "\n", encoding="utf-8")
+    sidecar = _write_formula(out, phi, backdoor)
     _print_report("reduce", "OK", t0, graph=args.graph, target=args.target,
                   vertices=graph.n, edges=len(graph.edges),
                   vars=len(phi.variables), clauses=len(phi.clauses),
@@ -192,9 +200,7 @@ def cmd_gen(args) -> int:
     phi, backdoor = planted_instance(args.seed, args.vars, args.clauses,
                                      args.plant, args.backdoor_size, ops)
     out = Path(args.out)
-    out.write_text(format_snf(phi), encoding="utf-8")
-    sidecar = out.with_suffix(out.suffix + ".backdoor")
-    sidecar.write_text(",".join(backdoor) + "\n", encoding="utf-8")
+    sidecar = _write_formula(out, phi, backdoor)
     _print_report("gen", "OK", t0, seed=args.seed, target=args.plant,
                   vars=len(phi.variables), clauses=len(phi.clauses),
                   backdoor=",".join(backdoor) or "(empty)",
@@ -265,15 +271,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -2,10 +2,12 @@
 
 Detection into the Horn class reduces to vertex cover of a conflict graph
 (pairs of positive literals), detection into the Krom class to hitting every
-variable set of a 3-literal selection.  Both solvers are plain bounded search
-trees with deterministic branch order.  Clauses satisfied by every consistent
-assignment are dropped before building the graph/family; the detected sets
-are backdoors of that satisfiability-equivalent core.
+variable set of a 3-literal selection.  Vertex cover is hitting the edges, so
+both share one iterative bounded search tree, :func:`_first_hitting_set`: at
+most k levels deep, branching over the elements of the first unhit set in a
+fixed order, which makes the returned set deterministic.  Clauses satisfied
+by every consistent assignment are dropped before building the graph/family;
+the detected sets are backdoors of that satisfiability-equivalent core.
 """
 
 from __future__ import annotations
@@ -66,34 +68,55 @@ def build_krom_hitting_family(phi: SnfFormula) -> HittingFamily:
     return HittingFamily(frozenset(phi.variables), ordered)
 
 
+def _first_hitting_set(sets: list[tuple[str, ...]],
+                       k: int) -> Optional[frozenset[str]]:
+    """The first hitting set of size <= k in depth-first order, or None.
+
+    Each node branches over the elements, in order, of the first set the
+    chosen elements do not hit yet, so the tree has depth <= k and at most
+    max |set| children per node; an empty set can never be hit.  The search
+    keeps one chosen set and an explicit path of (set index, branch
+    position), undoing the last choice on backtrack.  Every set before the
+    last branch set is already hit, so each scan starts just past it.
+    """
+    chosen: set[str] = set()
+    path: list[tuple[int, int]] = []
+    start = 0
+    while True:
+        i = start
+        while i < len(sets) and not chosen.isdisjoint(sets[i]):
+            i += 1
+        if i == len(sets):
+            return frozenset(chosen)
+        if len(path) < k and sets[i]:
+            chosen.add(sets[i][0])
+            path.append((i, 0))
+            start = i + 1
+            continue
+        while path:
+            i, j = path.pop()
+            chosen.remove(sets[i][j])
+            if j + 1 < len(sets[i]):
+                chosen.add(sets[i][j + 1])
+                path.append((i, j + 1))
+                start = i + 1
+                break
+        else:
+            return None
+
+
 def vertex_cover(graph: ConflictGraph, k: int) -> Optional[frozenset[str]]:
     """A cover of size <= k via a depth-<= k search tree, or None.
 
-    Self-loop vertices are forced; branching picks the smallest uncovered
-    edge and tries the lower-named endpoint first.
+    Self-loop vertices are forced: their singleton edges come first, so they
+    are chosen before any branching.  Then the search takes the smallest
+    uncovered edge and tries the lower-named endpoint first.
     """
     if k < 0:
         raise ValueError("backdoor size bound k must be nonnegative")
-    forced = {next(iter(e)) for e in graph.edges if len(e) == 1}
-    if len(forced) > k:
-        return None
-    edges = sorted((tuple(sorted(e)) for e in graph.edges if len(e) == 2))
-
-    def search(cover: set[str], budget: int) -> Optional[set[str]]:
-        uncovered = next((e for e in edges
-                          if e[0] not in cover and e[1] not in cover), None)
-        if uncovered is None:
-            return cover
-        if budget == 0:
-            return None
-        for v in uncovered:
-            got = search(cover | {v}, budget - 1)
-            if got is not None:
-                return got
-        return None
-
-    got = search(set(forced), k - len(forced))
-    return frozenset(got) if got is not None else None
+    loops = sorted(tuple(e) for e in graph.edges if len(e) == 1)
+    edges = sorted(tuple(sorted(e)) for e in graph.edges if len(e) == 2)
+    return _first_hitting_set(loops + edges, k)
 
 
 def hitting_set_3(family: HittingFamily, k: int) -> Optional[frozenset[str]]:
@@ -103,22 +126,7 @@ def hitting_set_3(family: HittingFamily, k: int) -> Optional[frozenset[str]]:
     """
     if k < 0:
         raise ValueError("backdoor size bound k must be nonnegative")
-    sets = [tuple(sorted(s)) for s in family.sets]
-
-    def search(chosen: set[str], budget: int) -> Optional[set[str]]:
-        unhit = next((s for s in sets if not chosen.intersection(s)), None)
-        if unhit is None:
-            return chosen
-        if budget == 0:
-            return None
-        for v in unhit:
-            got = search(chosen | {v}, budget - 1)
-            if got is not None:
-                return got
-        return None
-
-    got = search(set(), k)
-    return frozenset(got) if got is not None else None
+    return _first_hitting_set([tuple(sorted(s)) for s in family.sets], k)
 
 
 def detect_horn_backdoor(phi: SnfFormula, k: int) -> Optional[frozenset[str]]:

@@ -84,31 +84,9 @@ def holds_literal(m: FiniteWindowInterpretation, world: int, lit: Lit) -> bool:
     window, which is why callers never need to look further.
     """
     _check_world(m, world)
-    v = lit.var
-    if v not in m.left:
-        raise ValueError(f"unknown variable {v!r}")
-    if lit.mod is Mod.NONE:
-        value = m.row(world)[v]
-    elif lit.mod is Mod.STAR:
-        value = (m.left[v] and m.right[v]
-                 and all(row[v] for row in m.window))
-    elif lit.mod is Mod.FUT:
-        # all worlds k > world: window rows above it, the right edge, and the
-        # left edge when left-region worlds lie strictly between
-        value = m.right[v]
-        if value and world <= m.lo - 2:
-            value = m.left[v]
-        if value:
-            first = max(world + 1, m.lo)
-            value = all(row[v] for row in m.window[first - m.lo:])
-    else:  # Mod.PAST
-        value = m.left[v]
-        if value and world >= m.hi + 2:
-            value = m.right[v]
-        if value:
-            last = min(world - 1, m.hi)
-            value = all(row[v] for row in m.window[: max(last - m.lo + 1, 0)])
-    return value if lit.positive else not value
+    if lit.var not in m.left:
+        raise ValueError(f"unknown variable {lit.var!r}")
+    return _LitTable(m).holds(world, lit)
 
 
 class _LitTable:

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from ltlbd import cli
 from ltlbd.cli import main
 from ltlbd.fileio import format_snf, parse_snf
 from ltlbd.formula import Clause, Lit, Mod, SnfFormula
@@ -17,6 +18,14 @@ def write(tmp_path, name, text):
 
 def snf(tmp_path, name, phi):
     return write(tmp_path, name, format_snf(phi))
+
+
+def disjoint(tmp_path, count, width):
+    """``count`` clauses of ``width`` positive literals, no variable shared."""
+    phi = SnfFormula(frozenset({Mod.STAR}), (), tuple(
+        Clause([Lit(f"v{i}_{j}") for j in range(width)])
+        for i in range(count)))
+    return snf(tmp_path, f"disjoint{count}x{width}.snf", phi)
 
 
 @pytest.fixture
@@ -73,6 +82,31 @@ class TestDetect:
     def test_already_in_class_empty_backdoor(self, simple, capsys):
         assert main(["detect", simple, "--class", "horn", "-k", "0"]) == 0
         assert "backdoor: \n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target,width", [("krom", 3), ("horn", 2)])
+    def test_deep_search_finds_large_backdoor(self, tmp_path, capsys,
+                                              target, width):
+        path = disjoint(tmp_path, 3000, width)
+        assert main(["detect", path, "--class", target, "-k", "3000"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: BACKDOOR_FOUND" in out
+        assert "backdoor-size: 3000" in out
+
+    def test_disjoint_clauses_over_budget_is_none(self, tmp_path, capsys):
+        path = disjoint(tmp_path, 6, 3)
+        assert main(["detect", path, "--class", "krom", "-k", "5"]) == 1
+        assert "verdict: NONE" in capsys.readouterr().out
+
+
+def test_unexpected_exception_is_an_internal_error(simple, capsys,
+                                                   monkeypatch):
+    def broken(args):
+        raise AssertionError("broken invariant")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    assert main(["validate", simple]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: internal error: AssertionError: broken invariant\n"
 
 
 class TestEvaluateAndCheckModel:

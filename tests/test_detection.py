@@ -94,6 +94,29 @@ class TestCoverAndHitting:
         fam = HittingFamily(frozenset("ab"), (frozenset("a"), frozenset("b")))
         assert hitting_set_3(fam, 1) is None
 
+    def test_forced_vertices_over_budget(self):
+        g = ConflictGraph(frozenset("ab"),
+                          frozenset({frozenset({"a"}), frozenset({"b"})}))
+        assert vertex_cover(g, 1) is None
+        assert vertex_cover(g, 2) == frozenset("ab")
+
+    def test_empty_set_is_never_hit(self):
+        fam = HittingFamily(frozenset("ab"), (frozenset("a"), frozenset()))
+        for k in range(3):
+            assert hitting_set_3(fam, k) is None
+
+    def test_deep_hitting_set_does_not_recurse(self):
+        fam = HittingFamily(frozenset(), tuple(
+            frozenset({f"a{i}", f"b{i}", f"c{i}"}) for i in range(3000)))
+        got = hitting_set_3(fam, 3000)
+        assert got is not None and len(got) == 3000 and hits(fam, got)
+
+    def test_deep_vertex_cover_does_not_recurse(self):
+        g = ConflictGraph(frozenset(), frozenset(
+            frozenset({f"a{i}", f"b{i}"}) for i in range(3000)))
+        got = vertex_cover(g, 3000)
+        assert got is not None and len(got) == 3000 and covers(g, got)
+
     def test_cover_matches_exhaustive_minimum_on_random_graphs(self):
         rng = random.Random(3)
         for _ in range(60):
