@@ -2,8 +2,9 @@
 
 Every kernel takes its clauses in a flat layout: one list of literals plus a
 list of clause start offsets (``starts[c]..starts[c+1]`` holds clause ``c``).
-The clause search runs in plain CPython on those lists; the two exhaustive
-scans over 2^n assignments import numpy on first use and vectorise there.
+The clause search and the Horn propagator run in plain CPython on those
+lists; the two exhaustive scans over 2^n assignments import numpy on first
+use and vectorise there.
 """
 
 from __future__ import annotations
@@ -210,6 +211,73 @@ def search_solve(n_atoms, lits_in, starts_in, order):
         reason[nxt] = -1
         trail[trail_len] = nxt
         trail_len += 1
+
+
+def horn_index(n_atoms, lits, starts):
+    """Counter index of a Horn CNF for :func:`horn_forward`.
+
+    Literals are DIMACS-style ±(atom+1), distinct within a clause.  Returns
+    ``(heads, counts, occ, facts)``: clause ``c`` fires ``heads[c]`` (-1 for
+    falsum) once all ``counts[c]`` atoms of its body are true, ``occ[a]``
+    lists the clauses whose body holds atom ``a``, and ``facts`` the heads
+    of the clauses with an empty body.  A tautological clause (its head also
+    in its body) fires only once its head is true, so it changes nothing.
+    Raises ValueError on a clause with two positive literals.
+    """
+    n_clauses = len(starts) - 1
+    heads = [-1] * n_clauses
+    counts = [0] * n_clauses
+    occ = [[] for _ in range(n_atoms)]
+    facts = []
+    for ci in range(n_clauses):
+        head = -1
+        body = 0
+        for lit in lits[starts[ci]:starts[ci + 1]]:
+            if lit > 0:
+                if head >= 0:
+                    raise ValueError(f"not a Horn formula: clause {ci} has "
+                                     "two positive literals")
+                head = lit - 1
+            else:
+                occ[-lit - 1].append(ci)
+                body += 1
+        heads[ci] = head
+        counts[ci] = body
+        if body == 0:
+            facts.append(head)
+    return heads, counts, occ, facts
+
+
+def horn_forward(heads, counts, occ, values, facts):
+    """Linear forward chaining over a :func:`horn_index` (Dowling–Gallier).
+
+    Makes each atom of ``facts`` true (-1 is falsum) and fires every clause
+    whose body becomes true, updating ``values`` (0/1 per atom) and
+    ``counts`` in place.  The atoms already true in ``values`` must have
+    been propagated through ``counts``, as a successful earlier call leaves
+    them, so a closure can be copied and extended by further facts.
+    Returns 0 once falsum fires; otherwise 1, and ``values`` is then the
+    minimal model of the clauses, the earlier facts and ``facts``.
+    """
+    queue = []
+    for a in facts:
+        if a < 0:
+            return 0
+        if not values[a]:
+            values[a] = 1
+            queue.append(a)
+    while queue:
+        for ci in occ[queue.pop()]:
+            left = counts[ci] - 1
+            counts[ci] = left
+            if left == 0:
+                head = heads[ci]
+                if head < 0:
+                    return 0
+                if not values[head]:
+                    values[head] = 1
+                    queue.append(head)
+    return 1
 
 
 def brute_scan(n_atoms, lits, starts):

@@ -72,7 +72,8 @@ def planted_instance(seed: int, n_vars: int, n_clauses: int, target: str,
     occurring = sorted(used)
     initial = tuple(v for v in occurring if rng.random() < 0.3)
     phi = SnfFormula(frozenset(ops), initial, tuple(clauses))
-    assert verify_backdoor(phi, backdoor, target)
+    if not verify_backdoor(phi, backdoor, target):
+        raise AssertionError("planted backdoor does not verify")
     return phi, tuple(backdoor)
 
 

@@ -4,6 +4,8 @@ Atoms are structural: a plain stand-in for a variable, a global stand-in for
 its always-literal, or a labelled world copy.  Solvers: linear Horn-SAT with
 minimal models, implication-graph 2-SAT, an exhaustive scanner used as a test
 oracle, and a deterministic DPLL for the bounded searches in the oracles.
+Horn-SAT, the scanner and the search number the atoms and run a kernel of
+:mod:`ltlbd._kernels` on the integer clauses.
 """
 
 from __future__ import annotations
@@ -58,6 +60,14 @@ class PropCnf:
         norm = tuple(tuple(dict.fromkeys(tuple(l) for l in c)) for c in clauses)
         object.__setattr__(self, "clauses", norm)
 
+    @classmethod
+    def from_normal(cls, clauses: tuple) -> "PropCnf":
+        """Wraps clauses already in normal form (a tuple of tuples of
+        distinct ``(atom, positive)`` pairs) without copying them."""
+        cnf = object.__new__(cls)
+        object.__setattr__(cnf, "clauses", clauses)
+        return cnf
+
     def atoms(self) -> list[Atom]:
         seen = {a for c in self.clauses for a, _ in c}
         return sorted(seen)
@@ -104,51 +114,19 @@ def brute_sat(cnf: PropCnf) -> Model:
 
 
 def horn_sat(cnf: PropCnf) -> Model:
-    """Unit-propagation Horn solver returning the minimal model.
+    """Linear Horn solver returning the minimal model.
 
     Every atom true in the returned model is forced; all others are false.
-    Raises on non-Horn input.
+    Tautological clauses are skipped.  Raises ValueError on non-Horn input.
     """
-    if not cnf.is_horn:
-        raise ValueError("horn_sat requires a Horn formula")
     atoms = cnf.atoms()
-    true_atoms: set[Atom] = set()
-    # clause -> (pending distinct negative atoms, positive atom or None)
-    pending: list[set[Atom]] = []
-    heads: list[Optional[Atom]] = []
-    occ_neg: dict[Atom, list[int]] = {}
-    queue: list[Atom] = []
-
-    for c in cnf.clauses:
-        negs = {a for a, pos in c if not pos}
-        pos = next((a for a, p in c if p), None)
-        if pos is not None and pos in negs:
-            continue  # tautological clause, never constrains
-        ci = len(pending)
-        pending.append(set(negs))
-        heads.append(pos)
-        for a in negs:
-            occ_neg.setdefault(a, []).append(ci)
-        if not negs:
-            if pos is None:
-                return None  # empty clause
-            if pos not in true_atoms:
-                true_atoms.add(pos)
-                queue.append(pos)
-
-    while queue:
-        a = queue.pop()
-        for ci in occ_neg.get(a, ()):
-            negs = pending[ci]
-            negs.discard(a)
-            if not negs:
-                head = heads[ci]
-                if head is None:
-                    return None
-                if head not in true_atoms:
-                    true_atoms.add(head)
-                    queue.append(head)
-    return {a: a in true_atoms for a in atoms}
+    n = len(atoms)
+    lits, starts = _int_arrays(cnf, atoms)
+    heads, counts, occ, facts = _kernels.horn_index(n, lits, starts)
+    values = [0] * n
+    if not _kernels.horn_forward(heads, counts, occ, values, facts):
+        return None
+    return {a: bool(values[i]) for i, a in enumerate(atoms)}
 
 
 def two_sat(cnf: PropCnf) -> Model:

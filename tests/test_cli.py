@@ -148,6 +148,32 @@ class TestEvaluateAndCheckModel:
         first = (tmp_path / "dump.0.cnf").read_text().splitlines()[0]
         assert first.startswith("p cnf ")
 
+    def test_dump_cnf_writes_every_candidate(self, tmp_path, capsys):
+        # init b, x with always b and ~x | ~b, backdoor {b}: the four
+        # candidates are dead (b false at the start), UNSAT, dead, and
+        # UNSAT already without initial facts; all four are dumped in order
+        phi = SnfFormula(frozenset({Mod.STAR}), ("b", "x"), (
+            Clause([Lit("b", Mod.STAR)]),
+            Clause([Lit("x", positive=False), Lit("b", positive=False)])))
+        path = snf(tmp_path, "unsat.snf", phi)
+        prefix = str(tmp_path / "dump")
+        assert main(["evaluate", path, "--backdoor", "b",
+                     "--dump-cnf", prefix]) == 1
+        assert "verdict: UNSAT" in capsys.readouterr().out
+        for i in range(4):
+            lines = (tmp_path / f"dump.{i}.cnf").read_text().splitlines()
+            tag, kind, n_atoms, n_clauses = lines[0].split()
+            assert (tag, kind) == ("p", "cnf")
+            assert len(lines) == 1 + int(n_clauses)
+            for line in lines[1:]:
+                nums = [int(x) for x in line.split()]
+                assert nums[-1] == 0
+                assert all(1 <= abs(x) <= int(n_atoms) for x in nums[:-1])
+            assert (tmp_path / f"dump.{i}.names").exists()
+        assert not (tmp_path / "dump.4.cnf").exists()
+        for dead in (0, 2):
+            assert "0" in (tmp_path / f"dump.{dead}.cnf").read_text().splitlines()
+
     def test_corrupted_model_cell_invalid(self, simple, tmp_path, capsys):
         model = tmp_path / "m.model"
         assert main(["evaluate", simple, "--backdoor", "",

@@ -1,7 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import ltlbd
 
 from ltlbd.detection import HORN, verify_backdoor
 from ltlbd.evaluation import (ThetaSet, assignments_over,
@@ -13,7 +19,7 @@ from ltlbd.formula import Clause, Lit, Mod, SnfFormula, remove_tautologies
 from ltlbd.gen import planted_instance, random_formula
 from ltlbd.interp import models
 from ltlbd.oracle import star_sat_oracle
-from ltlbd.propsat import PropCnf, copy_atom, global_atom, plain_atom
+from ltlbd.propsat import PropCnf, copy_atom, global_atom, horn_sat, plain_atom
 
 
 def formula(clauses, initial=()):
@@ -195,3 +201,108 @@ class TestAgainstOracle:
                 agreeing = [m for m in result.assignment_set.members
                             if all(m[v] == theta[v] for v in theta)]
                 assert len(agreeing) <= len(rest) + 1
+
+
+@st.composite
+def always_only_formulas(draw):
+    """1-5 variables, 1-6 clauses of plain and always-literals, and a subset
+    of the variables as initial facts."""
+    names = [f"x{i + 1}" for i in range(draw(st.integers(1, 5)))]
+    lit = st.builds(Lit, st.sampled_from(names),
+                    st.sampled_from([Mod.NONE, Mod.STAR]), st.booleans())
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=4).map(Clause),
+                            min_size=1, max_size=6))
+    initial = draw(st.lists(st.sampled_from(names), unique=True))
+    return SnfFormula(frozenset({Mod.STAR}), tuple(initial), tuple(clauses))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(always_only_formulas())
+def test_every_candidate_matches_a_from_scratch_solve(phi):
+    # the factored, incremental evaluation must answer exactly what solving
+    # each dumped encoding on its own answers, in candidate order
+    expected = star_sat_oracle(phi) is not None
+    core = remove_tautologies(phi)
+    names = sorted(phi.variables)
+    for size in range(min(2, len(names)) + 1):
+        for chosen in itertools.combinations(names, size):
+            if not verify_backdoor(core, chosen, HORN):
+                continue
+            tried = []
+            result = evaluate_horn_star(
+                phi, chosen,
+                on_candidate=lambda ts, cnf: tried.append((ts, cnf)))
+            assert result.satisfiable == expected
+            # a fresh build per candidate shares no cached block
+            assert all(cnf == build_horn_encoding(core, chosen, ts)
+                       for ts, cnf in tried)
+            solved = [horn_sat(cnf) for _, cnf in tried]
+            if result.satisfiable:
+                assert models(result.interpretation, phi)
+                assert all(m is None for m in solved[:-1])
+                assert solved[-1] == result.horn_model
+            else:
+                assert all(m is None for m in solved)
+                assert len(solved) == len(list(candidate_theta_sets(chosen)))
+
+
+def test_failed_designated_variant_leaves_the_shared_closure_intact():
+    # init x, ~x | b, ~[*]b with backdoor {b}: b false at the start fails
+    # through the initial fact, both singletons fail, and the pair succeeds
+    # only with b true at the start, right after its failed variant
+    phi = formula([Clause([Lit("x", positive=False), Lit("b")]),
+                   Clause([Lit("b", Mod.STAR, False)])], initial=["x"])
+    tried = []
+    result = evaluate_horn_star(
+        phi, ("b",), on_candidate=lambda ts, cnf: tried.append(cnf))
+    assert result.satisfiable
+    assert len(tried) == 4 and len(result.theta_set.members) == 2
+    assert result.theta_set.designated == {"b": True}
+    assert horn_sat(tried[-1]) == result.horn_model
+    assert models(result.interpretation, phi)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_k3_unsat_gadget_tries_every_candidate(seed):
+    # init r1, r1 -> r2, r2 -> b, r2 -> ~b with b in the backdoor: no
+    # candidate can succeed, so all 2^3 * 2^(2^3 - 1) are tried
+    phi, backdoor = planted_instance(seed, 8, 14, HORN, 3, {Mod.STAR})
+    b = backdoor[0]
+    gadget = (Clause([Lit("r1", positive=False), Lit("r2")]),
+              Clause([Lit("r2", positive=False), Lit(b)]),
+              Clause([Lit("r2", positive=False), Lit(b, positive=False)]))
+    phi = SnfFormula(phi.operators, phi.initial + ("r1",),
+                     phi.clauses + gadget)
+    seen = []
+    result = evaluate_horn_star(phi, backdoor,
+                                on_candidate=lambda ts, cnf: seen.append(ts))
+    assert not result.satisfiable
+    assert star_sat_oracle(phi) is None
+    assert len(seen) == 1024
+
+
+def test_library_checks_survive_optimize():
+    # the self-checks must raise even when python -O strips assert statements
+    src = os.path.dirname(os.path.dirname(ltlbd.__file__))
+    probe = """
+import ltlbd.evaluation, ltlbd.gen
+from ltlbd.formula import Clause, Lit, Mod, SnfFormula
+print(__debug__)
+ltlbd.gen.verify_backdoor = lambda *args: False
+try:
+    ltlbd.gen.planted_instance(0, 4, 4, "horn", 1, {Mod.STAR})
+except AssertionError:
+    print("planted raised")
+ltlbd.evaluation.verify_backdoor = lambda *args: True
+phi = SnfFormula(frozenset({Mod.STAR}), (), (Clause([Lit("x"), Lit("y")]),))
+ts = next(ltlbd.evaluation.candidate_theta_sets(()))
+try:
+    ltlbd.evaluation.build_horn_encoding(phi, (), ts)
+except AssertionError:
+    print("encoding raised")
+"""
+    done = subprocess.run([sys.executable, "-O", "-c", probe],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.split("\n")[:3] == ["False", "planted raised",
+                                           "encoding raised"]

@@ -1,4 +1,5 @@
-"""The clause search must agree with the exhaustive scan it is checked against."""
+"""The clause search and the Horn propagator must agree with the exhaustive
+scan they are checked against."""
 
 import os
 import random
@@ -61,6 +62,59 @@ def test_shuffled_order_model_is_lex_minimal_after_learning():
             got = sum(values[a] << (n - 1 - i) for i, a in enumerate(order))
             assert got == mask
     assert n_sat >= 5
+
+
+def random_horn_cnf(rng, n_atoms, max_clauses=8, max_body=3):
+    """Clauses of distinct literals: a body of negated atoms and at most one
+    head, which may repeat a body atom (a tautology)."""
+    lits = []
+    starts = [0]
+    for _ in range(rng.randint(1, max_clauses)):
+        body = rng.sample(range(1, n_atoms + 1),
+                          rng.randint(0, min(max_body, n_atoms)))
+        lits += [-a for a in body]
+        if rng.random() < 0.7:
+            lits.append(rng.randint(1, n_atoms))
+        starts.append(len(lits))
+    return lits, starts
+
+
+def horn_fresh(n, lits, starts):
+    heads, counts, occ, facts = _kernels.horn_index(n, lits, starts)
+    values = [0] * n
+    return _kernels.horn_forward(heads, counts, occ, values, facts), values
+
+
+def test_horn_closure_extends_like_a_fresh_solve():
+    # a closure copied and extended by facts must equal solving the clauses
+    # plus those facts as unit clauses from scratch, and that minimal model
+    # is the scan's lexicographically first one
+    rng = random.Random(5)
+    n_sat = 0
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        lits, starts = random_horn_cnf(rng, n)
+        facts = rng.sample(range(n), rng.randint(0, min(3, n)))
+        full = lits + [a + 1 for a in facts]
+        full_starts = starts + [starts[-1] + i + 1 for i in range(len(facts))]
+        ok, fresh = horn_fresh(n, full, full_starts)
+        found, mask = _kernels.brute_scan(n, full, full_starts)
+        assert ok == found
+        if ok:
+            n_sat += 1
+            assert sum(v << (n - 1 - i) for i, v in enumerate(fresh)) == mask
+
+        heads, counts, occ, start = _kernels.horn_index(n, lits, starts)
+        values = [0] * n
+        if not _kernels.horn_forward(heads, counts, occ, values, start):
+            assert not ok
+            continue
+        extended = values[:]
+        assert _kernels.horn_forward(heads, counts[:], occ, extended,
+                                     facts) == ok
+        if ok:
+            assert extended == fresh
+    assert 50 <= n_sat <= 350
 
 
 def test_import_leaves_numpy_unloaded():
