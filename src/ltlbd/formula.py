@@ -246,18 +246,21 @@ def reduct(phi: SnfFormula, theta: ConsistentAssignment) -> SnfFormula:
     literals, and discharge initial facts.
 
     An emptied clause turns the result into the canonical FALSE marker, as
-    does a falsified initial fact.  Literals whose variable/modality pair is
-    not assigned survive unchanged.  The variable universe is preserved.
+    does a falsified initial fact or an input that already holds an empty
+    clause.  Literals whose variable/modality pair is not assigned survive
+    unchanged.  The variable universe is preserved.
     """
     universe = set(phi.variables)
     extra = theta.domain - universe
     if extra:
         raise ValueError(f"assignment mentions unknown variables: {sorted(extra)}")
-    if phi.is_false or phi.is_true:
+    if phi.is_true:
         return phi
 
     false_marker = SnfFormula(phi.operators, (), (EMPTY_CLAUSE,),
                               variables=phi.variables)
+    if phi.is_false:
+        return false_marker
     new_init = []
     for v in phi.initial:
         val = theta.get(v, Mod.NONE)

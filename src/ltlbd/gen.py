@@ -5,6 +5,12 @@ chosen backdoor already obey the target class; injected class violations only
 ever touch backdoor variables.  Any reduct under a consistent backdoor
 assignment is then a subset of the in-class part, so the planted set always
 verifies.
+
+Clause literals sit on distinct (variable, modality) slots, drawn by
+:func:`_pick_slots` as a uniform ordered sample without replacement: the
+first ``n_pos`` slots of a draw (the positive ones) are a uniform sample of
+their own.  A draw costs time in the number of slots kept, not in the pool
+size, so large instances generate in linear time.
 """
 
 from __future__ import annotations
@@ -17,10 +23,18 @@ from .formula import Clause, Lit, Mod, SnfFormula
 
 
 def _pick_slots(rng: random.Random, pool: list, mods: list, count: int) -> list:
-    """Up to ``count`` distinct (variable, modality) slots."""
-    slots = [(v, m) for v in pool for m in mods]
-    rng.shuffle(slots)
-    return slots[:count]
+    """``min(count, len(pool) * len(mods))`` distinct (variable, modality)
+    slots, as a uniform ordered sample: every sequence of that many distinct
+    slots is equally likely, so any prefix is a uniform sample too.
+
+    Slot ``i`` is ``(pool[i // len(mods)], mods[i % len(mods)])``; drawing
+    indices with :meth:`random.Random.sample` costs O(count), not
+    O(len(pool) * len(mods)).
+    """
+    width = len(mods)
+    size = len(pool) * width
+    return [(pool[i // width], mods[i % width])
+            for i in rng.sample(range(size), min(count, size))]
 
 
 def planted_instance(seed: int, n_vars: int, n_clauses: int, target: str,
@@ -31,12 +45,17 @@ def planted_instance(seed: int, n_vars: int, n_clauses: int, target: str,
         raise ValueError(f"unknown target class: {target}")
     if not 0 <= backdoor_size <= n_vars:
         raise ValueError("backdoor size must be between 0 and the variable count")
+    if n_clauses < 0:
+        raise ValueError("clause count must not be negative")
+    if n_clauses and not n_vars:
+        raise ValueError("clauses need at least one variable")
     rng = random.Random(seed)
     ops = sorted(set(operators))
     mods = [Mod.NONE] + ops
     variables = [f"x{i + 1}" for i in range(n_vars)]
     backdoor = sorted(rng.sample(variables, backdoor_size))
-    rest = [v for v in variables if v not in backdoor]
+    chosen = set(backdoor)
+    rest = [v for v in variables if v not in chosen]
 
     clauses = []
     for _ in range(n_clauses):

@@ -132,6 +132,14 @@ class TestEvaluateAndCheckModel:
         path = snf(tmp_path, "f.snf", phi)
         assert main(["evaluate", path, "--backdoor", ""]) == 3
 
+    def test_empty_clause_is_unsat(self, tmp_path, capsys):
+        path = write(tmp_path, "empty.snf",
+                     "operators: *\nclause:\nclause: b | c\n")
+        assert main(["evaluate", path, "--backdoor", "b"]) == 1
+        assert "verdict: UNSAT" in capsys.readouterr().out
+        assert main(["solve", path, "--oracle", "star"]) == 1
+        assert "verdict: UNSAT" in capsys.readouterr().out
+
     def test_wrong_fragment_rejected(self, tmp_path, capsys):
         phi = SnfFormula(frozenset({Mod.FUT}), (),
                          (Clause([Lit("x", Mod.FUT)]),))
@@ -256,3 +264,14 @@ class TestGen:
         from ltlbd.formula import clause_is_horn
         assert all(clause_is_horn(c) for c in phi.clauses)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("size", [
+        ["--vars", "3", "--clauses", "-2", "--backdoor-size", "1"],
+        ["--vars", "0", "--clauses", "3", "--backdoor-size", "0"],
+    ], ids=["negative-clauses", "clauses-without-variables"])
+    def test_bad_size_is_an_input_error(self, tmp_path, capsys, size):
+        out = tmp_path / "bad.snf"
+        assert main(["gen", *size, "--plant", "horn", "--ops", "*",
+                     "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()

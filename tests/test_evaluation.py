@@ -187,6 +187,13 @@ class TestAgainstOracle:
                     if result.satisfiable:
                         assert models(result.interpretation, phi)
 
+    def test_empty_clause_is_unsat_through_every_backdoor(self):
+        # the empty clause survives every reduct, so each block is FALSE
+        phi = formula([Clause([]), Clause([Lit("b"), Lit("c")])])
+        assert verify_backdoor(phi, ("b",), HORN)
+        assert star_sat_oracle(phi) is None
+        assert not evaluate_horn_star(phi, ("b",)).satisfiable
+
     def test_certificate_block_sizes_bounded(self):
         rng = random.Random(10)
         for seed in range(40):

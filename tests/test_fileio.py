@@ -1,11 +1,13 @@
 import random
+import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltlbd.fileio import (ParseError, format_dimacs_col, format_model_table,
                           format_snf, parse_dimacs_col, parse_model_table,
                           parse_snf)
-from ltlbd.formula import Clause, Lit, Mod
+from ltlbd.formula import TEMPORAL_MODS, Clause, Lit, Mod, SnfFormula
 from ltlbd.gen import planted_instance, random_formula
 from ltlbd.interp import FiniteWindowInterpretation
 from ltlbd.reductions import Graph, threecol_to_fp_horn, threecol_to_star_krom
@@ -62,6 +64,48 @@ class TestSnfFormat:
         for build in (threecol_to_star_krom, threecol_to_fp_horn):
             red, _ = build(Graph(3, frozenset({(1, 2), (2, 3)})))
             assert parse_snf(format_snf(red)) == red
+
+
+# every name VAR_NAME_RE accepts: a letter, then letters, digits or "_"
+NAMES = st.builds(str.__add__, st.sampled_from(string.ascii_letters),
+                  st.text(string.ascii_letters + string.digits + "_",
+                          max_size=3))
+
+
+@st.composite
+def formulas(draw):
+    """Any operator set, initial facts, and up to 6 clauses (the empty one
+    included) of literals under any modality over 1-5 variables."""
+    names = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
+    lit = st.builds(Lit, st.sampled_from(names), st.sampled_from(list(Mod)),
+                    st.booleans())
+    clauses = draw(st.lists(st.lists(lit, max_size=4).map(Clause),
+                            max_size=6))
+    initial = draw(st.lists(st.sampled_from(names), unique=True))
+    ops = draw(st.frozensets(st.sampled_from(TEMPORAL_MODS)))
+    return SnfFormula(ops, tuple(initial), tuple(clauses))
+
+
+@st.composite
+def interpretations(draw):
+    """1-4 variables, a window of 1-4 worlds placed anywhere near 0, and a
+    start world inside it."""
+    names = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    row = st.fixed_dictionaries({v: st.booleans() for v in names})
+    window = draw(st.lists(row, min_size=1, max_size=4))
+    lo = draw(st.integers(-3, 3))
+    start = draw(st.integers(lo, lo + len(window) - 1))
+    return FiniteWindowInterpretation(draw(row), tuple(window), lo,
+                                      draw(row), start)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(formulas(), interpretations())
+def test_text_formats_round_trip(phi, m):
+    text = format_snf(phi)
+    assert parse_snf(text) == phi
+    assert format_snf(parse_snf(text)) == text
+    assert parse_model_table(format_model_table(m)) == m
 
 
 class TestModelTable:

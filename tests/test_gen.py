@@ -1,0 +1,57 @@
+import itertools
+import random
+import time
+from collections import Counter
+
+import pytest
+
+from ltlbd.detection import HORN, KROM
+from ltlbd.fileio import format_snf, parse_snf
+from ltlbd.formula import Mod
+from ltlbd.gen import _pick_slots, planted_instance
+
+POOL = ["x1", "x2", "x3"]
+MODS = [Mod.NONE, Mod.STAR]
+
+
+class TestPickSlots:
+    def test_slots_are_distinct_pool_members(self):
+        rng = random.Random(1)
+        slots = set(itertools.product(POOL, MODS))
+        for count in range(len(slots) + 1):
+            for _ in range(50):
+                picked = _pick_slots(rng, POOL, MODS, count)
+                assert len(picked) == count
+                assert len(set(picked)) == count
+                assert set(picked) <= slots
+
+    def test_count_is_capped_at_the_pool(self):
+        rng = random.Random(2)
+        picked = _pick_slots(rng, ["x1"], MODS, 3)
+        assert sorted(picked) == [("x1", Mod.NONE), ("x1", Mod.STAR)]
+        assert _pick_slots(rng, [], MODS, 2) == []
+
+    def test_ordered_pairs_are_uniform(self):
+        # 6 slots give 30 ordered pairs; 30,000 draws expect 1000 of each,
+        # with a standard deviation of about 31, so 10 % is over 3 sigma
+        rng = random.Random(3)
+        draws = 30_000
+        seen = Counter(tuple(_pick_slots(rng, POOL, MODS, 2))
+                       for _ in range(draws))
+        pairs = list(itertools.permutations(itertools.product(POOL, MODS), 2))
+        assert set(seen) == set(pairs)
+        expected = draws / len(pairs)
+        assert all(abs(seen[p] - expected) <= 0.1 * expected for p in pairs)
+
+
+@pytest.mark.parametrize("target", [HORN, KROM])
+@pytest.mark.parametrize("ops", [{Mod.STAR}, {Mod.FUT, Mod.PAST, Mod.STAR}],
+                         ids=["star", "fp-star"])
+def test_large_planted_instance_is_fast(target, ops):
+    t0 = time.perf_counter()
+    phi, backdoor = planted_instance(0, 5000, 10000, target, 5, ops)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0, f"planted_instance took {elapsed:.2f} s"
+    assert len(backdoor) == 5 and len(phi.clauses) >= 10000
+    assert parse_snf(format_snf(phi)) == phi
+
