@@ -2,9 +2,9 @@
 
 Every kernel takes its clauses in a flat layout: one list of literals plus a
 list of clause start offsets (``starts[c]..starts[c+1]`` holds clause ``c``).
-The clause search and the Horn propagator run in plain CPython on those
-lists; the two exhaustive scans over 2^n assignments import numpy on first
-use and vectorise there.
+Everything runs in plain CPython.  The clause search and the Horn
+propagator walk those lists; the two exhaustive scans over 2^n assignments
+are bit-parallel, with one Python-int truth table per atom (``_columns``).
 """
 
 from __future__ import annotations
@@ -280,34 +280,77 @@ def horn_forward(heads, counts, occ, values, facts):
     return 1
 
 
+def _columns(n):
+    """Truth-table columns of ``n`` atoms as Python ints over the 2^n
+    assignments: bit ``a`` of ``cols[i]`` is set iff assignment ``a`` gives
+    atom ``i`` (bit n-1-i of ``a``) the value 1.
+
+    Each column starts as one period (``half`` zeros, then ``half`` ones)
+    and doubles until it spans all assignments.  Dividing the all-ones
+    table by the period instead is superlinear in the table size: 4x the
+    time of doubling at 12 atoms and 70x at 16 (CPython 3.11).
+    """
+    total = 1 << n
+    cols = []
+    for i in range(n):
+        half = 1 << (n - 1 - i)
+        col = ((1 << half) - 1) << half
+        width = 2 * half
+        while width < total:
+            col |= col << width
+            width *= 2
+        cols.append(col)
+    return cols
+
+
+def _lowest(x):
+    """Index of the lowest set bit of ``x`` > 0: the first assignment."""
+    return (x & -x).bit_length() - 1
+
+
 def brute_scan(n_atoms, lits, starts):
     """Scan assignments in ascending order; atom i sits at bit n-1-i.
 
     Literals are DIMACS-style ±(atom+1).  Returns ``(1, mask)`` for the
     first satisfying assignment, else ``(0, 0)``.
-    """
-    import numpy as np
 
-    n_clauses = len(starts) - 1
-    total = 1 << n_atoms
-    chunk = 1 << 16
-    for base in range(0, total, chunk):
-        ms = np.arange(base, min(base + chunk, total), dtype=np.int64)
-        ok = np.ones(ms.shape[0], dtype=bool)
-        for ci in range(n_clauses):
-            sat = np.zeros(ms.shape[0], dtype=bool)
-            for li in range(starts[ci], starts[ci + 1]):
-                lit = lits[li]
+    Bit-parallel over Python ints, in chunks of 2^16 assignments: the (at
+    most 16) lowest-bit atoms become truth-table columns, and the atoms
+    above them run as a prefix in ascending order.  Under a fixed prefix a
+    clause is either satisfied outright by a prefix literal or the OR of
+    its remaining literals' columns, and the chunk's models are the AND of
+    those, so memory stays bounded and an early model ends the scan.
+    """
+    low = min(n_atoms, 16)
+    high = n_atoms - low
+    cols = _columns(low)
+    full = (1 << (1 << low)) - 1
+    # per clause: the prefix bits that satisfy it when 1 or when 0, and the
+    # OR of its literals on the column atoms
+    clauses = []
+    for ci in range(len(starts) - 1):
+        pos = neg = table = 0
+        for lit in lits[starts[ci]:starts[ci + 1]]:
+            a = abs(lit) - 1
+            if a < high:
                 if lit > 0:
-                    sat |= ((ms >> (n_atoms - lit)) & 1) == 1
+                    pos |= 1 << (high - 1 - a)
                 else:
-                    sat |= ((ms >> (n_atoms + lit)) & 1) == 0
-            ok &= sat
-            if not ok.any():
+                    neg |= 1 << (high - 1 - a)
+            else:
+                col = cols[a - high]
+                table |= col if lit > 0 else full ^ col
+        clauses.append((pos, neg, table))
+    for prefix in range(1 << high):
+        ok = full
+        for pos, neg, table in clauses:
+            if prefix & pos or ~prefix & neg:
+                continue
+            ok &= table
+            if not ok:
                 break
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            return 1, int(ms[hits[0]])
+        if ok:
+            return 1, (prefix << low) | _lowest(ok)
     return 0, 0
 
 
@@ -325,48 +368,55 @@ def star_scan(n_vars, lvar, lstar, lsign, starts, psi_mask):
     Returns ``(found, g, a0, witnesses)`` with ``a0`` the first qualifying
     member and ``witnesses[i]`` the first witness world mask for variable i
     (-1 where unneeded).
-    """
-    import numpy as np
 
-    n_clauses = len(starts) - 1
-    total = 1 << n_vars
-    alphas = np.arange(total, dtype=np.int64)
-    bits = [(alphas >> (n_vars - 1 - i)) & 1 for i in range(n_vars)]
-    for g in range(total):
-        member = (alphas & g) == g
-        for ci in range(n_clauses):
-            sat = np.zeros(total, dtype=bool)
-            fixed_true = False
-            for li in range(starts[ci], starts[ci + 1]):
-                v = lvar[li]
-                if lstar[li] == 1:
-                    gbit = (g >> (n_vars - 1 - v)) & 1
-                    if gbit == lsign[li]:
-                        fixed_true = True
-                        break
+    The members of ``g`` are a Python-int truth table over the 2^n world
+    assignments: the AND of the columns of g's true variables and of every
+    clause that no always-literal satisfies under ``g``, each such clause
+    being the OR of its plain literals' columns.  ``a0`` and the witnesses
+    are lowest set bits.
+    """
+    cols = _columns(n_vars)
+    full = (1 << (1 << n_vars)) - 1
+    # per clause: the g bits whose always-literal holds when 1 or when 0,
+    # and the OR of its plain literals' columns
+    clauses = []
+    for ci in range(len(starts) - 1):
+        pos = neg = table = 0
+        for li in range(starts[ci], starts[ci + 1]):
+            v = lvar[li]
+            if lstar[li] == 1:
+                if lsign[li] == 1:
+                    pos |= 1 << (n_vars - 1 - v)
                 else:
-                    sat |= bits[v] == lsign[li]
-            if fixed_true:
+                    neg |= 1 << (n_vars - 1 - v)
+            else:
+                table |= cols[v] if lsign[li] == 1 else full ^ cols[v]
+        clauses.append((pos, neg, table))
+    psi = full
+    for i in range(n_vars):
+        if (psi_mask >> (n_vars - 1 - i)) & 1:
+            psi &= cols[i]
+    for g in range(1 << n_vars):
+        member = full
+        for i in range(n_vars):
+            if (g >> (n_vars - 1 - i)) & 1:
+                member &= cols[i]
+        for pos, neg, table in clauses:
+            if g & pos or ~g & neg:
                 continue
-            member &= sat
-            if not member.any():
+            member &= table
+            if not member:
                 break
-        if not member.any():
+        if not member & psi:
             continue
-        psi_ok = member & ((alphas & psi_mask) == psi_mask)
-        if not psi_ok.any():
-            continue
-        a0 = int(alphas[np.argmax(psi_ok)])
         wit = [-1] * n_vars
-        complete = True
         for i in range(n_vars):
             if (g >> (n_vars - 1 - i)) & 1:
                 continue
-            cand = member & (bits[i] == 0)
-            if not cand.any():
-                complete = False
+            cand = member & ~cols[i]
+            if not cand:
                 break
-            wit[i] = int(alphas[np.argmax(cand)])
-        if complete:
-            return 1, g, a0, wit
+            wit[i] = _lowest(cand)
+        else:
+            return 1, g, _lowest(member & psi), wit
     return 0, 0, 0, [-1] * n_vars

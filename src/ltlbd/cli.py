@@ -92,7 +92,8 @@ def _model_out(args, default_stem: str) -> Path:
 def cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
     phi = _load_formula(args.file)
-    backdoor = tuple(v for v in args.backdoor.split(",") if v)
+    # a repeated name is one backdoor variable, as the library evaluates it
+    backdoor = tuple(dict.fromkeys(v for v in args.backdoor.split(",") if v))
     if not phi.operators <= {Mod.STAR}:
         print("error: evaluation handles the always-only fragment",
               file=sys.stderr)

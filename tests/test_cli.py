@@ -140,6 +140,16 @@ class TestEvaluateAndCheckModel:
         assert main(["solve", path, "--oracle", "star"]) == 1
         assert "verdict: UNSAT" in capsys.readouterr().out
 
+    def test_repeated_backdoor_name_is_reported_once(self, tmp_path, capsys):
+        path = write(tmp_path, "f.snf", "operators: *\ninit: c\n"
+                     "clause: b | c\nclause: [*]b | ~c\n")
+        model = str(tmp_path / "m.model")
+        assert main(["evaluate", path, "--backdoor", "b,b",
+                     "--model-out", model]) == 0
+        out = capsys.readouterr().out
+        assert "backdoor: b\n" in out and "backdoor-size: 1\n" in out
+        assert "verdict: SAT" in out
+
     def test_wrong_fragment_rejected(self, tmp_path, capsys):
         phi = SnfFormula(frozenset({Mod.FUT}), (),
                          (Clause([Lit("x", Mod.FUT)]),))

@@ -1,6 +1,7 @@
 """The clause search and the Horn propagator must agree with the exhaustive
-scan they are checked against."""
+scan they are checked against, and the scan with plain enumeration."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -117,11 +118,60 @@ def test_horn_closure_extends_like_a_fresh_solve():
     assert 50 <= n_sat <= 350
 
 
-def test_import_leaves_numpy_unloaded():
-    # numpy is imported only by the 2^n scans, on first use
+def test_runs_without_numpy(tmp_path):
+    # no runtime dependency: the scans, the star oracle's scan path and the
+    # CLI all work when numpy cannot be imported
     src = os.path.dirname(os.path.dirname(ltlbd.__file__))
-    probe = "import sys, ltlbd; print('numpy' in sys.modules)"
+    path = tmp_path / "f.snf"
+    path.write_text("operators: *\ninit: a\nclause: ~a | b\n"
+                    "clause: [*]b | ~c\n", encoding="utf-8")
+    probe = f"""
+import sys
+sys.modules["numpy"] = None
+import ltlbd
+from ltlbd.cli import main
+from ltlbd.fileio import parse_snf
+from ltlbd.oracle import SCAN_VAR_LIMIT, star_sat_oracle
+from ltlbd.propsat import PropCnf, brute_sat, plain_atom
+a, b = plain_atom("a"), plain_atom("b")
+cnf = PropCnf([[(a, True), (b, True)], [(a, False)]])
+assert brute_sat(cnf) == {{a: False, b: True}}
+phi = parse_snf(open({str(path)!r}).read())
+assert len(phi.variables) <= SCAN_VAR_LIMIT
+assert star_sat_oracle(phi) is not None
+sys.exit(main(["solve", {str(path)!r}, "--oracle", "star"]))
+"""
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src},
-                          check=True)
-    assert done.stdout.strip() == "False"
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert "verdict: SAT" in done.stdout
+
+
+def naive_scan(n_atoms, lits, starts):
+    """First model in ascending assignment order (atom 0 most significant),
+    by plain enumeration."""
+    clauses = [lits[starts[c]:starts[c + 1]] for c in range(len(starts) - 1)]
+    for bits in itertools.product((0, 1), repeat=n_atoms):
+        if all(any(bits[abs(l) - 1] == (l > 0) for l in c) for c in clauses):
+            return 1, sum(b << (n_atoms - 1 - i) for i, b in enumerate(bits))
+    return 0, 0
+
+
+def test_brute_scan_matches_enumeration():
+    assert _kernels.brute_scan(0, [], [0]) == naive_scan(0, [], [0]) == (1, 0)
+    assert _kernels.brute_scan(0, [], [0, 0]) == (0, 0)
+    assert _kernels.brute_scan(3, [2], [0, 1, 1]) == (0, 0)  # empty clause
+    rng = random.Random(6)
+    n_sat = 0
+    for _ in range(600):
+        n = rng.randint(1, 10)
+        if rng.random() < 0.25:  # unit clauses only
+            units = rng.sample(range(1, n + 1), rng.randint(1, n))
+            lits = [a if rng.random() < 0.5 else -a for a in units]
+            starts = list(range(len(lits) + 1))
+        else:
+            lits, starts = random_int_cnf(rng, n, max_clauses=3 * n)
+        found = _kernels.brute_scan(n, lits, starts)
+        assert found == naive_scan(n, lits, starts)
+        n_sat += found[0]
+    assert 150 <= n_sat <= 450

@@ -6,8 +6,8 @@ import pytest
 from ltlbd.formula import Clause, Lit, Mod, SnfFormula, remove_tautologies
 from ltlbd.gen import random_formula
 from ltlbd.interp import models
-from ltlbd.oracle import (_star_by_encoding, _star_by_scan, star_sat_oracle,
-                          window_sat_oracle)
+from ltlbd.oracle import (SCAN_VAR_LIMIT, _star_by_encoding, _star_by_scan,
+                          star_sat_oracle, window_sat_oracle)
 
 
 def formula(clauses, initial=(), ops={Mod.STAR}):
@@ -72,15 +72,17 @@ class TestStarOracle:
             assert (star_sat_oracle(phi) is not None) == expected
 
     def test_scan_and_encoding_strategies_agree(self):
+        # every size the scan strategy serves, up to SCAN_VAR_LIMIT
         rng = random.Random(21)
-        for _ in range(120):
-            phi = random_formula(rng, rng.randint(1, 4), rng.randint(1, 5),
-                                 3, {Mod.STAR})
-            a = _star_by_scan(phi)
-            b = _star_by_encoding(phi)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert models(a, phi) and models(b, phi)
+        for n in range(1, SCAN_VAR_LIMIT + 1):
+            for _ in range(10):
+                phi = random_formula(rng, n, rng.randint(1, 3 * n), 3,
+                                     {Mod.STAR})
+                a = _star_by_scan(phi)
+                b = _star_by_encoding(phi)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert models(a, phi) and models(b, phi)
 
     def test_verdict_stable_under_tautology_removal(self):
         rng = random.Random(22)
