@@ -11,6 +11,14 @@ For formulas with past/future operators the oracle searches eventually
 constant interpretations over a window of requested width.  A negative
 answer there is only "no model within this window", never an
 unsatisfiability claim.
+
+Both encodings are integer clauses (literals ±(atom+1)) at fixed atom
+offsets, solved by :func:`ltlbd._kernels.search_solve`, which returns the
+lexicographically first model for its decision order.  The star encoding
+decides the always-atoms, then rows 1..n+1; the window encoding decides the
+cells row by row, then the atoms of its modal literals.  Each row is over
+the sorted variables.  This module shares no code with backdoor evaluation,
+which it cross-checks.
 """
 
 from __future__ import annotations
@@ -18,11 +26,9 @@ from __future__ import annotations
 from typing import Optional
 
 from . import _kernels
-from .evaluation import propositionalize, relabel_copy
 from .formula import Mod, SnfFormula
 from .interp import (AssignmentSet, FiniteWindowInterpretation,
                      from_assignment_set, models)
-from .propsat import PropCnf, copy_atom, global_atom, solve_cnf
 
 #: Exhaustive global-candidate scan handles at most this many variables.
 SCAN_VAR_LIMIT = 12
@@ -38,10 +44,19 @@ def star_sat_oracle(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
     Returns a verified witness interpretation, or None for unsatisfiable.
     The witness is deterministic: the scan strategy returns the first global
     candidate (ascending) with the first qualifying world assignments; the
-    encoding strategy returns the lexicographically minimal solver model.
+    encoding strategy returns the lexicographically first model, deciding
+    the always-atoms and then rows 1..n+1, each over the sorted variables,
+    false before true.  Raises ValueError when the formula declares or holds
+    a past or future operator.
     """
     if not phi.operators <= {Mod.STAR}:
         raise ValueError("star oracle handles the always-only fragment")
+    allowed = (Mod.NONE, Mod.STAR)  # bound once: enum lookups are slow
+    for c in phi.clauses:
+        for lit in c:
+            if lit.mod not in allowed:
+                raise ValueError(
+                    f"literal {lit} outside the always-only fragment")
     n = len(phi.variables)
     if n <= SCAN_VAR_LIMIT:
         result = _star_by_scan(phi)
@@ -52,6 +67,21 @@ def star_sat_oracle(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
     if result is not None and not models(result, phi):
         raise AssertionError("oracle witness failed the model check")
     return result
+
+
+def _solve(n_atoms: int, clauses: list, order: list) -> Optional[list]:
+    """The first model of integer clauses in ``order`` (a list, which the
+    decision loop scans faster than a range), or None when unsatisfiable.
+
+    The search watches two distinct literals per clause.  No clause repeats
+    one: :class:`~ltlbd.formula.Clause` holds distinct literals, and both
+    encodings give distinct literals distinct signed atoms."""
+    lits, starts = [], [0]
+    for c in clauses:
+        lits.extend(c)
+        starts.append(len(lits))
+    status, values = _kernels.search_solve(n_atoms, lits, starts, order)
+    return values if status else None
 
 
 def _star_by_scan(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
@@ -84,33 +114,28 @@ def _star_by_scan(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
 
 
 def _star_by_encoding(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
+    # atom r*n + i: the always-atom of variable i for r = 0, else its value
+    # in row r; row 1 is designated, row 2+i refutes a false always-atom i
     variables = sorted(phi.variables)
-    rows = len(variables) + 1  # row 1 designated, row 2+i witnesses variable i
-    base = propositionalize(phi.clauses)
-    clauses = []
-    for r in range(1, rows + 1):
-        clauses.extend(relabel_copy(base, variables, r, "w").clauses)
-    for v in phi.initial:
-        clauses.append(((copy_atom(v, 1, "w"), True),))
-    for i, v in enumerate(variables):
-        for r in range(1, rows + 1):
-            clauses.append(((global_atom(v), False),
-                            (copy_atom(v, r, "w"), True)))
-        # when the always-atom is false, its dedicated row refutes it
-        clauses.append(((global_atom(v), True),
-                        (copy_atom(v, 2 + i, "w"), False)))
-    order = [global_atom(v) for v in variables]
-    for r in range(1, rows + 1):
-        order.extend(copy_atom(v, r, "w") for v in variables)
-    model = solve_cnf(PropCnf(clauses), branch_first=order)
-    if model is None:
+    n = len(variables)
+    col = {v: i for i, v in enumerate(variables)}
+    rows = range(1, n + 2)
+
+    def code(lit, r: int) -> int:
+        a = (r * n if lit.mod is Mod.NONE else 0) + col[lit.var]
+        return a + 1 if lit.positive else -a - 1
+
+    clauses = [[code(lit, r) for lit in c] for r in rows for c in phi.clauses]
+    clauses.extend([n + col[v] + 1] for v in phi.initial)
+    for i in range(n):
+        clauses.extend([-i - 1, r * n + i + 1] for r in rows)
+        clauses.append([i + 1, -(2 + i) * n - i - 1])
+    values = _solve(n * (n + 2), clauses, list(range(n * (n + 2))))
+    if values is None:
         return None
-    member_rows = [
-        {v: model[copy_atom(v, r, "w")] for v in variables}
-        for r in range(1, rows + 1)
-    ]
-    return from_assignment_set(
-        AssignmentSet(tuple(member_rows), member_rows[0]))
+    members = tuple({v: bool(values[r * n + i])
+                     for i, v in enumerate(variables)} for r in rows)
+    return from_assignment_set(AssignmentSet(members, members[0]))
 
 
 def window_sat_oracle(phi: SnfFormula,
@@ -128,95 +153,65 @@ def window_sat_oracle(phi: SnfFormula,
     if width < 0:
         raise ValueError("window width must be nonnegative")
     variables = sorted(phi.variables)
+    nv = len(variables)
     n_rows = width + 3
-    if n_rows * max(len(variables), 1) > WINDOW_CELL_LIMIT:
+    if n_rows * max(nv, 1) > WINDOW_CELL_LIMIT:
         raise ValueError(
-            f"window budget exceeded: {n_rows} rows x {len(variables)} "
+            f"window budget exceeded: {n_rows} rows x {nv} "
             f"variables > {WINDOW_CELL_LIMIT} cells")
+    col = {v: i for i, v in enumerate(variables)}
+    worlds = range(-2, width + 3)  # the worlds every clause is grounded at
 
-    def row_of(world: int) -> int:  # row ids: 1 left, 2..width+2 window, +3 right
-        if world < 0:
-            return 1
-        if world > width:
-            return width + 3
-        return world + 2
+    def cell(v: str, world: int) -> int:  # row 0 and row n_rows-1: the edges
+        return min(max(world + 1, 0), n_rows - 1) * nv + col[v]
 
-    def cell(v: str, row: int):
-        return copy_atom(v, row, "w")
-
-    def fut(v: str, world: int):
-        return copy_atom(v, world + 3, "F")
-
-    def past(v: str, world: int):
-        return copy_atom(v, world + 3, "P")
-
-    clauses = []
-    star_vars = sorted({l.var for c in phi.clauses for l in c
-                        if l.mod is Mod.STAR})
-    fut_vars = sorted({l.var for c in phi.clauses for l in c
-                       if l.mod is Mod.FUT})
-    past_vars = sorted({l.var for c in phi.clauses for l in c
-                        if l.mod is Mod.PAST})
-    eval_worlds = range(-2, width + 3)
-
-    # ground every clause at every evaluation world
+    # atoms after the cells: one always-atom, or one future/past atom per
+    # evaluation world, for each modal (operator, variable) pair
+    base, n_atoms = {}, n_rows * nv
     for c in phi.clauses:
-        for w in eval_worlds:
-            ground = []
-            for lit in c:
-                if lit.mod is Mod.NONE:
-                    atom = cell(lit.var, row_of(w))
-                elif lit.mod is Mod.STAR:
-                    atom = global_atom(lit.var)
-                elif lit.mod is Mod.FUT:
-                    atom = fut(lit.var, w)
-                else:
-                    atom = past(lit.var, w)
-                ground.append((atom, lit.positive))
-            clauses.append(tuple(ground))
+        for lit in c:
+            if lit.mod is not Mod.NONE and (lit.mod, lit.var) not in base:
+                base[lit.mod, lit.var] = n_atoms
+                n_atoms += 1 if lit.mod is Mod.STAR else len(worlds)
 
-    # initial facts hold at world 0
-    for v in phi.initial:
-        clauses.append(((cell(v, row_of(0)), True),))
+    def code(lit, world: int) -> int:
+        if lit.mod is Mod.NONE:
+            a = cell(lit.var, world)
+        elif lit.mod is Mod.STAR:
+            a = base[lit.mod, lit.var]
+        else:
+            a = base[lit.mod, lit.var] + world + 2
+        return a + 1 if lit.positive else -a - 1
 
-    # always-atom: conjunction of all rows
-    for v in star_vars:
-        wide = [(global_atom(v), True)]
-        for r in range(1, n_rows + 1):
-            clauses.append(((global_atom(v), False), (cell(v, r), True)))
-            wide.append((cell(v, r), False))
-        clauses.append(tuple(wide))
+    # every clause at every evaluation world, and initial facts at world 0
+    clauses = [[code(lit, w) for lit in c]
+               for c in phi.clauses for w in worlds]
+    clauses.extend([cell(v, 0) + 1] for v in phi.initial)
 
-    # future chain: at world w the variable holds at every later world
-    for v in fut_vars:
-        top = width + 2
-        clauses.append(((fut(v, top), False), (cell(v, row_of(top + 1)), True)))
-        clauses.append(((fut(v, top), True), (cell(v, row_of(top + 1)), False)))
-        for w in range(top - 1, -3, -1):
-            nxt = cell(v, row_of(w + 1))
-            clauses.append(((fut(v, w), False), (nxt, True)))
-            clauses.append(((fut(v, w), False), (fut(v, w + 1), True)))
-            clauses.append(((fut(v, w), True), (nxt, False),
-                            (fut(v, w + 1), False)))
+    for (mod, v), a in base.items():
+        if mod is Mod.STAR:  # always-atom: conjunction of all rows
+            cells = [r * nv + col[v] + 1 for r in range(n_rows)]
+            clauses.extend([-a - 1, x] for x in cells)
+            clauses.append([a + 1] + [-x for x in cells])
+            continue
+        # future (past) atom at w: v holds at every later (earlier) world;
+        # beyond the last evaluation world only the frozen edge remains
+        step = 1 if mod is Mod.FUT else -1
+        for w in worlds:
+            here, nxt = a + w + 3, cell(v, w + step) + 1
+            clauses.append([-here, nxt])
+            if w + step in worlds:
+                chained = here + step
+                clauses.append([-here, chained])
+                clauses.append([here, -nxt, -chained])
+            else:
+                clauses.append([here, -nxt])
 
-    # past chain, mirrored
-    for v in past_vars:
-        bot = -2
-        clauses.append(((past(v, bot), False), (cell(v, row_of(bot - 1)), True)))
-        clauses.append(((past(v, bot), True), (cell(v, row_of(bot - 1)), False)))
-        for w in range(bot + 1, width + 3):
-            prv = cell(v, row_of(w - 1))
-            clauses.append(((past(v, w), False), (prv, True)))
-            clauses.append(((past(v, w), False), (past(v, w - 1), True)))
-            clauses.append(((past(v, w), True), (prv, False),
-                            (past(v, w - 1), False)))
-
-    order = [cell(v, r) for r in range(1, n_rows + 1) for v in variables]
-    model = solve_cnf(PropCnf(clauses), branch_first=order)
-    if model is None:
+    values = _solve(n_atoms, clauses, list(range(n_atoms)))
+    if values is None:
         return None
-    rows = [{v: model.get(cell(v, r), False) for v in variables}
-            for r in range(1, n_rows + 1)]
+    rows = [{v: bool(values[r * nv + i]) for i, v in enumerate(variables)}
+            for r in range(n_rows)]
     result = FiniteWindowInterpretation(
         left=rows[0], window=tuple(rows[1:-1]), lo=0, right=rows[-1], start=0)
     if not models(result, phi):

@@ -3,9 +3,11 @@
 Atoms are structural: a plain stand-in for a variable, a global stand-in for
 its always-literal, or a labelled world copy.  Solvers: linear Horn-SAT with
 minimal models, implication-graph 2-SAT, an exhaustive scanner used as a test
-oracle, and a deterministic DPLL for the bounded searches in the oracles.
-Horn-SAT, the scanner and the search number the atoms and run a kernel of
-:mod:`ltlbd._kernels` on the integer clauses.
+oracle, and a complete clause search that returns the lexicographically
+first model for a given decision order.  Horn-SAT, the scanner and the
+search number the atoms and run a kernel of :mod:`ltlbd._kernels` on the
+integer clauses.  The oracles of :mod:`ltlbd.oracle` build integer clauses
+themselves and call the search kernel directly, without atoms.
 """
 
 from __future__ import annotations

@@ -221,6 +221,14 @@ class TestSolve:
         assert main(["solve", path, "--oracle", "window", "--window", "2"]) == 1
         assert "verdict: NO_MODEL_WITHIN_WINDOW" in capsys.readouterr().out
 
+    def test_star_rejects_a_future_literal_the_operators_omit(self, tmp_path,
+                                                              capsys):
+        path = write(tmp_path, "f.snf",
+                     "operators: *\nclause: [F]x1 | [F]x3\n")
+        assert main(["solve", path, "--oracle", "star"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: literal [F]x1 outside the always-only fragment\n"
+
     def test_window_requires_width(self, simple, capsys):
         assert main(["solve", simple, "--oracle", "window"]) == 2
 

@@ -1,11 +1,13 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from ltlbd.formula import Clause, Lit, Mod, SnfFormula, remove_tautologies
 from ltlbd.gen import random_formula
-from ltlbd.interp import models
+from ltlbd.interp import (AssignmentSet, FiniteWindowInterpretation,
+                          from_assignment_set, models)
 from ltlbd.oracle import (SCAN_VAR_LIMIT, _star_by_encoding, _star_by_scan,
                           star_sat_oracle, window_sat_oracle)
 
@@ -46,6 +48,53 @@ def assignment_set_oracle(phi):
     return False
 
 
+def first_layout(phi):
+    """The star encoding's witness contract by enumeration: the first
+    (always-atoms, rows 1..n+1) tuple, each over the sorted variables,
+    false before true, in which every row satisfies every clause with
+    always-literals read from the always-atoms, row 1 carries the initial
+    facts, and a true always-atom of variable i holds in every row while a
+    false one fails in row 2+i.  Given the always-atoms no row constrains
+    another, so each row is the first that qualifies on its own."""
+    names = sorted(phi.variables)
+    n = len(names)
+    rows = [dict(zip(names, bits))
+            for bits in itertools.product((False, True), repeat=n)]
+    for bits in itertools.product((False, True), repeat=n):
+        always = dict(zip(names, bits))
+
+        def allowed(r, row):
+            if r == 1 and not all(row[v] for v in phi.initial):
+                return False
+            for i, v in enumerate(names):
+                if row[v] != always[v] and (always[v] or r == 2 + i):
+                    return False
+            return all(any((always[l.var] if l.mod is Mod.STAR else row[l.var])
+                           == l.positive for l in c) for c in phi.clauses)
+
+        chosen = [next((row for row in rows if allowed(r, row)), None)
+                  for r in range(1, n + 2)]
+        if None not in chosen:
+            return from_assignment_set(AssignmentSet(tuple(chosen), chosen[0]))
+    return None
+
+
+def first_grid_model(phi, width):
+    """The window oracle's witness contract by enumeration: the first cell
+    grid (left edge, worlds 0..width, right edge, each row over the sorted
+    variables, false before true) that models the formula."""
+    names = sorted(phi.variables)
+    n_rows = width + 3
+    for bits in itertools.product((False, True), repeat=n_rows * len(names)):
+        grid = [dict(zip(names, bits[r * len(names):(r + 1) * len(names)]))
+                for r in range(n_rows)]
+        m = FiniteWindowInterpretation(left=grid[0], window=tuple(grid[1:-1]),
+                                       lo=0, right=grid[-1], start=0)
+        if models(m, phi):
+            return m
+    return None
+
+
 class TestStarOracle:
     def test_negated_always_with_initial_fact(self):
         phi = formula([Clause([Lit("x", Mod.STAR, False)])], initial=["x"])
@@ -62,6 +111,24 @@ class TestStarOracle:
         phi = formula([Clause([Lit("x", Mod.FUT)])], ops={Mod.FUT})
         with pytest.raises(ValueError):
             star_sat_oracle(phi)
+
+    @pytest.mark.parametrize("n", [3, SCAN_VAR_LIMIT + 1])
+    def test_past_and_future_literals_rejected_under_always_only(self, n):
+        # the formula declares only the always operator, yet holds [F]/[P]
+        filler = [Clause([Lit(f"x{i}")]) for i in range(n - 2)]
+        for lit in (Lit("a", Mod.FUT), Lit("a", Mod.PAST, False)):
+            phi = formula(filler + [Clause([Lit("b", Mod.STAR), lit])])
+            assert len(phi.variables) == n
+            message = f"literal {lit} outside the always-only fragment"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                star_sat_oracle(phi)
+
+    def test_encoding_witness_is_the_first_layout(self):
+        rng = random.Random(25)
+        for _ in range(300):
+            phi = random_formula(rng, rng.randint(2, 3), rng.randint(1, 8),
+                                 3, {Mod.STAR})
+            assert _star_by_encoding(phi) == first_layout(phi)
 
     def test_matches_assignment_set_enumeration(self):
         rng = random.Random(20)
@@ -134,6 +201,28 @@ class TestWindowOracle:
             s = star_sat_oracle(phi)
             w = window_sat_oracle(phi, len(phi.variables) + 1)
             assert (s is None) == (w is None)
+        # above the scan limit, so the star oracle solves its encoding
+        for n in (SCAN_VAR_LIMIT + 1, SCAN_VAR_LIMIT + 2):
+            for _ in range(6):
+                phi = random_formula(rng, n, rng.randint(n // 2, n), 3,
+                                     {Mod.STAR})
+                names = tuple(f"x{i + 1}" for i in range(n))
+                phi = SnfFormula(phi.operators, phi.initial, phi.clauses,
+                                 variables=names)
+                s = star_sat_oracle(phi)
+                w = window_sat_oracle(phi, 4)
+                assert (s is None) == (w is None)
+
+    def test_witness_is_the_first_grid_model(self):
+        rng = random.Random(26)
+        opsets = [set(ops) for r in range(4) for ops in
+                  itertools.combinations((Mod.PAST, Mod.FUT, Mod.STAR), r)]
+        for _ in range(40):
+            phi = random_formula(rng, rng.randint(1, 2), rng.randint(1, 4),
+                                 3, rng.choice(opsets))
+            for width in (0, 1):
+                assert (window_sat_oracle(phi, width)
+                        == first_grid_model(phi, width))
 
     def test_budget(self):
         clauses = [Clause([Lit(f"w{i:03d}")]) for i in range(200)]
