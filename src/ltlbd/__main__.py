@@ -1,0 +1,8 @@
+"""``python -m ltlbd``: the ``ltlbd`` command, also from an uninstalled tree."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

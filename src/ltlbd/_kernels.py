@@ -18,8 +18,13 @@ def search_solve(n_atoms, lits_in, starts_in, order):
     through entailed learned clauses, so the returned model is the
     lexicographically smallest one with respect to that atom order.
     Two-watched-literal propagation, first-UIP learning, non-chronological
-    backjumping; no clause deletion.  Returns ``(1, values)`` on SAT and
-    ``(0, values)`` on UNSAT, ``values`` a list of 0/1 (-1 unassigned).
+    backjumping; no clause deletion.  Decisions read ``order`` through a
+    pointer instead of rescanning it from the start: every atom before the
+    pointer is assigned, a decision moves it past assigned atoms, and a
+    backjump lowers it to the first position of each atom it unassigns, so
+    each decision picks the atom a rescan would.  Returns
+    ``(1, values)`` on SAT and ``(0, values)`` on UNSAT, ``values`` a list
+    of 0/1 (-1 unassigned).
     """
     n0 = len(starts_in) - 1
     lits = list(lits_in)
@@ -38,13 +43,32 @@ def search_solve(n_atoms, lits_in, starts_in, order):
     watch_next = [-1] * (2 * n0)
     seen = [0] * n_atoms
 
-    # install watches; queue unit clauses, fail on empty ones
+    # order position of each atom (its first one); atoms outside order sit
+    # past its end and never lower the pointer
+    n_order = len(order)
+    opos = [n_order] * n_atoms
+    for i in range(n_order - 1, -1, -1):
+        opos[order[i]] = i
+    optr = 0
+
+    # install watches (literal code 2*atom, +1 when negative); queue unit
+    # clauses, fail on empty ones
     for ci in range(n0):
-        size = starts[ci + 1] - starts[ci]
-        if size == 0:
-            return 0, val
-        if size == 1:
-            lit = lits[starts[ci]]
+        s = starts[ci]
+        size = starts[ci + 1] - s
+        if size >= 2:
+            lit = lits[s]
+            code = 2 * lit - 2 if lit > 0 else -2 * lit - 1
+            node = 2 * ci
+            watch_next[node] = watch_head[code]
+            watch_head[code] = node
+            lit = lits[s + 1]
+            code = 2 * lit - 2 if lit > 0 else -2 * lit - 1
+            node += 1
+            watch_next[node] = watch_head[code]
+            watch_head[code] = node
+        elif size == 1:
+            lit = lits[s]
             a = lit - 1 if lit > 0 else -lit - 1
             want = 1 if lit > 0 else 0
             if val[a] == -1:
@@ -56,12 +80,7 @@ def search_solve(n_atoms, lits_in, starts_in, order):
             elif val[a] != want:
                 return 0, val
         else:
-            for slot in range(2):
-                lit = lits[starts[ci] + slot]
-                code = 2 * (lit - 1) if lit > 0 else 2 * (-lit - 1) + 1
-                node = 2 * ci + slot
-                watch_next[node] = watch_head[code]
-                watch_head[code] = node
+            return 0, val
 
     while True:
         # propagate to fixpoint
@@ -164,7 +183,10 @@ def search_solve(n_atoms, lits_in, starts_in, order):
             # pop back to the backjump level
             keep = lev_start[btlevel + 1]
             for i in range(keep, trail_len):
-                val[trail[i]] = -1
+                b = trail[i]
+                val[b] = -1
+                if opos[b] < optr:
+                    optr = opos[b]
             trail_len = keep
             qhead = keep
             cur_level = btlevel
@@ -184,7 +206,7 @@ def search_solve(n_atoms, lits_in, starts_in, order):
             if learnt:
                 for slot in range(2):
                     lit = lits[starts[ci] + slot]
-                    code = 2 * (lit - 1) if lit > 0 else 2 * (-lit - 1) + 1
+                    code = 2 * lit - 2 if lit > 0 else -2 * lit - 1
                     node = 2 * ci + slot
                     watch_next[node] = watch_head[code]
                     watch_head[code] = node
@@ -196,14 +218,12 @@ def search_solve(n_atoms, lits_in, starts_in, order):
             trail_len += 1
             continue
 
-        # decide the next atom in order, value 0 first
-        nxt = -1
-        for a in order:
-            if val[a] == -1:
-                nxt = a
-                break
-        if nxt == -1:
+        # decide the next unassigned atom in order, value 0 first
+        while optr < n_order and val[order[optr]] != -1:
+            optr += 1
+        if optr == n_order:
             return 1, val
+        nxt = order[optr]
         cur_level += 1
         lev_start[cur_level] = trail_len
         val[nxt] = 0

@@ -69,6 +69,13 @@ def cmd_validate(args) -> int:
 def cmd_detect(args) -> int:
     t0 = time.perf_counter()
     phi = _load_formula(args.file)
+    # detection reads the declared operator set, so an undeclared operator
+    # (a violation `validate` reports) makes its answer meaningless
+    if any(issue.kind == "undeclared-operator"
+           for issue in validate_normal_form(phi)):
+        print("error: a clause uses an operator the formula does not declare",
+              file=sys.stderr)
+        return 2
     detect = detect_horn_backdoor if args.target == HORN else detect_krom_backdoor
     found = detect(phi, args.k)
     if found is None:

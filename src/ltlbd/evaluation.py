@@ -48,6 +48,9 @@ from .interp import (AssignmentSet, FiniteWindowInterpretation,
 from . import _kernels
 from .propsat import Atom, PropCnf, copy_atom, global_atom, plain_atom
 
+# bound once for the per-literal loops: class lookups of enum members are slow
+_NONE, _STAR = Mod.NONE, Mod.STAR
+
 
 @dataclass(frozen=True)
 class ThetaSet:
@@ -232,12 +235,12 @@ class _Encoding:
 
     def _code(self, lit) -> int:
         """Signed id (±(atom+1)) of a literal in copy 1 of pool member 0."""
-        if lit.mod is Mod.NONE and lit.var in self.slot:
+        if lit.mod is _NONE and lit.var in self.slot:
             a = len(self.rest) + self.slot[lit.var]
-        elif lit.mod is Mod.STAR and lit.var in self.slot:
+        elif lit.mod is _STAR and lit.var in self.slot:
             a = self.slot[lit.var]
-        elif lit.mod in (Mod.NONE, Mod.STAR):
-            atom = (plain_atom if lit.mod is Mod.NONE else global_atom)(lit.var)
+        elif lit.mod in (_NONE, _STAR):
+            atom = (plain_atom if lit.mod is _NONE else global_atom)(lit.var)
             if atom not in self.extra:
                 self.extra.append(atom)
             a = self.n_layout + self.extra.index(atom)

@@ -14,6 +14,9 @@ from typing import Iterable, Mapping
 
 from .formula import Lit, Mod, SnfFormula
 
+# bound once for the per-literal checks: class lookups of enum members are slow
+_NONE, _FUT, _STAR = Mod.NONE, Mod.FUT, Mod.STAR
+
 WorldAssignment = dict  # Mapping[str, bool], total on the variable set in use
 
 
@@ -113,11 +116,11 @@ class _LitTable:
     def holds(self, world: int, lit: Lit) -> bool:
         m = self.m
         v = lit.var
-        if lit.mod is Mod.NONE:
+        if lit.mod is _NONE:
             value = m.row(world)[v]
-        elif lit.mod is Mod.STAR:
+        elif lit.mod is _STAR:
             value = self.star[v]
-        elif lit.mod is Mod.FUT:
+        elif lit.mod is _FUT:
             value = m.right[v]
             if value and world <= m.lo - 2:
                 value = m.left[v]

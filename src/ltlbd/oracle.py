@@ -70,8 +70,8 @@ def star_sat_oracle(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
 
 
 def _solve(n_atoms: int, clauses: list, order: list) -> Optional[list]:
-    """The first model of integer clauses in ``order`` (a list, which the
-    decision loop scans faster than a range), or None when unsatisfiable.
+    """The first model of integer clauses for the decision order ``order``
+    (a list of atoms), or None when unsatisfiable.
 
     The search watches two distinct literals per clause.  No clause repeats
     one: :class:`~ltlbd.formula.Clause` holds distinct literals, and both
@@ -88,12 +88,13 @@ def _star_by_scan(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
     variables = sorted(phi.variables)
     n = len(variables)
     index = {v: i for i, v in enumerate(variables)}
+    star = Mod.STAR  # bound once: enum lookups are slow
     lvar, lstar, lsign = [], [], []
     starts = [0]
     for c in phi.clauses:
         for lit in c:
             lvar.append(index[lit.var])
-            lstar.append(1 if lit.mod is Mod.STAR else 0)
+            lstar.append(1 if lit.mod is star else 0)
             lsign.append(1 if lit.positive else 0)
         starts.append(len(lvar))
     psi_mask = 0
@@ -120,9 +121,10 @@ def _star_by_encoding(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
     n = len(variables)
     col = {v: i for i, v in enumerate(variables)}
     rows = range(1, n + 2)
+    none = Mod.NONE  # bound once: enum lookups are slow
 
     def code(lit, r: int) -> int:
-        a = (r * n if lit.mod is Mod.NONE else 0) + col[lit.var]
+        a = (r * n if lit.mod is none else 0) + col[lit.var]
         return a + 1 if lit.positive else -a - 1
 
     clauses = [[code(lit, r) for lit in c] for r in rows for c in phi.clauses]
@@ -161,35 +163,56 @@ def window_sat_oracle(phi: SnfFormula,
             f"variables > {WINDOW_CELL_LIMIT} cells")
     col = {v: i for i, v in enumerate(variables)}
     worlds = range(-2, width + 3)  # the worlds every clause is grounded at
+    none, star = Mod.NONE, Mod.STAR  # bound once: enum lookups are slow
 
-    def cell(v: str, world: int) -> int:  # row 0 and row n_rows-1: the edges
-        return min(max(world + 1, 0), n_rows - 1) * nv + col[v]
+    def row(world: int) -> int:  # row 0 and row n_rows-1: the edges
+        return min(max(world + 1, 0), n_rows - 1) * nv
+
+    def cell(v: str, world: int) -> int:
+        return row(world) + col[v]
+
+    row_at = [row(w) for w in worlds]  # first cell atom of each world's row
 
     # atoms after the cells: one always-atom, or one future/past atom per
     # evaluation world, for each modal (operator, variable) pair
     base, n_atoms = {}, n_rows * nv
     for c in phi.clauses:
         for lit in c:
-            if lit.mod is not Mod.NONE and (lit.mod, lit.var) not in base:
+            if lit.mod is not none and (lit.mod, lit.var) not in base:
                 base[lit.mod, lit.var] = n_atoms
-                n_atoms += 1 if lit.mod is Mod.STAR else len(worlds)
+                n_atoms += 1 if lit.mod is star else len(worlds)
 
-    def code(lit, world: int) -> int:
-        if lit.mod is Mod.NONE:
-            a = cell(lit.var, world)
-        elif lit.mod is Mod.STAR:
-            a = base[lit.mod, lit.var]
+    def codes(lit) -> list:
+        """The literal's signed atom at every evaluation world."""
+        if lit.mod is none:
+            a = [r + col[lit.var] + 1 for r in row_at]
+        elif lit.mod is star:
+            a = [base[star, lit.var] + 1] * len(worlds)
         else:
-            a = base[lit.mod, lit.var] + world + 2
-        return a + 1 if lit.positive else -a - 1
+            first = base[lit.mod, lit.var] + 1
+            a = list(range(first, first + len(worlds)))
+        return a if lit.positive else [-x for x in a]
 
-    # every clause at every evaluation world, and initial facts at world 0
-    clauses = [[code(lit, w) for lit in c]
-               for c in phi.clauses for w in worlds]
+    # every clause at every evaluation world, and initial facts at world 0;
+    # a literal's codes are built once, and a clause without literals still
+    # yields one empty clause per world
+    column = {}
+    clauses = []
+    for c in phi.clauses:
+        cols = []
+        for lit in c:
+            codes_at = column.get(lit)
+            if codes_at is None:
+                codes_at = column[lit] = codes(lit)
+            cols.append(codes_at)
+        if cols:
+            clauses.extend(map(list, zip(*cols)))
+        else:
+            clauses.extend([] for _ in worlds)
     clauses.extend([cell(v, 0) + 1] for v in phi.initial)
 
     for (mod, v), a in base.items():
-        if mod is Mod.STAR:  # always-atom: conjunction of all rows
+        if mod is star:  # always-atom: conjunction of all rows
             cells = [r * nv + col[v] + 1 for r in range(n_rows)]
             clauses.extend([-a - 1, x] for x in cells)
             clauses.append([a + 1] + [-x for x in cells])

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ltlbd
 from ltlbd import cli
 from ltlbd.cli import main
 from ltlbd.fileio import format_snf, parse_snf
@@ -96,6 +100,21 @@ class TestDetect:
         path = disjoint(tmp_path, 6, 3)
         assert main(["detect", path, "--class", "krom", "-k", "5"]) == 1
         assert "verdict: NONE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", ["horn", "krom"])
+    def test_undeclared_operator_is_an_input_error(self, tmp_path, capsys,
+                                                   target):
+        # the backdoor depends on the declared operators, so a file that
+        # `validate` rejects gets no answer, as with evaluate and solve
+        path = write(tmp_path, "bad.snf",
+                     "operators: *\ninit: x3, x4\nclause: ~[P]x4\n"
+                     "clause: [*]x1 | [F]x3\n")
+        assert main(["validate", path]) == 1
+        capsys.readouterr()
+        assert main(["detect", path, "--class", target, "-k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 def test_unexpected_exception_is_an_internal_error(simple, capsys,
@@ -228,6 +247,16 @@ class TestSolve:
         assert main(["solve", path, "--oracle", "star"]) == 2
         err = capsys.readouterr().err
         assert err == "error: literal [F]x1 outside the always-only fragment\n"
+
+    def test_runs_as_a_module_uninstalled(self, simple):
+        # `python -m ltlbd` with only src/ on the path, as the README shows
+        src = Path(ltlbd.__file__).parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "ltlbd", "solve", simple, "--oracle", "star"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        assert "verdict: SAT" in done.stdout
 
     def test_window_requires_width(self, simple, capsys):
         assert main(["solve", simple, "--oracle", "window"]) == 2

@@ -65,6 +65,52 @@ def test_shuffled_order_model_is_lex_minimal_after_learning():
     assert n_sat >= 5
 
 
+def test_backjumps_below_the_decision_pointer_keep_the_first_model():
+    # near the 3-SAT threshold (about 4.26 clauses per atom) learned clauses
+    # unassign atoms before the decision pointer, which must then revisit
+    # them; relabelling order[i] to atom i makes the scan's first model the
+    # search's, at every size from a few atoms to a few dozen
+    rng = random.Random(8)
+    n_sat = n_unsat = 0
+    for n in range(4, 25):
+        for _ in range(6):
+            lits, starts = [], [0]
+            for _ in range(round(n * rng.uniform(3.8, 4.8))):
+                for a in rng.sample(range(1, n + 1), 3):
+                    lits.append(a if rng.random() < 0.5 else -a)
+                starts.append(len(lits))
+            order = list(range(n))
+            rng.shuffle(order)
+            status, values = _kernels.search_solve(n, lits, starts, order)
+            rank = {a: i for i, a in enumerate(order)}
+            relabelled = [(rank[abs(l) - 1] + 1) * (1 if l > 0 else -1)
+                          for l in lits]
+            found, mask = _kernels.brute_scan(n, relabelled, starts)
+            assert status == found
+            if status:
+                n_sat += 1
+                assert mask == sum(values[a] << (n - 1 - i)
+                                   for i, a in enumerate(order))
+            else:
+                n_unsat += 1
+    assert n_sat >= 30 and n_unsat >= 30
+
+
+def test_empty_clause_or_contradicting_unit_after_other_units():
+    # units are assigned in clause order until the first empty clause or
+    # contradicting unit, which answers UNSAT with the values so far
+    n = 3
+    cases = [
+        ([1, -2, 2, 3], [0, 1, 2, 4, 4], [1, 0, -1]),  # empty clause
+        ([1, -2, 2, 3, -1], [0, 1, 2, 4, 5], [1, 0, -1]),  # unit -1 vs 1
+        ([2, 3, -3, 1, 3], [0, 2, 3, 4, 5], [1, -1, 0]),  # unit 3 vs -3
+        ([-3, 1, 2, 3], [0, 1, 1, 4], [-1, -1, 0]),  # empty after one unit
+    ]
+    for lits, starts, values in cases:
+        assert _kernels.search_solve(n, lits, starts, [0, 1, 2]) == (0, values)
+        assert _kernels.brute_scan(n, lits, starts) == (0, 0)
+
+
 def random_horn_cnf(rng, n_atoms, max_clauses=8, max_body=3):
     """Clauses of distinct literals: a body of negated atoms and at most one
     head, which may repeat a body atom (a tautology)."""

@@ -173,6 +173,15 @@ class TestWindowOracle:
         for width in (0, 1, 3):
             assert window_sat_oracle(phi, width) is None
 
+    def test_empty_clause_has_no_model(self):
+        # the empty clause is grounded at every world like any other, and
+        # the satisfiable clauses around it must not hide it
+        phi = formula([Clause([Lit("s"), Lit("p", Mod.FUT)]), Clause([]),
+                       Clause([Lit("p", Mod.PAST, False)])],
+                      initial=["s"], ops={Mod.FUT, Mod.PAST})
+        for width in (0, 1, 2):
+            assert window_sat_oracle(phi, width) is None
+
     def test_future_literal_needs_room(self):
         # s now, p only strictly later, and p must stay off at the start
         phi = formula([Clause([Lit("s", positive=False), Lit("p", Mod.FUT)]),
