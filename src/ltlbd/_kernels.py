@@ -1,10 +1,12 @@
 """Hot search kernels shared by the solvers and oracles.
 
-Every kernel takes its clauses in a flat layout: one list of literals plus a
-list of clause start offsets (``starts[c]..starts[c+1]`` holds clause ``c``).
+Every kernel takes its clauses in one flat layout: a list of DIMACS-style
+literals ±(atom+1) plus a list of clause start offsets
+(``starts[c]..starts[c+1]`` holds clause ``c``).
 Everything runs in plain CPython.  The clause search and the Horn
 propagator walk those lists; the two exhaustive scans over 2^n assignments
-are bit-parallel, with one Python-int truth table per atom (``_columns``).
+are bit-parallel, with one Python-int truth table per atom (``_columns``),
+and split their clauses the same way (``_split``).
 """
 
 from __future__ import annotations
@@ -328,25 +330,15 @@ def _lowest(x):
     return (x & -x).bit_length() - 1
 
 
-def brute_scan(n_atoms, lits, starts):
-    """Scan assignments in ascending order; atom i sits at bit n-1-i.
+def _split(lits, starts, high, cols, full):
+    """Per clause ``(pos, neg, table)`` for a scan split at atom ``high``.
 
-    Literals are DIMACS-style ±(atom+1).  Returns ``(1, mask)`` for the
-    first satisfying assignment, else ``(0, 0)``.
-
-    Bit-parallel over Python ints, in chunks of 2^16 assignments: the (at
-    most 16) lowest-bit atoms become truth-table columns, and the atoms
-    above them run as a prefix in ascending order.  Under a fixed prefix a
-    clause is either satisfied outright by a prefix literal or the OR of
-    its remaining literals' columns, and the chunk's models are the AND of
-    those, so memory stays bounded and an early model ends the scan.
+    Atoms below ``high`` are prefix bits, atom ``a`` at bit ``high-1-a``:
+    ``pos`` and ``neg`` hold the bits whose value 1, or 0, satisfies the
+    clause.  Every other atom ``a`` is the truth-table column
+    ``cols[a - high]``, and ``table`` is the OR of those literals' columns
+    (complemented within ``full`` for negative ones).
     """
-    low = min(n_atoms, 16)
-    high = n_atoms - low
-    cols = _columns(low)
-    full = (1 << (1 << low)) - 1
-    # per clause: the prefix bits that satisfy it when 1 or when 0, and the
-    # OR of its literals on the column atoms
     clauses = []
     for ci in range(len(starts) - 1):
         pos = neg = table = 0
@@ -361,6 +353,26 @@ def brute_scan(n_atoms, lits, starts):
                 col = cols[a - high]
                 table |= col if lit > 0 else full ^ col
         clauses.append((pos, neg, table))
+    return clauses
+
+
+def brute_scan(n_atoms, lits, starts):
+    """Scan assignments in ascending order; atom i sits at bit n-1-i.
+
+    Returns ``(1, mask)`` for the first satisfying assignment, else
+    ``(0, 0)``.
+
+    Bit-parallel over Python ints, in chunks of 2^16 assignments: the (at
+    most 16) lowest-bit atoms become truth-table columns, and the atoms
+    above them run as a prefix in ascending order.  Under a fixed prefix a
+    clause is either satisfied outright by a prefix literal or the OR of
+    its remaining literals' columns, and the chunk's models are the AND of
+    those, so memory stays bounded and an early model ends the scan.
+    """
+    low = min(n_atoms, 16)
+    high = n_atoms - low
+    full = (1 << (1 << low)) - 1
+    clauses = _split(lits, starts, high, _columns(low), full)
     for prefix in range(1 << high):
         ok = full
         for pos, neg, table in clauses:
@@ -374,16 +386,16 @@ def brute_scan(n_atoms, lits, starts):
     return 0, 0
 
 
-def star_scan(n_vars, lvar, lstar, lsign, starts, psi_mask):
+def star_scan(n_vars, lits, starts, psi_mask):
     """Scan global-assignment candidates for the always-only fragment.
 
-    Literal ``li`` reads variable ``lvar[li]``, is an always-literal when
-    ``lstar[li]`` is 1 and wants the value ``lsign[li]``.  For each
-    candidate ``g`` over the always-atoms (ascending, variable i at bit
-    n-1-i), the world assignments ``a ⊇ g`` that satisfy every clause
-    (always-literals read from ``g``, plain ones from ``a``) are the members.
-    Succeeds when some member satisfies the initial-fact mask and every
-    variable with ``g``-bit 0 has a witness member where it is false.
+    Atom ``i < n_vars`` is the always-atom of variable ``i`` and atom
+    ``n_vars + i`` its plain atom.  For each candidate ``g`` over the
+    always-atoms (ascending, variable i at bit n-1-i), the world
+    assignments ``a ⊇ g`` that satisfy every clause (always-literals read
+    from ``g``, plain ones from ``a``) are the members.  Succeeds when some
+    member satisfies the initial-fact mask and every variable with
+    ``g``-bit 0 has a witness member where it is false.
 
     Returns ``(found, g, a0, witnesses)`` with ``a0`` the first qualifying
     member and ``witnesses[i]`` the first witness world mask for variable i
@@ -397,21 +409,7 @@ def star_scan(n_vars, lvar, lstar, lsign, starts, psi_mask):
     """
     cols = _columns(n_vars)
     full = (1 << (1 << n_vars)) - 1
-    # per clause: the g bits whose always-literal holds when 1 or when 0,
-    # and the OR of its plain literals' columns
-    clauses = []
-    for ci in range(len(starts) - 1):
-        pos = neg = table = 0
-        for li in range(starts[ci], starts[ci + 1]):
-            v = lvar[li]
-            if lstar[li] == 1:
-                if lsign[li] == 1:
-                    pos |= 1 << (n_vars - 1 - v)
-                else:
-                    neg |= 1 << (n_vars - 1 - v)
-            else:
-                table |= cols[v] if lsign[li] == 1 else full ^ cols[v]
-        clauses.append((pos, neg, table))
+    clauses = _split(lits, starts, n_vars, cols, full)
     psi = full
     for i in range(n_vars):
         if (psi_mask >> (n_vars - 1 - i)) & 1:

@@ -15,23 +15,26 @@ The encodings are built on integers, not on :class:`~ltlbd.propsat.Atom`:
   so it is reduced once per such key and kept as integer clauses.  Atom ids
   are laid out so that the copies of a block differ only by an offset.
 * Factoring.  The candidates of one member set share everything but their
-  initial-fact units U: the blocks and the consistency clauses S.  The
-  minimal model of a Horn formula S ∧ U is forward chaining from the
-  closure of S with U added, so S is closed once per set and each variant
-  extends a copy of that closure.  If S is unsatisfiable, so is every
-  variant; a variant whose designated member falsifies a backdoor initial
-  fact (a dead candidate, holding an empty clause) needs no solve.
+  initial-fact units U: the blocks and the consistency clauses S.  S is
+  built once per set, as one integer clause list: the blocks (members in
+  order, copies in order, reduct clauses in order), then per variable the
+  consistency clauses.  The minimal model of a Horn formula S ∧ U is
+  forward chaining from the closure of S with U added, so S is closed once
+  per set and each variant extends a copy of that closure.  If S is
+  unsatisfiable, so is every variant; a variant whose designated member
+  falsifies a backdoor initial fact (a dead candidate, holding an empty
+  clause) needs no solve, and a set whose variants are all dead builds
+  no block.
 * One Horn kernel.  Closure and extension run
   :func:`ltlbd._kernels.horn_forward`, the same propagator behind
   :func:`~ltlbd.propsat.horn_sat`.
 
 A :class:`PropCnf` is made only when asked for, for ``on_candidate`` and
-:func:`build_horn_encoding`.  It lists the same integer clauses mapped back
-to atoms, in the order of the encoding's definition: blocks (members in
-order, copies in order, reduct clauses in order), the initial facts (``()``
-for each falsified backdoor fact), then the consistency clauses per
-variable.  Clauses are copied, never merged or dropped, so the view equals
-the encoding clause for clause, and its minimal model is the one found.
+:func:`build_horn_encoding`.  It maps the list S that is solved back to
+atoms, clause for clause, and puts the initial facts (``()`` for each
+falsified backdoor fact) between the blocks and the consistency clauses.
+Clauses are copied, never merged or dropped, so the view equals the
+encoding, and its minimal model is the one found.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ from .propsat import Atom, PropCnf, copy_atom, global_atom, plain_atom
 
 # bound once for the per-literal loops: class lookups of enum members are slow
 _NONE, _STAR = Mod.NONE, Mod.STAR
+
+#: Evaluation handles at most this many backdoor variables: k variables
+#: give 2^(2^k) - 1 member sets, about 4.3·10^9 at k = 5.
+EVAL_BACKDOOR_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -166,9 +173,7 @@ class _Encoding:
     copy ``i`` (1-based) of ``rest[j]`` in the block of pool member ``p`` is
     ``r + ((p * copies) + i - 1) * r + j`` with ``r = len(rest)``.  A
     block's literals therefore differ between copies and members only by an
-    offset.  Atoms outside this layout (a reduct keeps backdoor literals
-    only when the formula holds an empty clause) are numbered after it.
-    :meth:`atom` maps an id back to its :class:`Atom`.
+    offset.  :meth:`atom` maps an id back to its :class:`Atom`.
     """
 
     def __init__(self, phi: SnfFormula, backdoor: tuple[str, ...]):
@@ -182,35 +187,32 @@ class _Encoding:
         r = len(self.rest)
         self.slot = {v: j for j, v in enumerate(self.rest)}
         self.labels = [_theta_label(theta) for theta in self.pool]
-        self.n_layout = r + len(self.pool) * self.copies * r
-        self.extra: list = []  # atoms outside the layout, by id
-        # (member, unanimity mask) -> (literals, clause lengths, Horn?)
+        self.n_atoms = r + len(self.pool) * self.copies * r
+        # (member, unanimity mask) -> (literals, clause lengths)
         self.blocks: dict = {}
-        self.block_views: dict = {}
-        self.views: tuple = ((), ())  # (member set, its shared clauses)
+        # the last member set's shared clauses, and their atom view
+        self.shared_for: tuple = ((), None)
+        self.view_for: tuple = ((), None)
+        self.lit_table: Optional[list] = None
         # per member: is it dead, and its initial facts as copy-1 ids
         self.dead = [any(v in theta and not theta[v] for v in phi.initial)
                      for theta in self.pool]
         self.units = [[self.copy_id(p, 1, self.slot[v]) for v in phi.initial
                        if v not in theta]
                       for p, theta in enumerate(self.pool)]
-        # per member: the negated copies of each rest[j], and the clauses
-        # tying the global atom of rest[j] to each of them
-        self.copy_negs = [[[-self.copy_id(p, i, j) - 1
-                            for i in range(1, self.copies + 1)]
-                           for j in range(r)]
-                          for p in range(len(self.pool))]
+        # per (member, rest[j]): the clauses ¬g ∨ c tying the global atom
+        # of rest[j] to each of its copies, and the negated copies
         self.ties = []
-        for negs in self.copy_negs:
-            lits = []
-            for j, row in enumerate(negs):
-                for lit in row:
-                    lits += (-(j + 1), -lit)
-            self.ties.append((lits, [2] * (len(lits) // 2)))
-
-    @property
-    def n_atoms(self) -> int:
-        return self.n_layout + len(self.extra)
+        self.copy_negs = []
+        for p in range(len(self.pool)):
+            ties, negs = [], []
+            for j in range(r):
+                copies = [self.copy_id(p, i, j) + 1
+                          for i in range(1, self.copies + 1)]
+                ties.append([l for c in copies for l in (-(j + 1), c)])
+                negs.append([-c for c in copies])
+            self.ties.append(ties)
+            self.copy_negs.append(negs)
 
     def copy_id(self, p: int, i: int, j: int) -> int:
         r = len(self.rest)
@@ -220,11 +222,9 @@ class _Encoding:
         r = len(self.rest)
         if a < r:
             return global_atom(self.rest[a])
-        if a < self.n_layout:
-            q, j = divmod(a - r, r)
-            p, i = divmod(q, self.copies)
-            return copy_atom(self.rest[j], i + 1, self.labels[p])
-        return self.extra[a - self.n_layout]
+        q, j = divmod(a - r, r)
+        p, i = divmod(q, self.copies)
+        return copy_atom(self.rest[j], i + 1, self.labels[p])
 
     def index(self, theta: dict) -> int:
         """Pool position of an assignment over the backdoor."""
@@ -234,16 +234,13 @@ class _Encoding:
         return p
 
     def _code(self, lit) -> int:
-        """Signed id (±(atom+1)) of a literal in copy 1 of pool member 0."""
-        if lit.mod is _NONE and lit.var in self.slot:
+        """Signed id (±(atom+1)) of a literal in copy 1 of pool member 0.
+        The reduct assigns both atoms of every backdoor variable, so every
+        plain or always-literal left is over ``rest``."""
+        if lit.mod is _NONE:
             a = len(self.rest) + self.slot[lit.var]
-        elif lit.mod is _STAR and lit.var in self.slot:
+        elif lit.mod is _STAR:
             a = self.slot[lit.var]
-        elif lit.mod in (_NONE, _STAR):
-            atom = (plain_atom if lit.mod is _NONE else global_atom)(lit.var)
-            if atom not in self.extra:
-                self.extra.append(atom)
-            a = self.n_layout + self.extra.index(atom)
         else:
             raise ValueError(
                 f"literal {lit} outside the always-only fragment")
@@ -258,6 +255,9 @@ class _Encoding:
             glob = global_assignment(members, self.back, self.pool[p])
             template = [[self._code(lit) for lit in c]
                         for c in reduct(self.clause_part, glob).clauses]
+            if any(sum(l > 0 for l in c) > 1 for c in template):
+                raise AssertionError(
+                    "encoding of a verified backdoor must be Horn")
             r = len(self.rest)
             flat = [l for c in template for l in c]
             # +1/-1 on the literals of copy 1 of member 0, which shift
@@ -267,37 +267,40 @@ class _Encoding:
             for i in range(1, self.copies + 1):
                 off = self.copy_id(p, i, 0) - r
                 lits += [l + s * off for l, s in zip(flat, shift)]
-            lens = [len(c) for c in template] * self.copies
-            horn = all(sum(l > 0 for l in c) <= 1 for c in template)
-            self.blocks[key] = (lits, lens, horn)
+            self.blocks[key] = (lits, [len(c) for c in template] * self.copies)
         return self.blocks[key]
 
-    def prepare(self, combo: tuple[int, ...], members: tuple) -> bool:
-        """Builds the blocks of a member set in member order; True iff they
-        are all Horn."""
-        mask = _unanimity(combo, len(self.pool))
-        return all([self.block(p, mask, members)[2] for p in combo])
-
-    def closure(self, combo: tuple[int, ...]) -> tuple:
-        """Minimal model of the blocks and consistency clauses shared by a
-        member set's candidates: ``(values, (heads, counts, occ), lits)``,
-        or None when they are unsatisfiable."""
-        mask = _unanimity(combo, len(self.pool))
-        lits, lens = [], []
-        for p in combo:
-            block_lits, block_lens, _ = self.blocks[(p, mask)]
-            tie_lits, tie_lens = self.ties[p]
-            lits += block_lits
-            lits += tie_lits
-            lens += block_lens
-            lens += tie_lens
-        for j in range(len(self.rest)):
-            wide = [j + 1]
+    def shared(self, combo: tuple[int, ...], members: tuple) -> tuple:
+        """The clauses a member set's candidates share, in dump order:
+        ``(lits, starts, n_blocks)``.  The first ``n_blocks`` clauses are the
+        blocks (members in order, copies in order); then, per variable
+        ``rest[j]``, the ties ``¬g ∨ c`` for every copy and ``g ∨ ¬c…``."""
+        if self.shared_for[0] != combo:
+            mask = _unanimity(combo, len(self.pool))
+            lits, lens = [], []
             for p in combo:
-                wide += self.copy_negs[p][j]
-            lits += wide
-            lens.append(len(wide))
-        starts = [0, *itertools.accumulate(lens)]
+                block_lits, block_lens = self.block(p, mask, members)
+                lits += block_lits
+                lens += block_lens
+            n_blocks = len(lens)
+            n_ties = [2] * (len(combo) * self.copies)
+            for j in range(len(self.rest)):
+                wide = [j + 1]
+                for p in combo:
+                    lits += self.ties[p][j]
+                    wide += self.copy_negs[p][j]
+                lits += wide
+                lens += n_ties
+                lens.append(len(wide))
+            starts = [0, *itertools.accumulate(lens)]
+            self.shared_for = (combo, (lits, starts, n_blocks))
+        return self.shared_for[1]
+
+    def closure(self, combo: tuple[int, ...], members: tuple) -> tuple:
+        """Minimal model of the clauses shared by a member set's candidates:
+        ``(values, (heads, counts, occ), lits)``, or None when they are
+        unsatisfiable."""
+        lits, starts, _ = self.shared(combo, members)
         heads, counts, occ, facts = _kernels.horn_index(self.n_atoms, lits,
                                                         starts)
         values = [0] * self.n_atoms
@@ -305,49 +308,31 @@ class _Encoding:
             return None
         return values, (heads, counts, occ), lits
 
-    def view(self, combo: tuple[int, ...], d: int) -> PropCnf:
-        """The encoding of one candidate as a :class:`PropCnf`, clause for
-        clause: blocks (members in order, copies in order), initial facts,
-        consistency."""
-        if self.views[0] != combo:
-            mask = _unanimity(combo, len(self.pool))
-            blocks = []
-            for p in combo:
-                if (p, mask) not in self.block_views:
-                    lits, lens, _ = self.blocks[(p, mask)]
-                    self.block_views[(p, mask)] = self._clauses(lits, lens)
-                blocks += self.block_views[(p, mask)]
-            ties = []
-            for j, v in enumerate(self.rest):
-                g = global_atom(v)
-                wide = [(g, True)]
-                for p in combo:
-                    for i in range(1, self.copies + 1):
-                        c = self.atom(self.copy_id(p, i, j))
-                        ties.append(((g, False), (c, True)))
-                        wide.append((c, False))
-                ties.append(tuple(wide))
-            self.views = (combo, (tuple(blocks), tuple(ties)))
-        blocks, ties = self.views[1]
+    def view(self, combo: tuple[int, ...], members: tuple,
+             d: int) -> PropCnf:
+        """The encoding of one candidate as a :class:`PropCnf`: the shared
+        clauses mapped back to atoms, with the designated member's initial
+        facts between the blocks and the ties."""
+        if self.lit_table is None:
+            atoms = [self.atom(a) for a in range(self.n_atoms)]
+            # lit_table[l] for l = ±(a+1); a negative l indexes from the end
+            self.lit_table = ([None] + [(a, True) for a in atoms]
+                              + [(a, False) for a in reversed(atoms)])
+        lits, starts, n_blocks = self.shared(combo, members)
+        table = self.lit_table
+        if self.view_for[0] != combo:
+            clauses = tuple(tuple([table[l] for l in lits[s:e]])
+                            for s, e in zip(starts, starts[1:]))
+            self.view_for = (combo, clauses)
+        clauses = self.view_for[1]
+        # a falsified backdoor fact is an empty clause (a dead candidate),
+        # any other fact a unit on copy 1 of the designated block
         designated = self.pool[d]
-        facts = []
-        for v in self.initial:
-            if v in designated:
-                if not designated[v]:
-                    facts.append(())  # dead candidate
-            else:
-                facts.append(
-                    ((self.atom(self.copy_id(d, 1, self.slot[v])), True),))
-        return PropCnf.from_normal(blocks + tuple(facts) + ties)
-
-    def _clauses(self, lits: list[int], lens: list[int]) -> list[tuple]:
-        out = []
-        pos = 0
-        for n in lens:
-            out.append(tuple((self.atom(abs(l) - 1), l > 0)
-                             for l in lits[pos:pos + n]))
-            pos += n
-        return out
+        facts = tuple(() if v in designated
+                      else (table[self.copy_id(d, 1, self.slot[v]) + 1],)
+                      for v in self.initial if not designated.get(v))
+        return PropCnf.from_normal(clauses[:n_blocks] + facts
+                                   + clauses[n_blocks:])
 
 
 def _unanimity(combo: tuple[int, ...], n_pool: int) -> int:
@@ -372,11 +357,7 @@ def build_horn_encoding(phi: SnfFormula, backdoor: Iterable[str],
         raise ValueError("backdoor does not verify for the Horn class")
     enc = _Encoding(phi, back)
     combo = tuple(enc.index(m) for m in ts.members)
-    enc.prepare(combo, ts.members)
-    cnf = enc.view(combo, enc.index(ts.designated))
-    if not cnf.is_horn:
-        raise AssertionError("encoding of a verified backdoor must be Horn")
-    return cnf
+    return enc.view(combo, ts.members, enc.index(ts.designated))
 
 
 def encoding_size_bound(phi: SnfFormula, backdoor: Iterable[str]) -> int:
@@ -403,11 +384,16 @@ def evaluate_horn_star(phi: SnfFormula, backdoor: Iterable[str],
     short-circuit on the first satisfiable encoding, so the certificate is
     reproducible.  On SAT the certificate is re-checked against the original
     formula.  ``on_candidate(ts, cnf)`` is invoked for every candidate tried,
-    e.g. to dump its encoding.
+    e.g. to dump its encoding.  Raises ValueError for a backdoor of more
+    than :data:`EVAL_BACKDOOR_LIMIT` variables.
     """
     _check_fragment(phi)
     core = remove_tautologies(phi)
     back = tuple(sorted(set(backdoor)))
+    if len(back) > EVAL_BACKDOOR_LIMIT:
+        raise ValueError(f"backdoor evaluation limited to "
+                         f"{EVAL_BACKDOOR_LIMIT} backdoor variables, "
+                         f"got {len(back)}")
     if not verify_backdoor(core, back, HORN):
         raise ValueError("backdoor does not verify for the Horn class")
     enc = _Encoding(core, back)
@@ -415,17 +401,15 @@ def evaluate_horn_star(phi: SnfFormula, backdoor: Iterable[str],
 
     for combo in _member_sets(len(pool)):
         members = tuple(pool[p] for p in combo)
-        horn = enc.prepare(combo, members)
         shared = False  # not built yet; None once found unsatisfiable
         for d in combo:
             if on_candidate is not None:
-                on_candidate(ThetaSet(members, pool[d]), enc.view(combo, d))
-            if not horn:
-                raise ValueError("encoding is not Horn")
+                on_candidate(ThetaSet(members, pool[d]),
+                             enc.view(combo, members, d))
             if enc.dead[d]:
                 continue
             if shared is False:
-                shared = enc.closure(combo)
+                shared = enc.closure(combo, members)
             if shared is None:
                 continue
             values, (heads, counts, occ), lits = shared

@@ -88,20 +88,18 @@ def _star_by_scan(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
     variables = sorted(phi.variables)
     n = len(variables)
     index = {v: i for i, v in enumerate(variables)}
-    star = Mod.STAR  # bound once: enum lookups are slow
-    lvar, lstar, lsign = [], [], []
-    starts = [0]
+    none = Mod.NONE  # bound once: enum lookups are slow
+    # atom i: the always-atom of variable i; atom n + i: its plain atom
+    lits, starts = [], [0]
     for c in phi.clauses:
         for lit in c:
-            lvar.append(index[lit.var])
-            lstar.append(1 if lit.mod is star else 0)
-            lsign.append(1 if lit.positive else 0)
-        starts.append(len(lvar))
+            a = (n if lit.mod is none else 0) + index[lit.var] + 1
+            lits.append(a if lit.positive else -a)
+        starts.append(len(lits))
     psi_mask = 0
     for v in phi.initial:
         psi_mask |= 1 << (n - 1 - index[v])
-    found, _, a0, wit = _kernels.star_scan(n, lvar, lstar, lsign, starts,
-                                           psi_mask)
+    found, _, a0, wit = _kernels.star_scan(n, lits, starts, psi_mask)
     if not found:
         return None
 

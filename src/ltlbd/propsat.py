@@ -4,10 +4,11 @@ Atoms are structural: a plain stand-in for a variable, a global stand-in for
 its always-literal, or a labelled world copy.  Solvers: linear Horn-SAT with
 minimal models, implication-graph 2-SAT, an exhaustive scanner used as a test
 oracle, and a complete clause search that returns the lexicographically
-first model for a given decision order.  Horn-SAT, the scanner and the
-search number the atoms and run a kernel of :mod:`ltlbd._kernels` on the
-integer clauses.  The oracles of :mod:`ltlbd.oracle` build integer clauses
-themselves and call the search kernel directly, without atoms.
+first model for a given decision order.  Every solver and
+:func:`to_dimacs` number the atoms in one place (``_numbered``), and
+Horn-SAT, the scanner and the search run a kernel of :mod:`ltlbd._kernels`
+on those integer clauses.  The oracles of :mod:`ltlbd.oracle` build integer
+clauses themselves and call the search kernel directly, without atoms.
 """
 
 from __future__ import annotations
@@ -89,26 +90,27 @@ class PropCnf:
 Model = Optional[dict]  # Atom -> bool; None means unsatisfiable
 
 
-def _int_arrays(cnf: PropCnf, atoms: list[Atom]):
-    idx = {a: i for i, a in enumerate(atoms)}
+def _numbered(cnf: PropCnf):
+    """``(atoms, lits, starts)``: the sorted atoms of ``cnf`` and its clauses
+    in the kernels' flat layout, atom ``atoms[i]`` as literal ±(i+1)."""
+    atoms = cnf.atoms()
+    idx = {a: i + 1 for i, a in enumerate(atoms)}
     lits = []
     starts = [0]
     for c in cnf.clauses:
         for a, pos in c:
-            code = idx[a] + 1
-            lits.append(code if pos else -code)
+            lits.append(idx[a] if pos else -idx[a])
         starts.append(len(lits))
-    return lits, starts
+    return atoms, lits, starts
 
 
 def brute_sat(cnf: PropCnf) -> Model:
     """Exhaustive oracle: first satisfying assignment in canonical atom
     order (value 0 before 1), or None.  Limited to 24 atoms."""
-    atoms = cnf.atoms()
+    atoms, lits, starts = _numbered(cnf)
     n = len(atoms)
     if n > 24:
         raise ValueError(f"brute_sat limited to 24 atoms, got {n}")
-    lits, starts = _int_arrays(cnf, atoms)
     found, mask = _kernels.brute_scan(n, lits, starts)
     if not found:
         return None
@@ -121,9 +123,8 @@ def horn_sat(cnf: PropCnf) -> Model:
     Every atom true in the returned model is forced; all others are false.
     Tautological clauses are skipped.  Raises ValueError on non-Horn input.
     """
-    atoms = cnf.atoms()
+    atoms, lits, starts = _numbered(cnf)
     n = len(atoms)
-    lits, starts = _int_arrays(cnf, atoms)
     heads, counts, occ, facts = _kernels.horn_index(n, lits, starts)
     values = [0] * n
     if not _kernels.horn_forward(heads, counts, occ, values, facts):
@@ -140,29 +141,27 @@ def two_sat(cnf: PropCnf) -> Model:
     """
     if not cnf.is_krom:
         raise ValueError("two_sat requires a Krom formula")
-    atoms = cnf.atoms()
-    n = len(atoms)
-    idx = {a: i for i, a in enumerate(atoms)}
+    atoms, lits, starts = _numbered(cnf)
 
-    def node(atom, pos):  # 2i for positive, 2i+1 for negative
-        return 2 * idx[atom] + (0 if pos else 1)
+    def node(lit):  # 2i for literal i+1, 2i+1 for its negation
+        return 2 * lit - 2 if lit > 0 else -2 * lit - 1
 
-    adj: list[list[int]] = [[] for _ in range(2 * n)]
-    for c in cnf.clauses:
+    adj: list[list[int]] = [[] for _ in range(2 * len(atoms))]
+    for ci in range(len(starts) - 1):
+        c = lits[starts[ci]:starts[ci + 1]]
         if len(c) == 0:
             return None
         if len(c) == 1:
-            (a, pos), = c
-            adj[node(a, not pos)].append(node(a, pos))
+            adj[node(-c[0])].append(node(c[0]))
         else:
-            (a, apos), (b, bpos) = c
-            adj[node(a, not apos)].append(node(b, bpos))
-            adj[node(b, not bpos)].append(node(a, apos))
+            a, b = c
+            adj[node(-a)].append(node(b))
+            adj[node(-b)].append(node(a))
 
     comp = _tarjan_scc(adj)
     model = {}
-    for a in atoms:
-        cp, cn = comp[node(a, True)], comp[node(a, False)]
+    for i, a in enumerate(atoms):
+        cp, cn = comp[2 * i], comp[2 * i + 1]
         if cp == cn:
             return None
         model[a] = cp < cn
@@ -225,13 +224,12 @@ def solve_cnf(cnf: PropCnf, branch_first: Iterable[Atom] = ()) -> Model:
     appended in canonical order), value false before true, so the returned
     model is lexicographically minimal for that order.
     """
-    atoms = cnf.atoms()
+    atoms, lits, starts = _numbered(cnf)
     n = len(atoms)
-    idx = {a: i for i, a in enumerate(atoms)}
-    head = [idx[a] for a in branch_first if a in idx]
+    position = {a: i for i, a in enumerate(atoms)}
+    head = [position[a] for a in branch_first if a in position]
     seen = set(head)
     order = head + [i for i in range(n) if i not in seen]
-    lits, starts = _int_arrays(cnf, atoms)
     status, values = _kernels.search_solve(n, lits, starts, order)
     if not status:
         return None
@@ -240,11 +238,9 @@ def solve_cnf(cnf: PropCnf, branch_first: Iterable[Atom] = ()) -> Model:
 
 def to_dimacs(cnf: PropCnf) -> tuple[str, list[str]]:
     """DIMACS text plus the sidecar name table (line i+1 names atom i+1)."""
-    atoms = cnf.atoms()
-    idx = {a: i + 1 for i, a in enumerate(atoms)}
+    atoms, lits, starts = _numbered(cnf)
     lines = [f"p cnf {len(atoms)} {len(cnf.clauses)}"]
-    for c in cnf.clauses:
-        nums = [idx[a] if pos else -idx[a] for a, pos in c]
-        lines.append(" ".join(str(x) for x in nums + [0]))
+    for ci in range(len(starts) - 1):
+        lines.append(" ".join(map(str, lits[starts[ci]:starts[ci + 1]] + [0])))
     names = [f"{i + 1} {a.display()}" for i, a in enumerate(atoms)]
     return "\n".join(lines) + "\n", names

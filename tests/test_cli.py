@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import ltlbd
 from ltlbd import cli
 from ltlbd.cli import main
+from ltlbd.evaluation import EVAL_BACKDOOR_LIMIT
 from ltlbd.fileio import format_snf, parse_snf
 from ltlbd.formula import Clause, Lit, Mod, SnfFormula
 
@@ -210,6 +212,48 @@ class TestEvaluateAndCheckModel:
         assert not (tmp_path / "dump.4.cnf").exists()
         for dead in (0, 2):
             assert "0" in (tmp_path / f"dump.{dead}.cnf").read_text().splitlines()
+
+    def test_dump_cnf_golden(self, tmp_path, capsys):
+        # backdoor {b}, non-backdoor x and y: candidate 0 and 2 are dead
+        # (init b), candidate 1's block is FALSE (~[*]b), and 3 carries the
+        # unit of init x; the text pins the clause order of every dump
+        path = write(tmp_path, "golden.snf",
+                     "operators: *\ninit: b, x\nclause: ~[*]b\n"
+                     "clause: ~x | y | b\nclause: x | ~y | ~b\n"
+                     "clause: [*]y | ~x\n")
+        prefix = str(tmp_path / "dump")
+        assert main(["evaluate", path, "--backdoor", "b", "--dump-cnf",
+                     prefix, "--model-out", str(tmp_path / "m.model")]) == 0
+        assert "verdict: SAT" in capsys.readouterr().out
+        got = ""
+        for i in range(4):
+            for ext in ("cnf", "names"):
+                got += f"== dump.{i}.{ext}\n"
+                got += (tmp_path / f"dump.{i}.{ext}").read_text()
+        assert not (tmp_path / "dump.4.cnf").exists()
+        golden = Path(__file__).parent / "data" / "golden_dump.txt"
+        assert got == golden.read_text()
+
+    def test_future_literal_on_a_backdoor_variable(self, tmp_path, capsys):
+        # the literal survives the reduct: an input error, not a lookup
+        # failure that would exit 4
+        path = write(tmp_path, "f.snf", "operators: *\n"
+                     "clause: [F]b | ~x\nclause: x | b\n")
+        assert main(["evaluate", path, "--backdoor", "b"]) == 2
+        assert capsys.readouterr().err == (
+            "error: literal [F]b outside the always-only fragment\n")
+
+    def test_backdoor_over_the_limit_is_an_input_error(self, tmp_path,
+                                                       capsys):
+        # five variables would mean 2^32 - 1 member sets
+        path = write(tmp_path, "f.snf", "operators: *\n"
+                     "clause: a | b | c | d | e\nclause: ~a | x\n")
+        t0 = time.perf_counter()
+        assert main(["evaluate", path, "--backdoor", "a,b,c,d,e"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"limited to {EVAL_BACKDOOR_LIMIT} backdoor variables" in err
 
     def test_corrupted_model_cell_invalid(self, simple, tmp_path, capsys):
         model = tmp_path / "m.model"

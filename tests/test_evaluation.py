@@ -307,9 +307,14 @@ try:
     ltlbd.evaluation.build_horn_encoding(phi, (), ts)
 except AssertionError:
     print("encoding raised")
+try:
+    ltlbd.evaluation.evaluate_horn_star(phi, ())
+except AssertionError:
+    print("evaluation raised")
 """
     done = subprocess.run([sys.executable, "-O", "-c", probe],
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.split("\n")[:3] == ["False", "planted raised",
-                                           "encoding raised"]
+    assert done.stdout.split("\n")[:4] == ["False", "planted raised",
+                                           "encoding raised",
+                                           "evaluation raised"]

@@ -221,3 +221,57 @@ def test_brute_scan_matches_enumeration():
         assert found == naive_scan(n, lits, starts)
         n_sat += found[0]
     assert 150 <= n_sat <= 450
+
+
+def naive_star(n, lits, starts, psi_mask):
+    """``star_scan`` by plain enumeration: atom i < n reads bit i of the
+    global candidate ``g``, atom n + i bit i of the world ``a`` (variable i
+    at bit n-1-i)."""
+    clauses = [lits[starts[c]:starts[c + 1]] for c in range(len(starts) - 1)]
+
+    def holds(lit, g, a):
+        x = abs(lit) - 1
+        bits, i = (g, x) if x < n else (a, x - n)
+        return (bits >> (n - 1 - i)) & 1 == (lit > 0)
+
+    for g in range(1 << n):
+        members = [a for a in range(1 << n) if a & g == g
+                   and all(any(holds(l, g, a) for l in c) for c in clauses)]
+        first = [a for a in members if a & psi_mask == psi_mask]
+        if not first:
+            continue
+        wit = [-1] * n
+        for i in range(n):
+            if (g >> (n - 1 - i)) & 1:
+                continue
+            falsified = [a for a in members if not (a >> (n - 1 - i)) & 1]
+            if not falsified:
+                break
+            wit[i] = falsified[0]
+        else:
+            return 1, g, first[0], wit
+    return 0, 0, 0, [-1] * n
+
+
+def test_star_scan_matches_enumeration():
+    assert _kernels.star_scan(0, [], [0], 0) == (1, 0, 0, [])
+    assert _kernels.star_scan(0, [], [0, 0], 0) == (0, 0, 0, [])
+    assert _kernels.star_scan(2, [3], [0, 1, 1], 0) == (0, 0, 0, [-1, -1])
+    rng = random.Random(9)
+    n_found = 0
+    for n in range(1, 9):
+        for _ in range(80 if n <= 5 else 12):
+            lits, starts = [], [0]
+            for _ in range(rng.randint(0, 2 * n)):
+                if rng.random() < 0.05:  # an empty clause
+                    starts.append(len(lits))
+                    continue
+                for _ in range(rng.randint(1, 3)):
+                    a = rng.randrange(2 * n) + 1
+                    lits.append(a if rng.random() < 0.5 else -a)
+                starts.append(len(lits))
+            psi_mask = rng.randrange(1 << n)
+            got = _kernels.star_scan(n, lits, starts, psi_mask)
+            assert got == naive_star(n, lits, starts, psi_mask)
+            n_found += got[0]
+    assert 100 <= n_found <= 380
