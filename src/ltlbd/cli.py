@@ -54,6 +54,18 @@ def _ops_from_string(text: str) -> frozenset[Mod]:
     return frozenset(ops)
 
 
+def _undeclared_operator(phi) -> bool:
+    """Report a clause operator outside the declared set, a violation
+    `validate` reports.  Detection and evaluation read the declared set, so
+    their answer on such a file would be meaningless."""
+    if any(issue.kind == "undeclared-operator"
+           for issue in validate_normal_form(phi)):
+        print("error: a clause uses an operator the formula does not declare",
+              file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_validate(args) -> int:
     t0 = time.perf_counter()
     phi = _load_formula(args.file)
@@ -69,12 +81,7 @@ def cmd_validate(args) -> int:
 def cmd_detect(args) -> int:
     t0 = time.perf_counter()
     phi = _load_formula(args.file)
-    # detection reads the declared operator set, so an undeclared operator
-    # (a violation `validate` reports) makes its answer meaningless
-    if any(issue.kind == "undeclared-operator"
-           for issue in validate_normal_form(phi)):
-        print("error: a clause uses an operator the formula does not declare",
-              file=sys.stderr)
+    if _undeclared_operator(phi):
         return 2
     detect = detect_horn_backdoor if args.target == HORN else detect_krom_backdoor
     found = detect(phi, args.k)
@@ -99,6 +106,8 @@ def _model_out(args, default_stem: str) -> Path:
 def cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
     phi = _load_formula(args.file)
+    if _undeclared_operator(phi):
+        return 2
     # a repeated name is one backdoor variable, as the library evaluates it
     backdoor = tuple(dict.fromkeys(v for v in args.backdoor.split(",") if v))
     if not phi.operators <= {Mod.STAR}:

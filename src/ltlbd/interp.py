@@ -2,9 +2,14 @@
 
 An interpretation is frozen to one assignment on every world left of a finite
 window, explicit inside the window, and frozen to another assignment right of
-it.  Every model this toolkit constructs or searches for has this shape, and
-clause evaluation stabilises two worlds beyond each window edge, so finite
-checks suffice.
+it.  Every model this toolkit constructs or searches for has this shape.
+
+Clause values stabilise two worlds beyond each window edge: a world below
+``lo - 2`` sees what ``lo - 2`` sees now, before and after (the worlds between
+are all ``left``), and likewise above ``hi + 2``.  So literals are evaluated
+bit-parallel over the worlds ``lo - 2`` to ``hi + 2``: bit ``t`` of a column or
+mask is world ``lo - 2 + t``, ``w + 4`` bits for a window of width ``w``, and
+a clause holds iff the OR of its literals' masks is full.
 """
 
 from __future__ import annotations
@@ -89,52 +94,37 @@ def holds_literal(m: FiniteWindowInterpretation, world: int, lit: Lit) -> bool:
     _check_world(m, world)
     if lit.var not in m.left:
         raise ValueError(f"unknown variable {lit.var!r}")
-    return _LitTable(m).holds(world, lit)
+    full = (1 << (len(m.window) + 4)) - 1
+    mask = _literal_mask(m, lit, _column(m, lit.var), full)
+    return bool(mask >> (world - m.lo + 2) & 1)
 
 
-class _LitTable:
-    """Per-variable prefix/suffix tables for O(1) literal evaluation."""
+def _column(m: FiniteWindowInterpretation, v: str) -> int:
+    """Bit ``t`` is the value of ``v`` at world ``lo - 2 + t``."""
+    col = 0
+    for row in reversed(m.window):
+        col = col << 1 | row[v]
+    return (3 * m.right[v]) << (len(m.window) + 2) | col << 2 | 3 * m.left[v]
 
-    def __init__(self, m: FiniteWindowInterpretation):
-        self.m = m
-        self.star = {}
-        self.suffix = {}   # suffix[v][i]: all window rows from index i on
-        self.prefix = {}   # prefix[v][i]: all window rows up to index i - 1
-        n = len(m.window)
-        for v in m.left:
-            col = [row[v] for row in m.window]
-            suf = [True] * (n + 1)
-            for i in range(n - 1, -1, -1):
-                suf[i] = col[i] and suf[i + 1]
-            pre = [True] * (n + 1)
-            for i in range(n):
-                pre[i + 1] = pre[i] and col[i]
-            self.suffix[v] = suf
-            self.prefix[v] = pre
-            self.star[v] = m.left[v] and m.right[v] and suf[0]
 
-    def holds(self, world: int, lit: Lit) -> bool:
-        m = self.m
-        v = lit.var
-        if lit.mod is _NONE:
-            value = m.row(world)[v]
-        elif lit.mod is _STAR:
-            value = self.star[v]
-        elif lit.mod is _FUT:
-            value = m.right[v]
-            if value and world <= m.lo - 2:
-                value = m.left[v]
-            if value:
-                first = max(world + 1, m.lo)
-                value = self.suffix[v][min(first - m.lo, len(m.window))]
-        else:
-            value = m.left[v]
-            if value and world >= m.hi + 2:
-                value = m.right[v]
-            if value:
-                last = min(world - 1, m.hi)
-                value = self.prefix[v][max(last - m.lo + 1, 0)]
-        return value if lit.positive else not value
+def _literal_mask(m: FiniteWindowInterpretation, lit: Lit, col: int,
+                  full: int) -> int:
+    """Bit ``t`` is the value of ``lit`` at world ``lo - 2 + t``."""
+    mod = lit.mod
+    if mod is _NONE:
+        mask = col
+    elif col == full:
+        mask = full
+    elif mod is _STAR:
+        mask = 0
+    elif mod is _FUT:
+        # the worlds from the last false one up, if the right region holds
+        top = (full ^ col).bit_length() - 1
+        mask = full >> top << top if m.right[lit.var] else 0
+    else:
+        zeros = full ^ col
+        mask = ((zeros & -zeros) << 1) - 1 if m.left[lit.var] else 0
+    return mask if lit.positive else mask ^ full
 
 
 def models(m: FiniteWindowInterpretation, phi: SnfFormula) -> bool:
@@ -147,15 +137,24 @@ def models(m: FiniteWindowInterpretation, phi: SnfFormula) -> bool:
     missing = set(phi.variables) - set(m.left)
     if missing:
         raise ValueError(f"interpretation lacks variables: {sorted(missing)}")
-    table = _LitTable(m)
-    for v in phi.initial:
-        if not m.row(m.start)[v]:
-            return False
-    worlds_range = range(m.lo - 2, m.hi + 3)
+    if not all(m.row(m.start)[v] for v in phi.initial):
+        return False
+    full = (1 << (len(m.window) + 4)) - 1
+    columns, masks = {}, {}
     for clause in phi.clauses:
-        for z in worlds_range:
-            if not any(table.holds(z, lit) for lit in clause):
-                return False
+        union = 0
+        for lit in clause.literals:
+            mask = masks.get(lit)
+            if mask is None:
+                col = columns.get(lit.var)
+                if col is None:
+                    col = columns[lit.var] = _column(m, lit.var)
+                mask = masks[lit] = _literal_mask(m, lit, col, full)
+            union |= mask
+            if union == full:
+                break
+        else:
+            return False
     return True
 
 

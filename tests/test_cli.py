@@ -235,13 +235,30 @@ class TestEvaluateAndCheckModel:
         assert got == golden.read_text()
 
     def test_future_literal_on_a_backdoor_variable(self, tmp_path, capsys):
-        # the literal survives the reduct: an input error, not a lookup
-        # failure that would exit 4
+        # an undeclared [F] on a backdoor variable: an input error, not a
+        # lookup failure that would exit 4
         path = write(tmp_path, "f.snf", "operators: *\n"
                      "clause: [F]b | ~x\nclause: x | b\n")
         assert main(["evaluate", path, "--backdoor", "b"]) == 2
         assert capsys.readouterr().err == (
-            "error: literal [F]b outside the always-only fragment\n")
+            "error: a clause uses an operator the formula does not declare\n")
+
+    def test_undeclared_operator_is_an_input_error(self, tmp_path, capsys):
+        # the reduct by b drops [F]x, so the library alone would answer SAT;
+        # the file is one `validate` rejects, so evaluate says what detect says
+        path = write(tmp_path, "f.snf", "operators: *\ninit: b\n"
+                     "clause: [F]x | b\nclause: y | ~x\n")
+        assert main(["validate", path]) == 1
+        capsys.readouterr()
+        assert main(["detect", path, "--class", "horn", "-k", "1"]) == 2
+        detect_err = capsys.readouterr().err
+        assert main(["evaluate", path, "--backdoor", "b",
+                     "--model-out", str(tmp_path / "m.model")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == detect_err
+        assert detect_err.startswith("error:")
+        assert not (tmp_path / "m.model").exists()
 
     def test_backdoor_over_the_limit_is_an_input_error(self, tmp_path,
                                                        capsys):
@@ -264,6 +281,16 @@ class TestEvaluateAndCheckModel:
         model.write_text(text)
         assert main(["check-model", simple, str(model)]) == 1
         capsys.readouterr()
+
+    def test_failure_only_at_a_sentinel_world_invalid(self, tmp_path,
+                                                      capsys):
+        # [P]x holds at every checked world but hi + 2, whose past takes in
+        # the false right region at hi + 1
+        path = write(tmp_path, "p.snf", "operators: P\nclause: [P]x\n")
+        model = write(tmp_path, "p.model",
+                      "vars: x\nleft: 1\nworld 0: 1\nworld 1: 1\nright: 0\n")
+        assert main(["check-model", path, model]) == 1
+        assert "verdict: INVALID" in capsys.readouterr().out
 
     def test_variable_mismatch_is_an_input_error(self, simple, tmp_path):
         bad = write(tmp_path, "bad.model",

@@ -147,6 +147,15 @@ class TestEncoding:
         with pytest.raises(ValueError):
             evaluate_horn_star(phi, ())
 
+    def test_rejects_a_future_literal_the_operators_omit(self):
+        # [F]b survives the reduct by b: the fragment error, not a lookup
+        # failure (the CLI refuses such a file before evaluating it)
+        phi = formula([Clause([Lit("b", Mod.FUT), Lit("x", positive=False)]),
+                       Clause([Lit("x"), Lit("b")])])
+        with pytest.raises(ValueError,
+                           match=r"literal \[F\]b outside the always-only"):
+            evaluate_horn_star(phi, ("b",))
+
     def test_rejects_non_backdoor(self):
         phi = formula([Clause([Lit("x"), Lit("y")])])
         with pytest.raises(ValueError):

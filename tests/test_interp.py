@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ltlbd.formula import Clause, Lit, Mod, SnfFormula
+from ltlbd.formula import EMPTY_CLAUSE, Clause, Lit, Mod, SnfFormula
 from ltlbd.interp import (AssignmentSet, FiniteWindowInterpretation, assign,
                           from_assignment_set, holds_literal, models, project,
                           worlds)
@@ -113,6 +113,78 @@ def test_models_shift_invariance():
         shifted = FiniteWindowInterpretation(
             m.left, m.window, m.lo + shift, m.right, m.start + shift)
         assert models(m, phi) == models(shifted, phi)
+
+
+def reference_models(m, phi):
+    """``models`` through ``reference_holds``: the initial facts at the
+    start world, and some literal of every clause at each checked world."""
+    return (all(m.row(m.start)[v] for v in phi.initial)
+            and all(any(reference_holds(m, z, lit) for lit in clause)
+                    for clause in phi.clauses
+                    for z in range(m.lo - 2, m.hi + 3)))
+
+
+def test_models_matches_wide_window_reference():
+    rng = random.Random(8)
+    mods = list(Mod)
+    seen = set()
+    for _ in range(2000):
+        names = [f"v{i}" for i in range(rng.randint(1, 3))]
+        width = rng.randint(1, 5)
+        cols = {v: (rng.random() < .5,
+                    [rng.random() < .5 for _ in range(width)],
+                    rng.random() < .5) for v in names}
+        lo = rng.randint(-3, 3)
+        m = interp(cols, lo=lo, start=rng.randint(lo, lo + width - 1))
+        # no clauses, the empty clause, and clauses of one to three literals
+        clauses = tuple(
+            Clause([Lit(rng.choice(names), rng.choice(mods), rng.random() < .5)
+                    for _ in range(rng.choice((0, 1, 1, 2, 2, 2, 3)))])
+            for _ in range(rng.randint(0, 3)))
+        initial = tuple(v for v in names if rng.random() < .25)
+        phi = SnfFormula(frozenset({Mod.PAST, Mod.FUT, Mod.STAR}), initial,
+                         clauses)
+        expected = reference_models(m, phi)
+        assert models(m, phi) == expected
+        seen.add((expected, bool(clauses), EMPTY_CLAUSE in clauses))
+    # both verdicts, formulas without clauses and with the empty clause
+    assert {(True, False, False), (True, True, False), (False, True, True),
+            (False, True, False)} <= seen
+
+
+def test_future_fails_at_the_top_sentinel_when_right_is_false():
+    m = interp({"x": (1, [1, 1], 0)})
+    fut = Lit("x", Mod.FUT)
+    # the checked worlds above the window are all false, so the last false
+    # one is hi + 2 itself; only the right region beyond makes [F]x fail there
+    assert not holds_literal(m, m.hi + 2, fut)
+    assert holds_literal(m, m.hi + 2, fut.negated())
+    assert [holds_literal(m, z, fut) for z in range(m.lo - 2, m.hi + 3)] == (
+        [False] * (len(m.window) + 4))
+
+
+def test_past_fails_at_the_bottom_sentinel_when_left_is_false():
+    m = interp({"x": (0, [1, 1], 1)}, lo=-1, start=-1)
+    past = Lit("x", Mod.PAST)
+    assert not holds_literal(m, m.lo - 2, past)
+    assert holds_literal(m, m.lo - 2, past.negated())
+    assert [holds_literal(m, z, past) for z in range(m.lo - 2, m.hi + 3)] == (
+        [False] * (len(m.window) + 4))
+
+
+def test_models_fails_at_a_sentinel_world_only():
+    ops = frozenset({Mod.PAST, Mod.FUT})
+    # [P]x fails only at hi + 2, [F]x only at lo - 2
+    top = interp({"x": (1, [1, 1], 0)})
+    phi = SnfFormula(ops, (), (Clause([Lit("x", Mod.PAST)]),))
+    assert [holds_literal(top, z, Lit("x", Mod.PAST))
+            for z in range(top.lo - 2, top.hi + 3)] == [True] * 5 + [False]
+    assert not models(top, phi)
+    bottom = interp({"x": (0, [1, 1], 1)})
+    phi = SnfFormula(ops, (), (Clause([Lit("x", Mod.FUT)]),))
+    assert [holds_literal(bottom, z, Lit("x", Mod.FUT))
+            for z in range(bottom.lo - 2, bottom.hi + 3)] == [False] + [True] * 5
+    assert not models(bottom, phi)
 
 
 def test_stabilization_under_window_extension():
