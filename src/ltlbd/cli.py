@@ -57,7 +57,9 @@ def _ops_from_string(text: str) -> frozenset[Mod]:
 def _undeclared_operator(phi) -> bool:
     """Report a clause operator outside the declared set, a violation
     `validate` reports.  Detection and evaluation read the declared set, so
-    their answer on such a file would be meaningless."""
+    their answer on such a file would be meaningless; `solve` refuses such a
+    file too, whichever oracle it runs, so no command gives a verdict on a
+    file that `validate` rejects for its operators."""
     if any(issue.kind == "undeclared-operator"
            for issue in validate_normal_form(phi)):
         print("error: a clause uses an operator the formula does not declare",
@@ -148,6 +150,8 @@ def cmd_evaluate(args) -> int:
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     phi = _load_formula(args.file)
+    if _undeclared_operator(phi):
+        return 2
     if args.oracle == "star":
         witness = star_sat_oracle(phi)
         negative = "UNSAT"

@@ -317,7 +317,23 @@ class TestSolve:
                      "operators: *\nclause: [F]x1 | [F]x3\n")
         assert main(["solve", path, "--oracle", "star"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: literal [F]x1 outside the always-only fragment\n"
+        assert err == (
+            "error: a clause uses an operator the formula does not declare\n")
+
+    @pytest.mark.parametrize("oracle", [["star"], ["window", "--window", "2"]])
+    def test_undeclared_operator_is_an_input_error(self, tmp_path, capsys,
+                                                   oracle):
+        # the window oracle alone would answer SAT: its semantics do not read
+        # the declared operators, but the file is one `validate` rejects
+        path = write(tmp_path, "f.snf", "operators: *\nclause: [F]x | y\n")
+        model = tmp_path / "f.model"
+        assert main(["solve", path, "--oracle", *oracle,
+                     "--model-out", str(model)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a clause uses an operator the formula does not declare\n")
+        assert not model.exists()
 
     def test_runs_as_a_module_uninstalled(self, simple):
         # `python -m ltlbd` with only src/ on the path, as the README shows

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,11 +233,30 @@ def always_only_formulas(draw):
     return SnfFormula(frozenset({Mod.STAR}), tuple(initial), tuple(clauses))
 
 
+def _rows_of(horn_model, phi, backdoor, ts):
+    """The distinct member rows (copy i of member p, i = 1..r+1, in that
+    order) and the designated row, read off a minimal model of the full
+    encoding."""
+    rest = sorted(set(phi.variables) - set(backdoor))
+    rows, designated = [], None
+    for theta in ts.members:
+        label = "".join("1" if theta[v] else "0" for v in sorted(theta))
+        for i in range(1, len(rest) + 2):
+            row = dict(theta)
+            row.update((v, horn_model[copy_atom(v, i, label)]) for v in rest)
+            if row not in rows:
+                rows.append(row)
+            if theta == ts.designated and i == 1:
+                designated = row
+    return rows, designated
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(always_only_formulas())
 def test_every_candidate_matches_a_from_scratch_solve(phi):
-    # the factored, incremental evaluation must answer exactly what solving
-    # each dumped encoding on its own answers, in candidate order
+    # the factored, incremental two-copy evaluation must answer exactly what
+    # solving each dumped (r+1)-copy encoding on its own answers, in
+    # candidate order, down to the certificate's rows
     expected = star_sat_oracle(phi) is not None
     core = remove_tautologies(phi)
     names = sorted(phi.variables)
@@ -256,7 +276,13 @@ def test_every_candidate_matches_a_from_scratch_solve(phi):
             if result.satisfiable:
                 assert models(result.interpretation, phi)
                 assert all(m is None for m in solved[:-1])
-                assert solved[-1] == result.horn_model
+                # same atoms, values and order as the (r+1)-copy encoding
+                assert (list(solved[-1].items())
+                        == list(result.horn_model.items()))
+                members, designated = _rows_of(solved[-1], core, chosen,
+                                               result.theta_set)
+                assert list(result.assignment_set.members) == members
+                assert result.assignment_set.initial == designated
             else:
                 assert all(m is None for m in solved)
                 assert len(solved) == len(list(candidate_theta_sets(chosen)))
@@ -278,23 +304,40 @@ def test_failed_designated_variant_leaves_the_shared_closure_intact():
     assert models(result.interpretation, phi)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_k3_unsat_gadget_tries_every_candidate(seed):
-    # init r1, r1 -> r2, r2 -> b, r2 -> ~b with b in the backdoor: no
-    # candidate can succeed, so all 2^3 * 2^(2^3 - 1) are tried
-    phi, backdoor = planted_instance(seed, 8, 14, HORN, 3, {Mod.STAR})
+def _unsat_gadget(seed, n_vars, n_clauses, k):
+    """A planted always-only instance plus init r1, r1 -> r2, r2 -> b and
+    r2 -> ~b, with b the first backdoor variable: UNSAT by construction."""
+    phi, backdoor = planted_instance(seed, n_vars, n_clauses, HORN, k,
+                                     {Mod.STAR})
     b = backdoor[0]
     gadget = (Clause([Lit("r1", positive=False), Lit("r2")]),
               Clause([Lit("r2", positive=False), Lit(b)]),
               Clause([Lit("r2", positive=False), Lit(b, positive=False)]))
-    phi = SnfFormula(phi.operators, phi.initial + ("r1",),
-                     phi.clauses + gadget)
+    return SnfFormula(phi.operators, phi.initial + ("r1",),
+                      phi.clauses + gadget), backdoor
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_k3_unsat_gadget_tries_every_candidate(seed):
+    # no candidate can succeed, so all 2^3 * 2^(2^3 - 1) are tried
+    phi, backdoor = _unsat_gadget(seed, 8, 14, 3)
     seen = []
     result = evaluate_horn_star(phi, backdoor,
                                 on_candidate=lambda ts, cnf: seen.append(ts))
     assert not result.satisfiable
     assert star_sat_oracle(phi) is None
     assert len(seen) == 1024
+
+
+def test_k2_unsat_gadget_at_detection_scale():
+    # the k=2 gadget at n = 1000: two copies per block keep each member
+    # set's encoding linear in n, where r+1 copies made it quadratic
+    phi, backdoor = _unsat_gadget(0, 1000, 2000, 2)
+    t0 = time.perf_counter()
+    result = evaluate_horn_star(phi, backdoor)
+    elapsed = time.perf_counter() - t0
+    assert not result.satisfiable
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def test_library_checks_survive_optimize():
