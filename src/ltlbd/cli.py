@@ -153,6 +153,10 @@ def cmd_solve(args) -> int:
     if _undeclared_operator(phi):
         return 2
     if args.oracle == "star":
+        if args.window is not None:
+            print("error: --window applies only to the window oracle",
+                  file=sys.stderr)
+            return 2
         witness = star_sat_oracle(phi)
         negative = "UNSAT"
     else:

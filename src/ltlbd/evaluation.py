@@ -21,13 +21,12 @@ satisfiable exactly when the full encoding is, and its least model is the
 projection of the full one.  Evaluation solves the quotient: its size is
 linear in r, where the full encoding's is quadratic.
 
-The encodings are built on integers, not on :class:`~ltlbd.propsat.Atom`:
+It is built on integers, not on :class:`~ltlbd.propsat.Atom`:
 
 * Block cache.  A block's reduct depends only on its assignment θ and the
   set's unanimity vector (the always-copies in :func:`global_assignment`),
-  so it is reduced once per such key and kept as integer clauses.  Atom ids
-  are laid out so that the copies of a block differ only by an offset, and
-  one template serves both copy counts.
+  so it is reduced once per such key and coded straight into the member's
+  copy ids as integer clauses.
 * Factoring.  The candidates of one member set share everything but their
   initial-fact units U: the blocks and the consistency clauses S.  S is
   built once per set, as one integer clause list: the blocks (members in
@@ -46,12 +45,14 @@ The encodings are built on integers, not on :class:`~ltlbd.propsat.Atom`:
 On SAT the certificate is read back onto r+1 copies: the minimal model lists
 every atom of the full encoding, copies 2..r+1 taking copy 2's values.
 
-A :class:`PropCnf` is made only when asked for, for ``on_candidate`` and
-:func:`build_horn_encoding`.  It is the full (r+1)-copy encoding, built from
-the same block templates: it maps S on r+1 copies back to atoms, clause for
-clause, and puts the initial facts (``()`` for each falsified backdoor fact)
-between the blocks and the consistency clauses.  Its minimal model is the
-one evaluation reports.
+The full (r+1)-copy encoding is built only when asked for, for
+``on_candidate`` and :func:`build_horn_encoding`, as a :class:`PropCnf` from
+its definition: per member, :func:`~ltlbd.formula.reduct` →
+:func:`propositionalize` → :func:`relabel_copy` for copies 1..r+1, then the
+designated member's initial facts (``()`` for each falsified backdoor fact),
+then the consistency clauses.  It shares no integer code with the solve, so
+its minimal model, which is the one evaluation reports, cross-checks the
+quotient and its layout.
 """
 
 from __future__ import annotations
@@ -184,173 +185,114 @@ def _member_sets(n: int) -> Iterator[tuple[int, ...]]:
 
 
 class _Encoding:
-    """The candidate encodings of one formula and backdoor, on integers.
+    """The candidate encodings of one formula and backdoor, solved as the
+    quotient on ``c = min(r + 1, 2)`` world copies per block (module
+    docstring), on integers.
 
-    Atom layout for ``copies`` world copies per block: the global atom of
-    ``rest[j]`` is ``j``, and copy ``i`` (1-based) of ``rest[j]`` in the
-    block of pool member ``p`` is ``r + ((p * copies) + i - 1) * r + j``
-    with ``r = len(rest)``.  A block's literals therefore differ between
-    copies and members only by an offset, and one template per block serves
-    every layout.  :meth:`atom` maps an id back to its :class:`Atom`.
-
-    Two layouts are used.  The bounded-witness encoding has ``full = r + 1``
-    copies; :meth:`view` maps it back to atoms.  Evaluation solves its
-    quotient on ``solved = min(r + 1, 2)`` copies, copy 1 and one copy
-    standing for copies 2..r+1, which has the same least model on the atoms
-    they share (module docstring); :meth:`certificate` reads the full
-    layout's model and rows off it.
+    Atom layout, with ``r = len(rest)``: the global atom of ``rest[j]`` is
+    ``j``, and copy ``i`` (1..c) of ``rest[j]`` in the block of pool member
+    ``p`` is ``r + ((p * c) + i - 1) * r + j``.  A literal is ±(atom+1).
+    Copy 1 carries the designated member's initial facts; copy 2 stands for
+    copies 2..r+1 of the full encoding, and :meth:`certificate` reads the
+    full encoding's model and rows off it.
     """
 
     def __init__(self, phi: SnfFormula, backdoor: tuple[str, ...]):
         self.back = backdoor
         self.rest = sorted(set(phi.variables) - set(backdoor))
         r = len(self.rest)
-        self.full = r + 1
-        self.solved = min(r + 1, 2)
+        self.c = min(r + 1, 2)
         self.pool = assignments_over(backdoor)
-        self.initial = phi.initial
+        self.n_atoms = r + len(self.pool) * self.c * r
         self.clause_part = SnfFormula(phi.operators, (), phi.clauses,
                                       variables=phi.variables)
         self.slot = {v: j for j, v in enumerate(self.rest)}
         self.labels = [_theta_label(theta) for theta in self.pool]
-        # (member, unanimity mask) -> (literals of copy 1 of member 0,
-        # their +1/-1 shift signs, clause lengths)
-        self.templates: dict = {}
-        # (member, mask, copies) -> (literals, clause lengths) of all copies
+        # (member, unanimity mask) -> (literals, clause lengths) of the
+        # member's block on its c copies
         self.blocks: dict = {}
-        # copies -> (the last member set, its shared clauses); then that
-        # set's full-layout atom view
-        self.shared_for: dict = {}
-        self.view_for: tuple = ((), None)
-        self.lit_table: Optional[list] = None
-        # copies -> per member, per rest[j]: the ties, the negated copies
-        self.tie_lists: dict = {}
-        # per member: is it dead, and its initial facts as solved copy-1 ids
+        # per member, per rest[j]: the ties ``¬g ∨ c`` over its copies, and
+        # the negated copies
+        self.ties = [[[l for i in range(1, self.c + 1)
+                       for l in (-(j + 1), self.copy_id(p, i, j) + 1)]
+                      for j in range(r)] for p in range(len(self.pool))]
+        self.negs = [[[-(self.copy_id(p, i, j) + 1)
+                       for i in range(1, self.c + 1)]
+                      for j in range(r)] for p in range(len(self.pool))]
+        # per member: is it dead, and its initial facts as copy-1 ids
         self.dead = [any(v in theta and not theta[v] for v in phi.initial)
                      for theta in self.pool]
-        self.units = [[self.copy_id(p, 1, self.slot[v], self.solved)
+        self.units = [[self.copy_id(p, 1, self.slot[v])
                        for v in phi.initial if v not in theta]
                       for p, theta in enumerate(self.pool)]
 
-    def n_atoms(self, copies: int) -> int:
+    def copy_id(self, p: int, i: int, j: int) -> int:
         r = len(self.rest)
-        return r + len(self.pool) * copies * r
+        return r + (p * self.c + i - 1) * r + j
 
-    def copy_id(self, p: int, i: int, j: int, copies: int) -> int:
-        r = len(self.rest)
-        return r + (p * copies + i - 1) * r + j
-
-    def atom(self, a: int, copies: int) -> Atom:
-        r = len(self.rest)
-        if a < r:
-            return global_atom(self.rest[a])
-        q, j = divmod(a - r, r)
-        p, i = divmod(q, copies)
-        return copy_atom(self.rest[j], i + 1, self.labels[p])
-
-    def index(self, theta: dict) -> int:
-        """Pool position of an assignment over the backdoor."""
-        p = 0
-        for v in self.back:
-            p = 2 * p + bool(theta[v])
-        return p
-
-    def _code(self, lit) -> int:
-        """Signed id (±(atom+1)) of a literal in copy 1 of pool member 0.
-        The reduct assigns both atoms of every backdoor variable, so every
-        plain or always-literal left is over ``rest``."""
-        if lit.mod is _NONE:
-            a = len(self.rest) + self.slot[lit.var]
-        elif lit.mod is _STAR:
-            a = self.slot[lit.var]
-        else:
-            raise ValueError(
-                f"literal {lit} outside the always-only fragment")
-        return a + 1 if lit.positive else -(a + 1)
-
-    def block(self, p: int, mask: int, members: tuple, copies: int) -> tuple:
-        """Every copy of member ``p``'s block for a set of unanimity
-        ``mask``: the reduct under :func:`global_assignment`, computed once
-        per ``(p, mask)`` and shifted to each of ``copies`` copies."""
-        key = (p, mask, copies)
+    def block(self, p: int, mask: int, members: tuple) -> tuple:
+        """Member ``p``'s block for a set of unanimity ``mask``: the reduct
+        under :func:`global_assignment`, computed once per ``(p, mask)`` and
+        coded into each of the member's copies in turn.  The reduct assigns
+        both atoms of every backdoor variable, so every plain or
+        always-literal left is over ``rest``."""
+        key = (p, mask)
         if key not in self.blocks:
-            if (p, mask) not in self.templates:
-                glob = global_assignment(members, self.back, self.pool[p])
-                template = [[self._code(lit) for lit in c]
-                            for c in reduct(self.clause_part, glob).clauses]
-                if any(sum(l > 0 for l in c) > 1 for c in template):
-                    raise AssertionError(
-                        "encoding of a verified backdoor must be Horn")
-                r = len(self.rest)
-                flat = [l for c in template for l in c]
-                # +1/-1 on the literals of copy 1 of member 0, which shift
-                shift = [(l > 0) - (l < 0) if r < abs(l) <= 2 * r else 0
-                         for l in flat]
-                self.templates[(p, mask)] = (flat, shift,
-                                             [len(c) for c in template])
-            flat, shift, lens = self.templates[(p, mask)]
-            lits = []
-            for i in range(1, copies + 1):
-                off = self.copy_id(p, i, 0, copies) - len(self.rest)
-                lits += [l + s * off for l, s in zip(flat, shift)]
-            self.blocks[key] = (lits, lens * copies)
+            glob = global_assignment(members, self.back, self.pool[p])
+            clauses = reduct(self.clause_part, glob).clauses
+            slot = self.slot
+            lits, lens = [], []
+            horn = True
+            for i in range(1, self.c + 1):
+                base = self.copy_id(p, i, 0) + 1
+                for clause in clauses:
+                    heads = 0
+                    for lit in clause:
+                        if lit.mod is _NONE:
+                            a = base + slot[lit.var]
+                        elif lit.mod is _STAR:
+                            a = slot[lit.var] + 1
+                        else:
+                            raise ValueError(f"literal {lit} outside the "
+                                             "always-only fragment")
+                        if lit.positive:
+                            heads += 1
+                            lits.append(a)
+                        else:
+                            lits.append(-a)
+                    horn = horn and heads <= 1
+                    lens.append(len(clause))
+            if not horn:
+                raise AssertionError(
+                    "encoding of a verified backdoor must be Horn")
+            self.blocks[key] = (lits, lens)
         return self.blocks[key]
 
-    def ties(self, copies: int) -> tuple:
-        """``(ties, negs)`` per member and ``rest[j]``: the clauses
-        ``¬g ∨ c`` tying the global atom of ``rest[j]`` to each of its
-        copies, and the negated copies."""
-        if copies not in self.tie_lists:
-            ties, negs = [], []
-            for p in range(len(self.pool)):
-                member_ties, member_negs = [], []
-                for j in range(len(self.rest)):
-                    ids = [self.copy_id(p, i, j, copies) + 1
-                           for i in range(1, copies + 1)]
-                    member_ties.append([l for c in ids for l in (-(j + 1), c)])
-                    member_negs.append([-c for c in ids])
-                ties.append(member_ties)
-                negs.append(member_negs)
-            self.tie_lists[copies] = (ties, negs)
-        return self.tie_lists[copies]
-
-    def shared(self, combo: tuple[int, ...], members: tuple,
-               copies: int) -> tuple:
-        """The clauses a member set's candidates share, in dump order:
-        ``(lits, starts, n_blocks)``.  The first ``n_blocks`` clauses are the
-        blocks (members in order, copies in order); then, per variable
-        ``rest[j]``, the ties ``¬g ∨ c`` for every copy and ``g ∨ ¬c…``."""
-        last = self.shared_for.get(copies)
-        if last is None or last[0] != combo:
-            mask = _unanimity(combo, len(self.pool))
-            lits, lens = [], []
-            for p in combo:
-                block_lits, block_lens = self.block(p, mask, members, copies)
-                lits += block_lits
-                lens += block_lens
-            n_blocks = len(lens)
-            ties, negs = self.ties(copies)
-            n_ties = [2] * (len(combo) * copies)
-            for j in range(len(self.rest)):
-                wide = [j + 1]
-                for p in combo:
-                    lits += ties[p][j]
-                    wide += negs[p][j]
-                lits += wide
-                lens += n_ties
-                lens.append(len(wide))
-            starts = [0, *itertools.accumulate(lens)]
-            last = self.shared_for[copies] = (combo, (lits, starts, n_blocks))
-        return last[1]
-
     def closure(self, combo: tuple[int, ...], members: tuple) -> tuple:
-        """Minimal model of the solved layout of the clauses a member set's
-        candidates share: ``(values, (heads, counts, occ))``, or None when
-        they are unsatisfiable."""
-        lits, starts, _ = self.shared(combo, members, self.solved)
-        n_atoms = self.n_atoms(self.solved)
-        heads, counts, occ, facts = _kernels.horn_index(n_atoms, lits, starts)
-        values = [0] * n_atoms
+        """Minimal model of the clauses a member set's candidates share:
+        ``(values, (heads, counts, occ))``, or None when they are
+        unsatisfiable.  The clauses are the blocks (members in order, copies
+        in order), then per variable ``rest[j]`` the ties ``¬g ∨ c`` for
+        every copy and ``g ∨ ¬c…``."""
+        mask = _unanimity(combo, len(self.pool))
+        lits, lens = [], []
+        for p in combo:
+            block_lits, block_lens = self.block(p, mask, members)
+            lits += block_lits
+            lens += block_lens
+        n_ties = [2] * (len(combo) * self.c)
+        for j in range(len(self.rest)):
+            wide = [j + 1]
+            for p in combo:
+                lits += self.ties[p][j]
+                wide += self.negs[p][j]
+            lits += wide
+            lens += n_ties
+            lens.append(len(wide))
+        starts = [0, *itertools.accumulate(lens)]
+        heads, counts, occ, facts = _kernels.horn_index(self.n_atoms, lits,
+                                                        starts)
+        values = [0] * self.n_atoms
         if not _kernels.horn_forward(heads, counts, occ, values, facts):
             return None
         return values, (heads, counts, occ)
@@ -358,22 +300,22 @@ class _Encoding:
     def certificate(self, combo: tuple[int, ...], d: int,
                     values: list) -> tuple:
         """``(horn_model, assignment_set)`` of a satisfied candidate, from
-        the least model ``values`` of its solved layout: copy ``i`` of a
-        block reads copy ``min(i, solved)``.
+        the least model ``values`` of its quotient: copy ``i`` of a block
+        reads copy ``min(i, c)``.
 
-        The model covers every atom of the full layout's clauses, the copies
-        of the members and the globals, in sorted :class:`Atom` order as
+        The model covers every atom of the full encoding, the r+1 copies of
+        the members and the globals, in sorted :class:`Atom` order as
         :func:`~ltlbd.propsat.horn_sat` lists it: copies by variable, copy
         index and label (pool order is label order), then the globals.  The
         rows are copies 1 and 2 of each member; copies 3..r+1 equal copy 2,
         so the rows the :class:`AssignmentSet` keeps are the same."""
-        c = self.solved
+        c = self.c
         model = {}
         for j, v in enumerate(self.rest):
-            for i in range(1, self.full + 1):
+            for i in range(1, len(self.rest) + 2):
                 for p in combo:
                     model[Atom("copy", v, i, self.labels[p])] = bool(
-                        values[self.copy_id(p, min(i, c), j, c)])
+                        values[self.copy_id(p, min(i, c), j)])
         for j, v in enumerate(self.rest):
             model[global_atom(v)] = bool(values[j])
         rows = []
@@ -381,36 +323,9 @@ class _Encoding:
             for i in range(1, c + 1):
                 row = dict(self.pool[p])
                 for j, v in enumerate(self.rest):
-                    row[v] = bool(values[self.copy_id(p, i, j, c)])
+                    row[v] = bool(values[self.copy_id(p, i, j)])
                 rows.append(row)
         return model, AssignmentSet(tuple(rows), rows[combo.index(d) * c])
-
-    def view(self, combo: tuple[int, ...], members: tuple,
-             d: int) -> PropCnf:
-        """The full-layout encoding of one candidate as a :class:`PropCnf`:
-        the shared clauses mapped back to atoms, with the designated
-        member's initial facts between the blocks and the ties."""
-        full = self.full
-        if self.lit_table is None:
-            atoms = [self.atom(a, full) for a in range(self.n_atoms(full))]
-            # lit_table[l] for l = ±(a+1); a negative l indexes from the end
-            self.lit_table = ([None] + [(a, True) for a in atoms]
-                              + [(a, False) for a in reversed(atoms)])
-        lits, starts, n_blocks = self.shared(combo, members, full)
-        table = self.lit_table
-        if self.view_for[0] != combo:
-            clauses = tuple(tuple([table[l] for l in lits[s:e]])
-                            for s, e in zip(starts, starts[1:]))
-            self.view_for = (combo, clauses)
-        clauses = self.view_for[1]
-        # a falsified backdoor fact is an empty clause (a dead candidate),
-        # any other fact a unit on copy 1 of the designated block
-        designated = self.pool[d]
-        facts = tuple(() if v in designated
-                      else (table[self.copy_id(d, 1, self.slot[v], full) + 1],)
-                      for v in self.initial if not designated.get(v))
-        return PropCnf.from_normal(clauses[:n_blocks] + facts
-                                   + clauses[n_blocks:])
 
 
 def _unanimity(combo: tuple[int, ...], n_pool: int) -> int:
@@ -422,9 +337,55 @@ def _unanimity(combo: tuple[int, ...], n_pool: int) -> int:
     return mask
 
 
+def _full_encoding(phi: SnfFormula, back: tuple[str, ...],
+                   members: tuple) -> tuple:
+    """``(blocks, ties)``: the clauses of a member set's (r+1)-copy encoding
+    that all its candidates share, built from the definition on
+    :class:`Atom` clauses.  Per member θ, in order: the reduct of ``phi``'s
+    clauses under :func:`global_assignment`, propositionalized and relabelled
+    to copies 1..r+1 of θ's block.  Then per non-backdoor variable: the ties
+    ``¬g ∨ c`` for every copy c (members in order, copies in order) and
+    ``g ∨ ¬c…``."""
+    rest = sorted(set(phi.variables) - set(back))
+    copies = range(1, len(rest) + 2)
+    clause_part = SnfFormula(phi.operators, (), phi.clauses,
+                             variables=phi.variables)
+    labels = [_theta_label(theta) for theta in members]
+    blocks = []
+    for theta, label in zip(members, labels):
+        glob = global_assignment(members, back, theta)
+        cnf = propositionalize(reduct(clause_part, glob).clauses)
+        if not cnf.is_horn:
+            raise AssertionError("encoding of a verified backdoor must be Horn")
+        for i in copies:
+            blocks += relabel_copy(cnf, rest, i, label).clauses
+    ties = []
+    for v in rest:
+        g = global_atom(v)
+        atoms = [copy_atom(v, i, label) for label in labels for i in copies]
+        ties += [((g, False), (a, True)) for a in atoms]
+        ties.append(((g, True), *[(a, False) for a in atoms]))
+    return tuple(blocks), tuple(ties)
+
+
+def _with_facts(shared: tuple, initial: tuple[str, ...],
+                designated: dict) -> PropCnf:
+    """One candidate's (r+1)-copy encoding: the blocks, then the designated
+    member's initial facts, then the ties.  A fact the member's backdoor
+    value falsifies is an empty clause (a dead candidate), any other a unit
+    on copy 1 of its block."""
+    blocks, ties = shared
+    label = _theta_label(designated)
+    facts = tuple(() if v in designated else ((copy_atom(v, 1, label), True),)
+                  for v in initial if not designated.get(v))
+    return PropCnf.from_normal(blocks + facts + ties)
+
+
 def build_horn_encoding(phi: SnfFormula, backdoor: Iterable[str],
                         ts: ThetaSet) -> PropCnf:
-    """The Horn formula whose satisfiability decides one candidate.
+    """The Horn formula whose satisfiability decides one candidate: the
+    (r+1)-copy encoding, built from its definition and sharing no integer
+    code with the solve of :func:`evaluate_horn_star`.
 
     Requires the always-only fragment and a verified strong Horn backdoor;
     the result is then guaranteed Horn.
@@ -433,9 +394,8 @@ def build_horn_encoding(phi: SnfFormula, backdoor: Iterable[str],
     back = tuple(sorted(set(backdoor)))
     if not verify_backdoor(phi, back, HORN):
         raise ValueError("backdoor does not verify for the Horn class")
-    enc = _Encoding(phi, back)
-    combo = tuple(enc.index(m) for m in ts.members)
-    return enc.view(combo, ts.members, enc.index(ts.designated))
+    return _with_facts(_full_encoding(phi, back, ts.members), phi.initial,
+                       ts.designated)
 
 
 def encoding_size_bound(phi: SnfFormula, backdoor: Iterable[str]) -> int:
@@ -479,11 +439,13 @@ def evaluate_horn_star(phi: SnfFormula, backdoor: Iterable[str],
 
     for combo in _member_sets(len(pool)):
         members = tuple(pool[p] for p in combo)
+        if on_candidate is not None:
+            full = _full_encoding(core, back, members)
         shared = False  # not built yet; None once found unsatisfiable
         for d in combo:
             if on_candidate is not None:
                 on_candidate(ThetaSet(members, pool[d]),
-                             enc.view(combo, members, d))
+                             _with_facts(full, core.initial, pool[d]))
             if enc.dead[d]:
                 continue
             if shared is False:

@@ -348,6 +348,17 @@ class TestSolve:
     def test_window_requires_width(self, simple, capsys):
         assert main(["solve", simple, "--oracle", "window"]) == 2
 
+    def test_star_refuses_a_window(self, simple, tmp_path, capsys):
+        # the star oracle is exact and reads no window width
+        model = tmp_path / "w.model"
+        assert main(["solve", simple, "--oracle", "star", "--window", "3",
+                     "--model-out", str(model)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --window applies only to the window oracle\n")
+        assert not model.exists()
+
 
 class TestReduce:
     def test_pipeline(self, tmp_path, capsys):

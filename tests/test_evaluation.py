@@ -256,7 +256,8 @@ def _rows_of(horn_model, phi, backdoor, ts):
 def test_every_candidate_matches_a_from_scratch_solve(phi):
     # the factored, incremental two-copy evaluation must answer exactly what
     # solving each dumped (r+1)-copy encoding on its own answers, in
-    # candidate order, down to the certificate's rows
+    # candidate order, down to the certificate's rows; the dumps are built
+    # from the encoding's definition and share no code with the solve
     expected = star_sat_oracle(phi) is not None
     core = remove_tautologies(phi)
     names = sorted(phi.variables)
@@ -302,6 +303,31 @@ def test_failed_designated_variant_leaves_the_shared_closure_intact():
     assert result.theta_set.designated == {"b": True}
     assert horn_sat(tried[-1]) == result.horn_model
     assert models(result.interpretation, phi)
+
+
+def test_reference_encoding_shares_no_code_with_the_solve(monkeypatch):
+    # build_horn_encoding builds the (r+1)-copy encoding from its definition,
+    # so it is unchanged with the integer solve's encoder replaced
+    class Refused:
+        def __init__(self, *args):
+            raise AssertionError("the reference encoding used _Encoding")
+
+    monkeypatch.setattr(ltlbd.evaluation, "_Encoding", Refused)
+    # init x, ~x | b, ~[*]b | [*]x with backdoor {b}, members b=0 and b=1:
+    # block 0 keeps ~x, block 1 is empty, and b=1 carries the fact x
+    phi = formula([Clause([Lit("x", positive=False), Lit("b")]),
+                   Clause([Lit("b", Mod.STAR, False), Lit("x", Mod.STAR)])],
+                  initial=["x"])
+    ts = ThetaSet(({"b": False}, {"b": True}), {"b": True})
+    g = global_atom("x")
+    copies = [copy_atom("x", i, label) for label in "01" for i in (1, 2)]
+    assert build_horn_encoding(phi, ("b",), ts).clauses == (
+        ((copies[0], False),), ((copies[1], False),),
+        ((copies[2], True),),
+        *(((g, False), (c, True)) for c in copies),
+        ((g, True), *((c, False) for c in copies)))
+    with pytest.raises(AssertionError, match="used _Encoding"):
+        evaluate_horn_star(phi, ("b",))
 
 
 def _unsat_gadget(seed, n_vars, n_clauses, k):
