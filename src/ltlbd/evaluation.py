@@ -42,8 +42,8 @@ It is built on integers, not on :class:`~ltlbd.propsat.Atom`:
   :func:`ltlbd._kernels.horn_forward`, the same propagator behind
   :func:`~ltlbd.propsat.horn_sat`.
 
-On SAT the certificate is read back onto r+1 copies: the minimal model lists
-every atom of the full encoding, copies 2..r+1 taking copy 2's values.
+On SAT the certificate is the quotient's rows, copies 1 and 2 of each
+member: the distinct rows of the full encoding's least model.
 
 The full (r+1)-copy encoding is built only when asked for, for
 ``on_candidate`` and :func:`build_horn_encoding`, as a :class:`PropCnf` from
@@ -51,8 +51,8 @@ its definition: per member, :func:`~ltlbd.formula.reduct` →
 :func:`propositionalize` → :func:`relabel_copy` for copies 1..r+1, then the
 designated member's initial facts (``()`` for each falsified backdoor fact),
 then the consistency clauses.  It shares no integer code with the solve, so
-its minimal model, which is the one evaluation reports, cross-checks the
-quotient and its layout.
+its minimal model's rows are the certificate, a cross-check of the quotient
+and its layout.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from .formula import (ConsistentAssignment, Mod, SnfFormula, Clause,
 from .interp import (AssignmentSet, FiniteWindowInterpretation,
                      from_assignment_set, models)
 from . import _kernels
-from .propsat import Atom, PropCnf, copy_atom, global_atom, plain_atom
+from .propsat import PropCnf, copy_atom, global_atom, plain_atom
 
 # bound once for the per-literal loops: class lookups of enum members are slow
 _NONE, _STAR = Mod.NONE, Mod.STAR
@@ -94,9 +94,23 @@ class ThetaSet:
 
 @dataclass(frozen=True)
 class EvalResult:
-    verdict: str  # "SAT" | "UNSAT"
+    """The answer of :func:`evaluate_horn_star`.
+
+    * ``verdict``: "SAT" or "UNSAT"; the other fields are None on UNSAT.
+    * ``theta_set``: the first satisfied candidate.
+    * ``assignment_set``: its certificate, the distinct rows of the least
+      model of its encoding (each member's copies of the quotient, members
+      in order), with copy 1 of the designated member as the initial row.
+    * ``interpretation``: that set laid out by
+      :func:`~ltlbd.interp.from_assignment_set`; it models the formula.
+
+    The least model of the candidate's full (r+1)-copy encoding is one call
+    away: ``horn_sat(build_horn_encoding(remove_tautologies(phi), backdoor,
+    result.theta_set))``.
+    """
+
+    verdict: str
     theta_set: Optional[ThetaSet] = None
-    horn_model: Optional[dict] = None
     assignment_set: Optional[AssignmentSet] = None
     interpretation: Optional[FiniteWindowInterpretation] = None
 
@@ -193,8 +207,8 @@ class _Encoding:
     ``j``, and copy ``i`` (1..c) of ``rest[j]`` in the block of pool member
     ``p`` is ``r + ((p * c) + i - 1) * r + j``.  A literal is ±(atom+1).
     Copy 1 carries the designated member's initial facts; copy 2 stands for
-    copies 2..r+1 of the full encoding, and :meth:`certificate` reads the
-    full encoding's model and rows off it.
+    copies 2..r+1 of the full encoding, so the rows of copies 1..c are the
+    certificate (:meth:`certificate`).
     """
 
     def __init__(self, phi: SnfFormula, backdoor: tuple[str, ...]):
@@ -207,18 +221,9 @@ class _Encoding:
         self.clause_part = SnfFormula(phi.operators, (), phi.clauses,
                                       variables=phi.variables)
         self.slot = {v: j for j, v in enumerate(self.rest)}
-        self.labels = [_theta_label(theta) for theta in self.pool]
         # (member, unanimity mask) -> (literals, clause lengths) of the
         # member's block on its c copies
         self.blocks: dict = {}
-        # per member, per rest[j]: the ties ``¬g ∨ c`` over its copies, and
-        # the negated copies
-        self.ties = [[[l for i in range(1, self.c + 1)
-                       for l in (-(j + 1), self.copy_id(p, i, j) + 1)]
-                      for j in range(r)] for p in range(len(self.pool))]
-        self.negs = [[[-(self.copy_id(p, i, j) + 1)
-                       for i in range(1, self.c + 1)]
-                      for j in range(r)] for p in range(len(self.pool))]
         # per member: is it dead, and its initial facts as copy-1 ids
         self.dead = [any(v in theta and not theta[v] for v in phi.initial)
                      for theta in self.pool]
@@ -280,15 +285,16 @@ class _Encoding:
             block_lits, block_lens = self.block(p, mask, members)
             lits += block_lits
             lens += block_lens
-        n_ties = [2] * (len(combo) * self.c)
+        bases = [self.copy_id(p, i, 0) + 1
+                 for p in combo for i in range(1, self.c + 1)]
+        n_ties = [2] * len(bases)
         for j in range(len(self.rest)):
-            wide = [j + 1]
-            for p in combo:
-                lits += self.ties[p][j]
-                wide += self.negs[p][j]
-            lits += wide
+            for b in bases:
+                lits += (-j - 1, b + j)
+            lits.append(j + 1)
+            lits += [-(b + j) for b in bases]
             lens += n_ties
-            lens.append(len(wide))
+            lens.append(len(bases) + 1)
         starts = [0, *itertools.accumulate(lens)]
         heads, counts, occ, facts = _kernels.horn_index(self.n_atoms, lits,
                                                         starts)
@@ -298,34 +304,19 @@ class _Encoding:
         return values, (heads, counts, occ)
 
     def certificate(self, combo: tuple[int, ...], d: int,
-                    values: list) -> tuple:
-        """``(horn_model, assignment_set)`` of a satisfied candidate, from
-        the least model ``values`` of its quotient: copy ``i`` of a block
-        reads copy ``min(i, c)``.
-
-        The model covers every atom of the full encoding, the r+1 copies of
-        the members and the globals, in sorted :class:`Atom` order as
-        :func:`~ltlbd.propsat.horn_sat` lists it: copies by variable, copy
-        index and label (pool order is label order), then the globals.  The
-        rows are copies 1 and 2 of each member; copies 3..r+1 equal copy 2,
-        so the rows the :class:`AssignmentSet` keeps are the same."""
-        c = self.c
-        model = {}
-        for j, v in enumerate(self.rest):
-            for i in range(1, len(self.rest) + 2):
-                for p in combo:
-                    model[Atom("copy", v, i, self.labels[p])] = bool(
-                        values[self.copy_id(p, min(i, c), j)])
-        for j, v in enumerate(self.rest):
-            model[global_atom(v)] = bool(values[j])
+                    values: list) -> AssignmentSet:
+        """The certificate of a satisfied candidate, from the least model
+        ``values`` of its quotient: copies 1..c of each member in ``combo``
+        order, with copy 1 of ``d`` as the initial row."""
+        r, c = len(self.rest), self.c
         rows = []
         for p in combo:
             for i in range(1, c + 1):
+                base = self.copy_id(p, i, 0)
                 row = dict(self.pool[p])
-                for j, v in enumerate(self.rest):
-                    row[v] = bool(values[self.copy_id(p, i, j)])
+                row.update(zip(self.rest, map(bool, values[base:base + r])))
                 rows.append(row)
-        return model, AssignmentSet(tuple(rows), rows[combo.index(d) * c])
+        return AssignmentSet(tuple(rows), rows[combo.index(d) * c])
 
 
 def _unanimity(combo: tuple[int, ...], n_pool: int) -> int:
@@ -457,10 +448,10 @@ def evaluate_horn_star(phi: SnfFormula, backdoor: Iterable[str],
             if not _kernels.horn_forward(heads, counts[:], occ, values,
                                          enc.units[d]):
                 continue
-            model, aset = enc.certificate(combo, d, values)
+            aset = enc.certificate(combo, d, values)
             interp = from_assignment_set(aset)
             if not models(interp, phi):
                 raise AssertionError("certificate failed the model check")
-            return EvalResult("SAT", ThetaSet(members, pool[d]), model,
-                              aset, interp)
+            return EvalResult("SAT", ThetaSet(members, pool[d]), aset,
+                              interp)
     return EvalResult("UNSAT")

@@ -6,7 +6,8 @@ separated); an optional ``init: v1, v2`` line lists the initial facts; each
 ``clause: LIT | LIT | ...`` line holds one clause, where a literal is
 ``~``-negation, an optional ``[F]``/``[P]``/``[*]`` tag, and a name.
 
-Model tables carry a ``vars:`` header, a ``start: K`` line naming the world
+Model tables carry a ``vars:`` header of distinct names (empty for a formula
+without variables), a ``start: K`` line naming the world
 of the initial facts, a ``left:`` row, one ``world K:`` row per window world,
 and a ``right:`` row, each with space-separated 0/1 cells in header order.
 """
@@ -163,7 +164,7 @@ def parse_model_table(text: str) -> FiniteWindowInterpretation:
             if order is not None:
                 raise ParseError("duplicate vars line", ln)
             order = body.split()
-            if len(set(order)) != len(order) or not order:
+            if len(set(order)) != len(order):
                 raise ParseError("vars line needs distinct names", ln)
         elif order is None:
             raise ParseError("vars line must come first", ln)

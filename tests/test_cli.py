@@ -140,6 +140,20 @@ class TestEvaluateAndCheckModel:
         assert main(["check-model", simple, model]) == 0
         assert "verdict: VALID" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--backdoor", ""],
+        ["solve", "--oracle", "star"],
+        ["solve", "--oracle", "window", "--window", "0"]])
+    def test_formula_without_variables_writes_checkable_model(
+            self, tmp_path, capsys, command):
+        path = write(tmp_path, "none.snf", "operators: *\n")
+        model = str(tmp_path / "none.model")
+        assert main([command[0], path, *command[1:],
+                     "--model-out", model]) == 0
+        assert "verdict: SAT" in capsys.readouterr().out
+        assert main(["check-model", path, model]) == 0
+        assert "verdict: VALID" in capsys.readouterr().out
+
     def test_unsat(self, tmp_path, capsys):
         phi = SnfFormula(frozenset({Mod.STAR}), ("x",),
                          (Clause([Lit("x", positive=False)]),))

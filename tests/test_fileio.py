@@ -120,6 +120,14 @@ class TestModelTable:
         again = self.roundtrip(m)
         assert again == m
 
+    def test_round_trip_without_variables(self):
+        # a formula without variables gets a table of empty rows
+        m = FiniteWindowInterpretation(left={}, window=({},), lo=0, right={},
+                                       start=0)
+        text = format_model_table(m)
+        assert text.splitlines()[0].rstrip() == "vars:"
+        assert self.roundtrip(m) == m
+
     def test_default_start(self):
         text = "vars: x\nleft: 0\nworld 0: 1\nright: 0\n"
         assert parse_model_table(text).start == 0
@@ -136,6 +144,9 @@ class TestModelTable:
             parse_model_table("vars: x\nleft: 0 1\nworld 0: 1\nright: 0\n")
         with pytest.raises(ParseError):
             parse_model_table("vars: x\nleft: 2\nworld 0: 1\nright: 0\n")
+        with pytest.raises(ParseError, match="distinct names"):
+            parse_model_table("vars: x x\nleft: 0 0\nworld 0: 1 1\n"
+                              "right: 0 0\n")
 
 
 class TestDimacsCol:
