@@ -1,21 +1,21 @@
 """Hot search kernels shared by the solvers and oracles.
 
-Every kernel takes its clauses in one flat layout: a list of DIMACS-style
-literals ±(atom+1) plus a list of clause start offsets
-(``starts[c]..starts[c+1]`` holds clause ``c``).
-Everything runs in plain CPython.  The clause search and the Horn
-propagator walk those lists; the two exhaustive scans over 2^n assignments
-are bit-parallel, with one Python-int truth table per atom (``_columns``),
-and split their clauses the same way (``_split``).
+Every kernel takes its clauses as a list of clauses, each a sequence of
+DIMACS-style literals ±(atom+1), and leaves that list and its clauses
+unchanged.  Everything runs in plain CPython.  The clause search and the
+Horn propagator index those clauses in their own arrays; the two exhaustive
+scans over 2^n assignments are bit-parallel, with one Python-int truth table
+per atom (``_columns``), and split their clauses the same way (``_split``).
 """
 
 from __future__ import annotations
 
 
-def search_solve(n_atoms, lits_in, starts_in, order):
+def search_solve(n_atoms, clauses, order):
     """Conflict-driven clause search with a fixed decision order.
 
-    Literals are DIMACS-style ±(atom+1).  Decisions follow ``order`` with
+    Literals are DIMACS-style ±(atom+1); a clause may repeat a literal or
+    hold one together with its negation.  Decisions follow ``order`` with
     value 0 before 1 and never restart, and assignments flip to 1 only
     through entailed learned clauses, so the returned model is the
     lexicographically smallest one with respect to that atom order.
@@ -27,11 +27,11 @@ def search_solve(n_atoms, lits_in, starts_in, order):
     each decision picks the atom a rescan would.  Returns
     ``(1, values)`` on SAT and ``(0, values)`` on UNSAT, ``values`` a list
     of 0/1 (-1 unassigned).
-    """
-    n0 = len(starts_in) - 1
-    lits = list(lits_in)
-    starts = list(starts_in)
 
+    The search keeps its clauses in private flat arrays (``lits``, with
+    ``starts[c]..starts[c+1]`` holding clause ``c``), where it moves
+    watched literals and appends learned clauses.
+    """
     val = [-1] * n_atoms
     level = [0] * n_atoms
     reason = [-1] * n_atoms
@@ -42,7 +42,7 @@ def search_solve(n_atoms, lits_in, starts_in, order):
     cur_level = 0
 
     watch_head = [-1] * (2 * n_atoms)
-    watch_next = [-1] * (2 * n0)
+    watch_next = [-1] * (2 * len(clauses))
     seen = [0] * n_atoms
 
     # order position of each atom (its first one); atoms outside order sit
@@ -53,36 +53,40 @@ def search_solve(n_atoms, lits_in, starts_in, order):
         opos[order[i]] = i
     optr = 0
 
-    # install watches (literal code 2*atom, +1 when negative); queue unit
-    # clauses, fail on empty ones
-    for ci in range(n0):
-        s = starts[ci]
-        size = starts[ci + 1] - s
-        if size >= 2:
-            lit = lits[s]
+    # copy the clauses into the flat arrays and install watches (literal
+    # code 2*atom, +1 when negative; node 2*c + slot); queue unit clauses,
+    # fail on empty ones
+    lits = []
+    starts = []
+    node = 0
+    for clause in clauses:
+        starts.append(len(lits))
+        lits += clause
+        if len(clause) >= 2:
+            lit = clause[0]
             code = 2 * lit - 2 if lit > 0 else -2 * lit - 1
-            node = 2 * ci
             watch_next[node] = watch_head[code]
             watch_head[code] = node
-            lit = lits[s + 1]
+            lit = clause[1]
             code = 2 * lit - 2 if lit > 0 else -2 * lit - 1
-            node += 1
-            watch_next[node] = watch_head[code]
-            watch_head[code] = node
-        elif size == 1:
-            lit = lits[s]
+            watch_next[node + 1] = watch_head[code]
+            watch_head[code] = node + 1
+        elif clause:
+            lit = clause[0]
             a = lit - 1 if lit > 0 else -lit - 1
             want = 1 if lit > 0 else 0
             if val[a] == -1:
                 val[a] = want
                 level[a] = 0
-                reason[a] = ci
+                reason[a] = node >> 1
                 trail[trail_len] = a
                 trail_len += 1
             elif val[a] != want:
                 return 0, val
         else:
             return 0, val
+        node += 2
+    starts.append(len(lits))
 
     while True:
         # propagate to fixpoint
@@ -235,7 +239,7 @@ def search_solve(n_atoms, lits_in, starts_in, order):
         trail_len += 1
 
 
-def horn_index(n_atoms, lits, starts):
+def horn_index(n_atoms, clauses):
     """Counter index of a Horn CNF for :func:`horn_forward`.
 
     Literals are DIMACS-style ±(atom+1), distinct within a clause.  Returns
@@ -246,15 +250,14 @@ def horn_index(n_atoms, lits, starts):
     in its body) fires only once its head is true, so it changes nothing.
     Raises ValueError on a clause with two positive literals.
     """
-    n_clauses = len(starts) - 1
-    heads = [-1] * n_clauses
-    counts = [0] * n_clauses
+    heads = [-1] * len(clauses)
+    counts = [0] * len(clauses)
     occ = [[] for _ in range(n_atoms)]
     facts = []
-    for ci in range(n_clauses):
+    for ci, clause in enumerate(clauses):
         head = -1
         body = 0
-        for lit in lits[starts[ci]:starts[ci + 1]]:
+        for lit in clause:
             if lit > 0:
                 if head >= 0:
                     raise ValueError(f"not a Horn formula: clause {ci} has "
@@ -330,7 +333,7 @@ def _lowest(x):
     return (x & -x).bit_length() - 1
 
 
-def _split(lits, starts, high, cols, full):
+def _split(clauses, high, cols, full):
     """Per clause ``(pos, neg, table)`` for a scan split at atom ``high``.
 
     Atoms below ``high`` are prefix bits, atom ``a`` at bit ``high-1-a``:
@@ -339,10 +342,10 @@ def _split(lits, starts, high, cols, full):
     ``cols[a - high]``, and ``table`` is the OR of those literals' columns
     (complemented within ``full`` for negative ones).
     """
-    clauses = []
-    for ci in range(len(starts) - 1):
+    split = []
+    for clause in clauses:
         pos = neg = table = 0
-        for lit in lits[starts[ci]:starts[ci + 1]]:
+        for lit in clause:
             a = abs(lit) - 1
             if a < high:
                 if lit > 0:
@@ -352,11 +355,11 @@ def _split(lits, starts, high, cols, full):
             else:
                 col = cols[a - high]
                 table |= col if lit > 0 else full ^ col
-        clauses.append((pos, neg, table))
-    return clauses
+        split.append((pos, neg, table))
+    return split
 
 
-def brute_scan(n_atoms, lits, starts):
+def brute_scan(n_atoms, clauses):
     """Scan assignments in ascending order; atom i sits at bit n-1-i.
 
     Returns ``(1, mask)`` for the first satisfying assignment, else
@@ -372,10 +375,10 @@ def brute_scan(n_atoms, lits, starts):
     low = min(n_atoms, 16)
     high = n_atoms - low
     full = (1 << (1 << low)) - 1
-    clauses = _split(lits, starts, high, _columns(low), full)
+    split = _split(clauses, high, _columns(low), full)
     for prefix in range(1 << high):
         ok = full
-        for pos, neg, table in clauses:
+        for pos, neg, table in split:
             if prefix & pos or ~prefix & neg:
                 continue
             ok &= table
@@ -386,7 +389,7 @@ def brute_scan(n_atoms, lits, starts):
     return 0, 0
 
 
-def star_scan(n_vars, lits, starts, psi_mask):
+def star_scan(n_vars, clauses, psi_mask):
     """Scan global-assignment candidates for the always-only fragment.
 
     Atom ``i < n_vars`` is the always-atom of variable ``i`` and atom
@@ -409,7 +412,7 @@ def star_scan(n_vars, lits, starts, psi_mask):
     """
     cols = _columns(n_vars)
     full = (1 << (1 << n_vars)) - 1
-    clauses = _split(lits, starts, n_vars, cols, full)
+    split = _split(clauses, n_vars, cols, full)
     psi = full
     for i in range(n_vars):
         if (psi_mask >> (n_vars - 1 - i)) & 1:
@@ -419,7 +422,7 @@ def star_scan(n_vars, lits, starts, psi_mask):
         for i in range(n_vars):
             if (g >> (n_vars - 1 - i)) & 1:
                 member &= cols[i]
-        for pos, neg, table in clauses:
+        for pos, neg, table in split:
             if g & pos or ~g & neg:
                 continue
             member &= table

@@ -29,15 +29,15 @@ It is built on integers, not on :class:`~ltlbd.propsat.Atom`:
   copy ids as integer clauses.
 * Factoring.  The candidates of one member set share everything but their
   initial-fact units U: the blocks and the consistency clauses S.  S is
-  built once per set, as one integer clause list: the blocks (members in
-  order, copies in order, reduct clauses in order), then per variable the
-  consistency clauses.  The minimal model of a Horn formula S ∧ U is
-  forward chaining from the closure of S with U added, so S is closed once
-  per set and each variant extends a copy of that closure.  If S is
-  unsatisfiable, so is every variant; a variant whose designated member
-  falsifies a backdoor initial fact (a dead candidate, holding an empty
-  clause) needs no solve, and a set whose variants are all dead builds
-  no block.
+  built once per set, as one list of integer clauses: the cached blocks
+  (members in order, copies in order, reduct clauses in order), then per
+  variable the consistency clauses.  The minimal model of a Horn formula
+  S ∧ U is forward chaining from the closure of S with U added, so S is
+  closed once per set and each variant extends a copy of that closure.  If
+  S is unsatisfiable, so is every variant; a variant whose designated
+  member falsifies a backdoor initial fact (a dead candidate, holding an
+  empty clause) needs no solve, and a set whose variants are all dead
+  builds no block.
 * One Horn kernel.  Closure and extension run
   :func:`ltlbd._kernels.horn_forward`, the same propagator behind
   :func:`~ltlbd.propsat.horn_sat`.
@@ -221,8 +221,8 @@ class _Encoding:
         self.clause_part = SnfFormula(phi.operators, (), phi.clauses,
                                       variables=phi.variables)
         self.slot = {v: j for j, v in enumerate(self.rest)}
-        # (member, unanimity mask) -> (literals, clause lengths) of the
-        # member's block on its c copies
+        # (member, unanimity mask) -> the member's block on its c copies,
+        # a list of integer clauses
         self.blocks: dict = {}
         # per member: is it dead, and its initial facts as copy-1 ids
         self.dead = [any(v in theta and not theta[v] for v in phi.initial)
@@ -235,7 +235,7 @@ class _Encoding:
         r = len(self.rest)
         return r + (p * self.c + i - 1) * r + j
 
-    def block(self, p: int, mask: int, members: tuple) -> tuple:
+    def block(self, p: int, mask: int, members: tuple) -> list:
         """Member ``p``'s block for a set of unanimity ``mask``: the reduct
         under :func:`global_assignment`, computed once per ``(p, mask)`` and
         coded into each of the member's copies in turn.  The reduct assigns
@@ -246,12 +246,13 @@ class _Encoding:
             glob = global_assignment(members, self.back, self.pool[p])
             clauses = reduct(self.clause_part, glob).clauses
             slot = self.slot
-            lits, lens = [], []
+            coded = []
             horn = True
             for i in range(1, self.c + 1):
                 base = self.copy_id(p, i, 0) + 1
                 for clause in clauses:
                     heads = 0
+                    lits = []
                     for lit in clause:
                         if lit.mod is _NONE:
                             a = base + slot[lit.var]
@@ -266,11 +267,11 @@ class _Encoding:
                         else:
                             lits.append(-a)
                     horn = horn and heads <= 1
-                    lens.append(len(clause))
+                    coded.append(lits)
             if not horn:
                 raise AssertionError(
                     "encoding of a verified backdoor must be Horn")
-            self.blocks[key] = (lits, lens)
+            self.blocks[key] = coded
         return self.blocks[key]
 
     def closure(self, combo: tuple[int, ...], members: tuple) -> tuple:
@@ -280,24 +281,15 @@ class _Encoding:
         in order), then per variable ``rest[j]`` the ties ``¬g ∨ c`` for
         every copy and ``g ∨ ¬c…``."""
         mask = _unanimity(combo, len(self.pool))
-        lits, lens = [], []
+        clauses = []
         for p in combo:
-            block_lits, block_lens = self.block(p, mask, members)
-            lits += block_lits
-            lens += block_lens
+            clauses += self.block(p, mask, members)
         bases = [self.copy_id(p, i, 0) + 1
                  for p in combo for i in range(1, self.c + 1)]
-        n_ties = [2] * len(bases)
         for j in range(len(self.rest)):
-            for b in bases:
-                lits += (-j - 1, b + j)
-            lits.append(j + 1)
-            lits += [-(b + j) for b in bases]
-            lens += n_ties
-            lens.append(len(bases) + 1)
-        starts = [0, *itertools.accumulate(lens)]
-        heads, counts, occ, facts = _kernels.horn_index(self.n_atoms, lits,
-                                                        starts)
+            clauses += [[-j - 1, b + j] for b in bases]
+            clauses.append([j + 1] + [-(b + j) for b in bases])
+        heads, counts, occ, facts = _kernels.horn_index(self.n_atoms, clauses)
         values = [0] * self.n_atoms
         if not _kernels.horn_forward(heads, counts, occ, values, facts):
             return None

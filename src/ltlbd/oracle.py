@@ -69,37 +69,23 @@ def star_sat_oracle(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
     return result
 
 
-def _solve(n_atoms: int, clauses: list, order: list) -> Optional[list]:
-    """The first model of integer clauses for the decision order ``order``
-    (a list of atoms), or None when unsatisfiable.
-
-    The search watches two distinct literals per clause.  No clause repeats
-    one: :class:`~ltlbd.formula.Clause` holds distinct literals, and both
-    encodings give distinct literals distinct signed atoms."""
-    lits, starts = [], [0]
-    for c in clauses:
-        lits.extend(c)
-        starts.append(len(lits))
-    status, values = _kernels.search_solve(n_atoms, lits, starts, order)
-    return values if status else None
-
-
 def _star_by_scan(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
     variables = sorted(phi.variables)
     n = len(variables)
     index = {v: i for i, v in enumerate(variables)}
     none = Mod.NONE  # bound once: enum lookups are slow
     # atom i: the always-atom of variable i; atom n + i: its plain atom
-    lits, starts = [], [0]
+    clauses = []
     for c in phi.clauses:
+        clause = []
         for lit in c:
             a = (n if lit.mod is none else 0) + index[lit.var] + 1
-            lits.append(a if lit.positive else -a)
-        starts.append(len(lits))
+            clause.append(a if lit.positive else -a)
+        clauses.append(clause)
     psi_mask = 0
     for v in phi.initial:
         psi_mask |= 1 << (n - 1 - index[v])
-    found, _, a0, wit = _kernels.star_scan(n, lits, starts, psi_mask)
+    found, _, a0, wit = _kernels.star_scan(n, clauses, psi_mask)
     if not found:
         return None
 
@@ -130,8 +116,10 @@ def _star_by_encoding(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
     for i in range(n):
         clauses.extend([-i - 1, r * n + i + 1] for r in rows)
         clauses.append([i + 1, -(2 + i) * n - i - 1])
-    values = _solve(n * (n + 2), clauses, list(range(n * (n + 2))))
-    if values is None:
+    n_atoms = n * (n + 2)
+    found, values = _kernels.search_solve(n_atoms, clauses,
+                                          list(range(n_atoms)))
+    if not found:
         return None
     members = tuple({v: bool(values[r * n + i])
                      for i, v in enumerate(variables)} for r in rows)
@@ -228,8 +216,9 @@ def window_sat_oracle(phi: SnfFormula,
             else:
                 clauses.append([here, -nxt])
 
-    values = _solve(n_atoms, clauses, list(range(n_atoms)))
-    if values is None:
+    found, values = _kernels.search_solve(n_atoms, clauses,
+                                          list(range(n_atoms)))
+    if not found:
         return None
     rows = [{v: bool(values[r * nv + i]) for i, v in enumerate(variables)}
             for r in range(n_rows)]

@@ -5,10 +5,12 @@ its always-literal, or a labelled world copy.  Solvers: linear Horn-SAT with
 minimal models, implication-graph 2-SAT, an exhaustive scanner used as a test
 oracle, and a complete clause search that returns the lexicographically
 first model for a given decision order.  Every solver and
-:func:`to_dimacs` number the atoms in one place (``_numbered``), and
-Horn-SAT, the scanner and the search run a kernel of :mod:`ltlbd._kernels`
-on those integer clauses.  The oracles of :mod:`ltlbd.oracle` build integer
-clauses themselves and call the search kernel directly, without atoms.
+:func:`to_dimacs` number the atoms in one place (``_numbered``), which turns
+each clause into a list of integer literals ±(atom+1), the one clause form
+of :mod:`ltlbd._kernels`; Horn-SAT, the scanner and the search run a kernel
+on those lists, and 2-SAT and :func:`to_dimacs` read them directly.  The
+oracles of :mod:`ltlbd.oracle` build integer clauses themselves and call the
+kernels directly, without atoms.
 """
 
 from __future__ import annotations
@@ -91,27 +93,22 @@ Model = Optional[dict]  # Atom -> bool; None means unsatisfiable
 
 
 def _numbered(cnf: PropCnf):
-    """``(atoms, lits, starts)``: the sorted atoms of ``cnf`` and its clauses
-    in the kernels' flat layout, atom ``atoms[i]`` as literal ±(i+1)."""
+    """``(atoms, clauses)``: the sorted atoms of ``cnf`` and its clauses as
+    lists of kernel literals, atom ``atoms[i]`` as literal ±(i+1)."""
     atoms = cnf.atoms()
     idx = {a: i + 1 for i, a in enumerate(atoms)}
-    lits = []
-    starts = [0]
-    for c in cnf.clauses:
-        for a, pos in c:
-            lits.append(idx[a] if pos else -idx[a])
-        starts.append(len(lits))
-    return atoms, lits, starts
+    return atoms, [[idx[a] if pos else -idx[a] for a, pos in c]
+                   for c in cnf.clauses]
 
 
 def brute_sat(cnf: PropCnf) -> Model:
     """Exhaustive oracle: first satisfying assignment in canonical atom
     order (value 0 before 1), or None.  Limited to 24 atoms."""
-    atoms, lits, starts = _numbered(cnf)
+    atoms, clauses = _numbered(cnf)
     n = len(atoms)
     if n > 24:
         raise ValueError(f"brute_sat limited to 24 atoms, got {n}")
-    found, mask = _kernels.brute_scan(n, lits, starts)
+    found, mask = _kernels.brute_scan(n, clauses)
     if not found:
         return None
     return {a: bool((mask >> (n - 1 - i)) & 1) for i, a in enumerate(atoms)}
@@ -123,9 +120,9 @@ def horn_sat(cnf: PropCnf) -> Model:
     Every atom true in the returned model is forced; all others are false.
     Tautological clauses are skipped.  Raises ValueError on non-Horn input.
     """
-    atoms, lits, starts = _numbered(cnf)
+    atoms, clauses = _numbered(cnf)
     n = len(atoms)
-    heads, counts, occ, facts = _kernels.horn_index(n, lits, starts)
+    heads, counts, occ, facts = _kernels.horn_index(n, clauses)
     values = [0] * n
     if not _kernels.horn_forward(heads, counts, occ, values, facts):
         return None
@@ -141,14 +138,13 @@ def two_sat(cnf: PropCnf) -> Model:
     """
     if not cnf.is_krom:
         raise ValueError("two_sat requires a Krom formula")
-    atoms, lits, starts = _numbered(cnf)
+    atoms, clauses = _numbered(cnf)
 
     def node(lit):  # 2i for literal i+1, 2i+1 for its negation
         return 2 * lit - 2 if lit > 0 else -2 * lit - 1
 
     adj: list[list[int]] = [[] for _ in range(2 * len(atoms))]
-    for ci in range(len(starts) - 1):
-        c = lits[starts[ci]:starts[ci + 1]]
+    for c in clauses:
         if len(c) == 0:
             return None
         if len(c) == 1:
@@ -224,13 +220,13 @@ def solve_cnf(cnf: PropCnf, branch_first: Iterable[Atom] = ()) -> Model:
     appended in canonical order), value false before true, so the returned
     model is lexicographically minimal for that order.
     """
-    atoms, lits, starts = _numbered(cnf)
+    atoms, clauses = _numbered(cnf)
     n = len(atoms)
     position = {a: i for i, a in enumerate(atoms)}
     head = [position[a] for a in branch_first if a in position]
     seen = set(head)
     order = head + [i for i in range(n) if i not in seen]
-    status, values = _kernels.search_solve(n, lits, starts, order)
+    status, values = _kernels.search_solve(n, clauses, order)
     if not status:
         return None
     return {a: bool(values[i]) for i, a in enumerate(atoms)}
@@ -238,9 +234,8 @@ def solve_cnf(cnf: PropCnf, branch_first: Iterable[Atom] = ()) -> Model:
 
 def to_dimacs(cnf: PropCnf) -> tuple[str, list[str]]:
     """DIMACS text plus the sidecar name table (line i+1 names atom i+1)."""
-    atoms, lits, starts = _numbered(cnf)
-    lines = [f"p cnf {len(atoms)} {len(cnf.clauses)}"]
-    for ci in range(len(starts) - 1):
-        lines.append(" ".join(map(str, lits[starts[ci]:starts[ci + 1]] + [0])))
+    atoms, clauses = _numbered(cnf)
+    lines = [f"p cnf {len(atoms)} {len(clauses)}"]
+    lines += [" ".join(map(str, c + [0])) for c in clauses]
     names = [f"{i + 1} {a.display()}" for i, a in enumerate(atoms)]
     return "\n".join(lines) + "\n", names

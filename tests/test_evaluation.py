@@ -311,6 +311,20 @@ def test_failed_designated_variant_leaves_the_shared_closure_intact():
     assert models(result.interpretation, phi)
 
 
+def test_closure_leaves_the_cached_blocks_alone():
+    # the member sets {0} and {0, 1} share member 0's cached block (same
+    # unanimity mask); closing both must leave that block as it was built
+    phi, back = planted_instance(3, 6, 12, HORN, 1, [Mod.STAR])
+    enc = ltlbd.evaluation._Encoding(remove_tautologies(phi), back)
+    pool = enc.pool
+    block = enc.block(0, 0, (pool[0],))
+    snapshot = [c[:] for c in block]
+    assert block
+    enc.closure((0,), (pool[0],))
+    enc.closure((0, 1), tuple(pool))
+    assert enc.blocks[0, 0] is block and block == snapshot
+
+
 def test_reference_encoding_shares_no_code_with_the_solve(monkeypatch):
     # build_horn_encoding builds the (r+1)-copy encoding from its definition,
     # so it is unchanged with the integer solve's encoder replaced
