@@ -8,6 +8,16 @@ most k levels deep, branching over the elements of the first unhit set in a
 fixed order, which makes the returned set deterministic.  Clauses satisfied
 by every consistent assignment are dropped before building the graph/family;
 the detected sets are backdoors of that satisfiability-equivalent core.
+
+The search prunes with a packing bound.  Once, at entry, it packs the
+non-empty sets greedily in list order, keeping each set disjoint from those
+packed before it.  A node whose chosen elements miss more packed sets than
+the budget has elements left holds no solution in its subtree: the packed
+sets are pairwise disjoint, so each missed one needs an element of its own.
+Only such subtrees are cut, so the first hitting set in depth-first order,
+the returned set, is the one the unpruned search returns.  Hit counters
+keep the missed count current in O(1) per choice; a packing recomputed at
+every node would prune more but cost O(m) per node.
 """
 
 from __future__ import annotations
@@ -78,31 +88,56 @@ def _first_hitting_set(sets: list[tuple[str, ...]],
     keeps one chosen set and an explicit path of (set index, branch
     position), undoing the last choice on backtrack.  Every set before the
     last branch set is already hit, so each scan starts just past it.
+
+    A node is pruned before its scan when the chosen elements miss more
+    sets of the packing than the budget has left (module docstring).
     """
+    owner: dict[str, int] = {}  # element -> its packed set
+    packed = 0
+    for s in sets:
+        if s and owner.keys().isdisjoint(s):
+            owner.update(dict.fromkeys(s, packed))
+            packed += 1
+    hits = [0] * packed
+    missed = packed
     chosen: set[str] = set()
+    disjoint = chosen.isdisjoint
     path: list[tuple[int, int]] = []
     start = 0
     while True:
-        i = start
-        while i < len(sets) and not chosen.isdisjoint(sets[i]):
-            i += 1
-        if i == len(sets):
-            return frozenset(chosen)
-        if len(path) < k and sets[i]:
-            chosen.add(sets[i][0])
-            path.append((i, 0))
-            start = i + 1
-            continue
-        while path:
-            i, j = path.pop()
-            chosen.remove(sets[i][j])
-            if j + 1 < len(sets[i]):
-                chosen.add(sets[i][j + 1])
-                path.append((i, j + 1))
-                start = i + 1
-                break
-        else:
-            return None
+        j = -1  # the branch taken next, or -1 to backtrack
+        if missed <= k - len(path):
+            for i in range(start, len(sets)):
+                if disjoint(sets[i]):
+                    break
+            else:
+                return frozenset(chosen)
+            if len(path) < k and sets[i]:
+                j = 0
+        if j < 0:
+            while path:
+                i, j = path.pop()
+                e = sets[i][j]
+                chosen.remove(e)
+                p = owner.get(e)
+                if p is not None:
+                    hits[p] -= 1
+                    if not hits[p]:
+                        missed += 1
+                j += 1
+                if j < len(sets[i]):
+                    break
+            else:
+                return None
+        e = sets[i][j]
+        chosen.add(e)
+        p = owner.get(e)
+        if p is not None:
+            hits[p] += 1
+            if hits[p] == 1:
+                missed -= 1
+        path.append((i, j))
+        start = i + 1
 
 
 def vertex_cover(graph: ConflictGraph, k: int) -> Optional[frozenset[str]]:
@@ -141,12 +176,13 @@ def detect_krom_backdoor(phi: SnfFormula, k: int) -> Optional[frozenset[str]]:
     return hitting_set_3(build_krom_hitting_family(core), k)
 
 
+def _check_target(target: str) -> None:
+    if target not in (HORN, KROM):
+        raise ValueError(f"unknown target class: {target}")
+
+
 def _clause_in_class(positives: int, total: int, target: str) -> bool:
-    if target == HORN:
-        return positives <= 1
-    if target == KROM:
-        return total <= 2
-    raise ValueError(f"unknown target class: {target}")
+    return positives <= 1 if target == HORN else total <= 2
 
 
 def verify_backdoor(phi: SnfFormula, backdoor: Iterable[str],
@@ -161,6 +197,7 @@ def verify_backdoor(phi: SnfFormula, backdoor: Iterable[str],
     classified individually: an emptied clause belongs to every class but
     does not exempt the clauses next to it.
     """
+    _check_target(target)
     back = set(backdoor)
     extra = back - set(phi.variables)
     if extra:
@@ -203,9 +240,8 @@ def verify_backdoor_reference(phi: SnfFormula, backdoor: Iterable[str],
     collapse to the FALSE marker: a surviving over-wide clause disqualifies
     the assignment even when another clause was emptied alongside it.
     """
+    _check_target(target)
     check = clause_is_horn if target == HORN else clause_is_krom
-    if target not in (HORN, KROM):
-        raise ValueError(f"unknown target class: {target}")
     for theta in consistent_assignments(backdoor, phi.operators):
         for c in phi.clauses:
             kept = []

@@ -63,7 +63,7 @@ from typing import Iterable, Iterator, Optional
 
 from .detection import HORN, verify_backdoor
 from .formula import (ConsistentAssignment, Mod, SnfFormula, Clause,
-                      remove_tautologies, reduct)
+                      _derived, remove_tautologies, reduct)
 from .interp import (AssignmentSet, FiniteWindowInterpretation,
                      from_assignment_set, models)
 from . import _kernels
@@ -218,8 +218,7 @@ class _Encoding:
         self.c = min(r + 1, 2)
         self.pool = assignments_over(backdoor)
         self.n_atoms = r + len(self.pool) * self.c * r
-        self.clause_part = SnfFormula(phi.operators, (), phi.clauses,
-                                      variables=phi.variables)
+        self.clause_part = _derived(phi, (), phi.clauses)
         self.slot = {v: j for j, v in enumerate(self.rest)}
         # (member, unanimity mask) -> the member's block on its c copies,
         # a list of integer clauses
@@ -331,8 +330,7 @@ def _full_encoding(phi: SnfFormula, back: tuple[str, ...],
     ``g ∨ ¬c…``."""
     rest = sorted(set(phi.variables) - set(back))
     copies = range(1, len(rest) + 2)
-    clause_part = SnfFormula(phi.operators, (), phi.clauses,
-                             variables=phi.variables)
+    clause_part = _derived(phi, (), phi.clauses)
     labels = [_theta_label(theta) for theta in members]
     blocks = []
     for theta, label in zip(members, labels):

@@ -168,6 +168,21 @@ class SnfFormula:
         return " & ".join(parts) if parts else "TRUE"
 
 
+def _derived(phi: SnfFormula, initial: tuple[str, ...],
+             clauses: tuple[Clause, ...]) -> SnfFormula:
+    """``phi`` with other initial facts and clauses, built without
+    re-validation: ``initial`` must be a subsequence of ``phi.initial`` and
+    every variable of ``clauses`` one of ``phi.variables``.  Then the
+    operators, names and sorted universe that ``SnfFormula.__post_init__``
+    would compute are ``phi``'s, so they are copied."""
+    out = object.__new__(SnfFormula)
+    object.__setattr__(out, "operators", phi.operators)
+    object.__setattr__(out, "initial", initial)
+    object.__setattr__(out, "clauses", clauses)
+    object.__setattr__(out, "variables", phi.variables)
+    return out
+
+
 class ConsistentAssignment:
     """Partial truth assignment over variables and their modal copies.
 
@@ -257,8 +272,7 @@ def reduct(phi: SnfFormula, theta: ConsistentAssignment) -> SnfFormula:
     if phi.is_true:
         return phi
 
-    false_marker = SnfFormula(phi.operators, (), (EMPTY_CLAUSE,),
-                              variables=phi.variables)
+    false_marker = _derived(phi, (), (EMPTY_CLAUSE,))
     if phi.is_false:
         return false_marker
     new_init = []
@@ -284,27 +298,40 @@ def reduct(phi: SnfFormula, theta: ConsistentAssignment) -> SnfFormula:
         if not kept:
             return false_marker
         new_clauses.append(Clause(kept))
-    return SnfFormula(phi.operators, tuple(new_init), tuple(new_clauses),
-                      variables=phi.variables)
+    return _derived(phi, tuple(new_init), tuple(new_clauses))
+
+
+# bound once for the per-literal loop: class lookups of enum members are slow
+_STAR = Mod.STAR
+
+
+def _tautological(c: Clause) -> bool:
+    # literals sort negatives first, so a clause without a negated
+    # always-literal is settled at its first positive literal
+    neg_star = set()
+    for var, mod, positive in c.literals:
+        if not positive:
+            if mod is _STAR:
+                neg_star.add(var)
+        elif not neg_star:
+            return False
+        elif mod is not _STAR and var in neg_star:
+            return True
+    return False
 
 
 def remove_tautologies(phi: SnfFormula) -> SnfFormula:
-    """Drop clauses satisfied by every consistent assignment.
+    """Drop the clauses that a negated always-literal makes valid.
 
-    These are exactly the clauses containing a negated always-literal over
-    some variable together with a positive plain, past, or future literal
-    over the same variable.  Satisfiability is preserved.
+    A clause is dropped when it holds a negated always-literal over some
+    variable together with a positive plain, past, or future literal over
+    the same variable, so only clauses holding a negated always-literal are
+    tested.  Every consistent assignment satisfies a dropped clause; on
+    clauses without a literal next to its exact negation, the dropped ones
+    are exactly those.  Satisfiability is preserved.
     """
-    kept = []
-    for c in phi.clauses:
-        neg_star = {l.var for l in c if l.mod is Mod.STAR and not l.positive}
-        pos_other = {l.var for l in c
-                     if l.positive and l.mod in (Mod.NONE, Mod.PAST, Mod.FUT)}
-        if neg_star & pos_other:
-            continue
-        kept.append(c)
-    return SnfFormula(phi.operators, phi.initial, tuple(kept),
-                      variables=phi.variables)
+    return _derived(phi, phi.initial,
+                    tuple(c for c in phi.clauses if not _tautological(c)))
 
 
 class Violation(NamedTuple):

@@ -98,6 +98,17 @@ class TestDetect:
         assert "verdict: BACKDOOR_FOUND" in out
         assert "backdoor-size: 3000" in out
 
+    @pytest.mark.parametrize("target,width", [("horn", 3), ("krom", 4)])
+    def test_large_budget_none_is_quick(self, tmp_path, capsys, target,
+                                        width):
+        # each clause needs two backdoor variables, so 3000 clauses need
+        # 6000: the search must refute k = 3000 without walking its tree
+        path = disjoint(tmp_path, 3000, width)
+        t0 = time.perf_counter()
+        assert main(["detect", path, "--class", target, "-k", "3000"]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert "verdict: NONE" in capsys.readouterr().out
+
     def test_disjoint_clauses_over_budget_is_none(self, tmp_path, capsys):
         path = disjoint(tmp_path, 6, 3)
         assert main(["detect", path, "--class", "krom", "-k", "5"]) == 1

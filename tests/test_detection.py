@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ltlbd.detection import (HORN, KROM, ConflictGraph, HittingFamily,
-                             build_horn_conflict_graph,
+                             _first_hitting_set, build_horn_conflict_graph,
                              build_krom_hitting_family, detect_horn_backdoor,
                              detect_krom_backdoor, hitting_set_3,
                              minimal_backdoor_bruteforce, verify_backdoor,
@@ -153,6 +153,54 @@ class TestCoverAndHitting:
                     assert len(got) <= k and hits(fam, got)
 
 
+def unpruned_first_hitting_set(sets, k):
+    """The depth-first search without a lower bound: the reference for the
+    pruned one, which must return the same set."""
+    chosen = set()
+    path = []
+    start = 0
+    while True:
+        i = start
+        while i < len(sets) and not chosen.isdisjoint(sets[i]):
+            i += 1
+        if i == len(sets):
+            return frozenset(chosen)
+        if len(path) < k and sets[i]:
+            chosen.add(sets[i][0])
+            path.append((i, 0))
+            start = i + 1
+            continue
+        while path:
+            i, j = path.pop()
+            chosen.remove(sets[i][j])
+            if j + 1 < len(sets[i]):
+                chosen.add(sets[i][j + 1])
+                path.append((i, j + 1))
+                start = i + 1
+                break
+        else:
+            return None
+
+
+class TestPackingBound:
+    def test_same_set_as_the_unpruned_search(self):
+        rng = random.Random(8)
+        pairs = found = 0
+        for _ in range(3000):
+            names = [f"v{i}" for i in range(rng.randint(1, 9))]
+            sizes = [rng.randint(0, min(3, len(names)))
+                     for _ in range(rng.randint(0, 12))]
+            sets = [tuple(rng.sample(names, size)) for size in sizes]
+            for k in range(7):
+                got = _first_hitting_set(sets, k)
+                assert got == unpruned_first_hitting_set(sets, k), (sets, k)
+                pairs += 1
+                found += got is not None
+        assert pairs >= 20000
+        # both answers are common, so neither side is tested only vacuously
+        assert 0.2 < found / pairs < 0.8
+
+
 class TestVerify:
     def test_empty_set_fails_on_non_horn_clause(self):
         phi = formula([Clause([Lit("x"), Lit("y")])])
@@ -172,6 +220,12 @@ class TestVerify:
         phi = formula([Clause([Lit("x")])])
         with pytest.raises(ValueError):
             verify_backdoor(phi, (), "affine")
+        # formulas that leave no clause to classify reject it as well
+        for clauses in ([], [Clause([Lit("x", Mod.STAR, False), Lit("x")])]):
+            phi = formula(clauses)
+            for check in (verify_backdoor, verify_backdoor_reference):
+                with pytest.raises(ValueError):
+                    check(phi, phi.variables, "hron")
 
     def test_fast_path_matches_reference(self):
         rng = random.Random(5)
@@ -237,12 +291,14 @@ class TestMinimalBruteforce:
 
     def test_detect_agrees_with_bruteforce_size(self):
         rng = random.Random(7)
-        for _ in range(80):
-            phi = random_formula(rng, rng.randint(1, 5), rng.randint(1, 5),
-                                 4, {Mod.STAR})
-            core = remove_tautologies(phi)
-            for target, detect in ((HORN, detect_horn_backdoor),
-                                   (KROM, detect_krom_backdoor)):
-                best = len(minimal_backdoor_bruteforce(core, target))
-                for k in range(0, best + 2):
-                    assert (detect(phi, k) is not None) == (k >= best)
+        for ops in ({Mod.STAR}, {Mod.FUT}, {Mod.PAST},
+                    {Mod.FUT, Mod.PAST, Mod.STAR}):
+            for _ in range(80):
+                phi = random_formula(rng, rng.randint(1, 5),
+                                     rng.randint(1, 5), 4, ops)
+                core = remove_tautologies(phi)
+                for target, detect in ((HORN, detect_horn_backdoor),
+                                       (KROM, detect_krom_backdoor)):
+                    best = len(minimal_backdoor_bruteforce(core, target))
+                    for k in range(0, best + 2):
+                        assert (detect(phi, k) is not None) == (k >= best)

@@ -4,10 +4,16 @@ import random
 import pytest
 
 from ltlbd.formula import (Clause, ConsistentAssignment, EMPTY_CLAUSE, Lit,
-                           Mod, SnfFormula, assignment_modalities,
+                           Mod, SnfFormula, _derived, assignment_modalities,
                            clause_is_horn, clause_is_krom,
                            consistent_assignments, reduct,
                            remove_tautologies, validate_normal_form)
+from ltlbd.gen import random_formula
+
+#: every declared operator set
+OPERATOR_SETS = [set(ops) for size in range(4)
+                 for ops in itertools.combinations(
+                     (Mod.PAST, Mod.FUT, Mod.STAR), size)]
 
 
 def lit(name, mod=Mod.NONE, positive=True):
@@ -192,6 +198,68 @@ class TestRemoveTautologies:
         phi = formula([Clause([lit("x", Mod.STAR, False), lit("x")]),
                        Clause([lit("y")])])
         assert remove_tautologies(phi).variables == phi.variables
+
+    @pytest.mark.parametrize("ops", OPERATOR_SETS)
+    def test_drops_exactly_the_clauses_every_assignment_satisfies(self, ops):
+        rng = random.Random(9)
+        dropped = 0
+        for _ in range(60):
+            phi = random_formula(rng, rng.randint(1, 4), rng.randint(1, 5),
+                                 3, ops, seed_tautologies=True)
+            kept = remove_tautologies(phi).clauses
+            assert set(kept) <= set(phi.clauses)
+            for c in phi.clauses:
+                valid = all(
+                    any(theta.values[(l.var, l.mod)] == l.positive for l in c)
+                    for theta in consistent_assignments(c.vars(), ops))
+                assert (c not in kept) == valid, c
+                dropped += valid
+        assert dropped > 0 or Mod.STAR not in ops
+
+
+def same_fields(got, slow):
+    """``got`` equals the formula ``SnfFormula.__post_init__`` builds, in
+    every field and field type, the universe included."""
+    assert (got.operators, got.initial, got.clauses, got.variables) == (
+        slow.operators, slow.initial, slow.clauses, slow.variables)
+    for name in ("operators", "initial", "clauses", "variables"):
+        assert type(getattr(got, name)) is type(getattr(slow, name)), name
+
+
+class TestDerivedCopies:
+    """Derived formulas skip re-validation; their fields must be what a
+    validated build of the same parts gives."""
+
+    def random_formulas(self, seed):
+        rng = random.Random(seed)
+        for ops in OPERATOR_SETS * 20:
+            yield rng, random_formula(rng, rng.randint(1, 5),
+                                      rng.randint(1, 6), 4, ops,
+                                      with_initial=True,
+                                      seed_tautologies=True)
+
+    def test_reduct(self):
+        false_markers = 0
+        for rng, phi in self.random_formulas(10):
+            names = sorted(phi.variables)
+            domain = rng.sample(names, rng.randint(0, min(2, len(names))))
+            for theta in consistent_assignments(domain, phi.operators):
+                red = reduct(phi, theta)
+                false_markers += red.is_false
+                same_fields(red, SnfFormula(red.operators, red.initial,
+                                            red.clauses,
+                                            variables=phi.variables))
+        assert false_markers > 0
+
+    def test_remove_tautologies_and_clause_part(self):
+        for _, phi in self.random_formulas(11):
+            core = remove_tautologies(phi)
+            same_fields(core, SnfFormula(phi.operators, phi.initial,
+                                         core.clauses,
+                                         variables=phi.variables))
+            same_fields(_derived(phi, (), phi.clauses),
+                        SnfFormula(phi.operators, (), phi.clauses,
+                                   variables=phi.variables))
 
 
 class TestValidate:
