@@ -16,7 +16,7 @@ from pathlib import Path
 from .detection import (HORN, KROM, detect_horn_backdoor,
                         detect_krom_backdoor, verify_backdoor)
 from .evaluation import evaluate_horn_star
-from .fileio import (ParseError, format_model_table, format_snf,
+from .fileio import (_OP_TOKEN, ParseError, format_model_table, format_snf,
                      parse_dimacs_col, parse_model_table, parse_snf)
 from .formula import Mod, remove_tautologies, validate_normal_form
 from .gen import planted_instance
@@ -43,14 +43,13 @@ def _load_formula(path: str):
 
 
 def _ops_from_string(text: str) -> frozenset[Mod]:
-    table = {"F": Mod.FUT, "P": Mod.PAST, "*": Mod.STAR}
     ops = set()
     for ch in text:
         if ch in " ,":
             continue
-        if ch not in table:
+        if ch not in _OP_TOKEN:
             raise ParseError(f"unknown operator character {ch!r}")
-        ops.add(table[ch])
+        ops.add(_OP_TOKEN[ch])
     return frozenset(ops)
 
 

@@ -8,6 +8,8 @@ most k levels deep, branching over the elements of the first unhit set in a
 fixed order, which makes the returned set deterministic.  Clauses satisfied
 by every consistent assignment are dropped before building the graph/family;
 the detected sets are backdoors of that satisfiability-equivalent core.
+The builders emit the graph's edges and the family's sets in the one form
+the search reads unchanged: a tuple of name-sorted tuples in search order.
 
 The search prunes with a packing bound.  Once, at entry, it packs the
 non-empty sets greedily in list order, keeping each set disjoint from those
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .formula import (Clause, SnfFormula, assignment_modalities,
                       _local_choices, clause_is_horn, clause_is_krom,
@@ -36,19 +38,21 @@ KROM = "krom"
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Undirected graph over the formula variables; a self-loop is stored as
-    a singleton edge and forces its vertex into every cover."""
+    """Undirected graph over the formula variables.  Edges are in search
+    order: self-loops ``(v,)``, which force v into every cover, then pairs
+    ``(u, v)`` with u < v, each group in name order."""
 
     vertices: frozenset[str]
-    edges: frozenset[frozenset[str]]
+    edges: tuple[tuple[str, ...], ...]
 
 
 @dataclass(frozen=True)
 class HittingFamily:
-    """Variable sets (size 1..3) of all 3-literal selections from clauses."""
+    """Variable sets (size 1..3) of all 3-literal selections from clauses,
+    each a name-sorted tuple, without repeats and in name order."""
 
     universe: frozenset[str]
-    sets: tuple[frozenset[str], ...]
+    sets: tuple[tuple[str, ...], ...]
 
 
 def build_horn_conflict_graph(phi: SnfFormula) -> ConflictGraph:
@@ -59,10 +63,12 @@ def build_horn_conflict_graph(phi: SnfFormula) -> ConflictGraph:
     """
     edges = set()
     for c in phi.clauses:
-        pos = [l for l in c if l.positive]
+        # a clause keeps its positive literals in name order
+        pos = [var for var, _, positive in c.literals if positive]
         for a, b in itertools.combinations(pos, 2):
-            edges.add(frozenset((a.var, b.var)))
-    return ConflictGraph(frozenset(phi.variables), frozenset(edges))
+            edges.add((a,) if a == b else (a, b))
+    return ConflictGraph(frozenset(phi.variables),
+                         tuple(sorted(sorted(edges), key=len)))
 
 
 def build_krom_hitting_family(phi: SnfFormula) -> HittingFamily:
@@ -70,15 +76,12 @@ def build_krom_hitting_family(phi: SnfFormula) -> HittingFamily:
 
     Expects a tautology-free formula.
     """
-    sets = set()
-    for c in phi.clauses:
-        for triple in itertools.combinations(c.literals, 3):
-            sets.add(frozenset(l.var for l in triple))
-    ordered = tuple(sorted(sets, key=lambda s: tuple(sorted(s))))
-    return HittingFamily(frozenset(phi.variables), ordered)
+    sets = {tuple(sorted({a.var, b.var, d.var})) for c in phi.clauses
+            for a, b, d in itertools.combinations(c.literals, 3)}
+    return HittingFamily(frozenset(phi.variables), tuple(sorted(sets)))
 
 
-def _first_hitting_set(sets: list[tuple[str, ...]],
+def _first_hitting_set(sets: Sequence[tuple[str, ...]],
                        k: int) -> Optional[frozenset[str]]:
     """The first hitting set of size <= k in depth-first order, or None.
 
@@ -141,17 +144,11 @@ def _first_hitting_set(sets: list[tuple[str, ...]],
 
 
 def vertex_cover(graph: ConflictGraph, k: int) -> Optional[frozenset[str]]:
-    """A cover of size <= k via a depth-<= k search tree, or None.
-
-    Self-loop vertices are forced: their singleton edges come first, so they
-    are chosen before any branching.  Then the search takes the smallest
-    uncovered edge and tries the lower-named endpoint first.
-    """
+    """A cover of size <= k via a depth-<= k search tree over the edges in
+    their stored order, or None; self-loop vertices are forced first."""
     if k < 0:
         raise ValueError("backdoor size bound k must be nonnegative")
-    loops = sorted(tuple(e) for e in graph.edges if len(e) == 1)
-    edges = sorted(tuple(sorted(e)) for e in graph.edges if len(e) == 2)
-    return _first_hitting_set(loops + edges, k)
+    return _first_hitting_set(graph.edges, k)
 
 
 def hitting_set_3(family: HittingFamily, k: int) -> Optional[frozenset[str]]:
@@ -161,7 +158,7 @@ def hitting_set_3(family: HittingFamily, k: int) -> Optional[frozenset[str]]:
     """
     if k < 0:
         raise ValueError("backdoor size bound k must be nonnegative")
-    return _first_hitting_set([tuple(sorted(s)) for s in family.sets], k)
+    return _first_hitting_set(family.sets, k)
 
 
 def detect_horn_backdoor(phi: SnfFormula, k: int) -> Optional[frozenset[str]]:

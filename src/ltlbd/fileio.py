@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .formula import Clause, Lit, Mod, SnfFormula, VAR_NAME_RE
+from .formula import Clause, Lit, Mod, SnfFormula, VAR_NAME, VAR_NAME_RE
 from .interp import FiniteWindowInterpretation
 from .reductions import Graph
 
@@ -33,7 +33,7 @@ class ParseError(ValueError):
         super().__init__(f"{message}{where}")
 
 
-_LIT_RE = re.compile(r"(~)?(\[[FP*]\])?([A-Za-z][A-Za-z0-9_]*)\Z")
+_LIT_RE = re.compile(rf"(~)?(\[[FP*]\])?({VAR_NAME})\Z")
 _TAG_MOD = {"[F]": Mod.FUT, "[P]": Mod.PAST, "[*]": Mod.STAR}
 _OP_TOKEN = {"F": Mod.FUT, "P": Mod.PAST, "*": Mod.STAR}
 _MOD_OP_TOKEN = {m: t for t, m in _OP_TOKEN.items()}
@@ -42,6 +42,18 @@ _MOD_OP_TOKEN = {m: t for t, m in _OP_TOKEN.items()}
 def _strip_comment(raw: str) -> str:
     cut = raw.find("#")
     return raw if cut < 0 else raw[:cut]
+
+
+def _piece_col(start: int, pieces: list[str], i: int) -> int:
+    """1-based column of ``pieces[i]``, the pieces being a body split on a
+    one-character separator and the body starting at 0-based ``start``: its
+    first non-blank character, or for a blank piece the separator before it
+    (after it, for the first piece)."""
+    at = start + sum(len(p) + 1 for p in pieces[:i])
+    piece = pieces[i]
+    if piece.strip():
+        return at + len(piece) - len(piece.lstrip()) + 1
+    return at if i else at + len(piece) + 1
 
 
 def _int(token: str, ln: int) -> int:
@@ -64,36 +76,40 @@ def parse_snf(text: str) -> SnfFormula:
         key, sep, body = line.partition(":")
         if not sep:
             raise ParseError("expected 'directive: ...'", ln, 1)
+        start = len(key) + 1  # offset of the body in the line
         key = key.strip()
         if key == "operators":
             if operators is not None:
                 raise ParseError("duplicate operators line", ln)
             operators = set()
-            for tok in body.split():
+            for m in re.finditer(r"\S+", body):
+                tok = m.group()
                 if tok not in _OP_TOKEN:
                     raise ParseError(f"unknown operator token {tok!r}", ln,
-                                     raw.find(tok) + 1)
+                                     start + m.start() + 1)
                 operators.add(_OP_TOKEN[tok])
         elif key == "init":
             if operators is None:
                 raise ParseError("operators line must come first", ln)
-            for piece in body.split(","):
+            pieces = body.split(",")
+            for i, piece in enumerate(pieces):
                 name = piece.strip()
                 if not VAR_NAME_RE.match(name):
                     raise ParseError(f"invalid variable name {name!r}", ln,
-                                     raw.find(piece.strip() or ",") + 1)
+                                     _piece_col(start, pieces, i))
                 initial.append(name)
         elif key == "clause":
             if operators is None:
                 raise ParseError("operators line must come first", ln)
             lits = []
             if body.strip():
-                for piece in body.split("|"):
+                pieces = body.split("|")
+                for i, piece in enumerate(pieces):
                     tok = piece.strip()
-                    col = raw.find(tok) + 1 if tok else raw.find("|") + 1
                     m = _LIT_RE.match(tok)
                     if not m:
-                        raise ParseError(f"malformed literal {tok!r}", ln, col)
+                        raise ParseError(f"malformed literal {tok!r}", ln,
+                                         _piece_col(start, pieces, i))
                     neg, tag, name = m.groups()
                     lits.append(Lit(name, _TAG_MOD.get(tag, Mod.NONE),
                                     neg is None))
@@ -136,8 +152,7 @@ def format_model_table(m: FiniteWindowInterpretation) -> str:
 
 def parse_model_table(text: str) -> FiniteWindowInterpretation:
     order: list[str] | None = None
-    start: int | None = None
-    left = right = None
+    once: dict[str, object] = {}  # the start, left and right rows
     worlds: dict[int, dict] = {}
 
     def parse_row(body: str, ln: int) -> dict:
@@ -168,12 +183,11 @@ def parse_model_table(text: str) -> FiniteWindowInterpretation:
                 raise ParseError("vars line needs distinct names", ln)
         elif order is None:
             raise ParseError("vars line must come first", ln)
-        elif key == "start":
-            start = _int(body, ln)
-        elif key == "left":
-            left = parse_row(body, ln)
-        elif key == "right":
-            right = parse_row(body, ln)
+        elif key in ("start", "left", "right"):
+            if key in once:
+                raise ParseError(f"duplicate {key} line", ln)
+            once[key] = (_int(body, ln) if key == "start"
+                         else parse_row(body, ln))
         elif key.startswith("world"):
             z = _int(key[len("world"):], ln)
             if z in worlds:
@@ -182,16 +196,15 @@ def parse_model_table(text: str) -> FiniteWindowInterpretation:
         else:
             raise ParseError(f"unknown row {key!r}", ln, 1)
 
-    if order is None or left is None or right is None or not worlds:
+    if order is None or not worlds or not {"left", "right"} <= once.keys():
         raise ParseError("model table needs vars, left, worlds, and right")
     lo, hi = min(worlds), max(worlds)
     if set(worlds) != set(range(lo, hi + 1)):
         raise ParseError("window worlds must be contiguous")
-    if start is None:
-        start = 0 if lo <= 0 <= hi else lo
+    start = once.get("start", 0 if lo <= 0 <= hi else lo)
     return FiniteWindowInterpretation(
-        left=left, window=tuple(worlds[z] for z in range(lo, hi + 1)),
-        lo=lo, right=right, start=start)
+        left=once["left"], window=tuple(worlds[z] for z in range(lo, hi + 1)),
+        lo=lo, right=once["right"], start=start)
 
 
 def parse_dimacs_col(text: str) -> Graph:

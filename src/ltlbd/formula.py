@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator, NamedTuple
 
-VAR_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+#: A variable name: a letter, then letters, digits or "_".
+VAR_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+VAR_NAME_RE = re.compile(VAR_NAME + r"\Z")
 
 
 class Mod(IntEnum):

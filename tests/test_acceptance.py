@@ -60,7 +60,7 @@ def covers(graph, chosen):
 
 def hits(family, chosen):
     chosen = set(chosen)
-    return all(chosen & s for s in family.sets)
+    return all(chosen & set(s) for s in family.sets)
 
 
 def subsets_up_to(names, k):

@@ -24,25 +24,25 @@ def covers(graph, chosen):
 
 def hits(family, chosen):
     chosen = set(chosen)
-    return all(chosen & s for s in family.sets)
+    return all(chosen & set(s) for s in family.sets)
 
 
 class TestConflictGraph:
     def test_two_positive_literals_give_an_edge(self):
         phi = formula([Clause([Lit("x"), Lit("y"), Lit("z", positive=False)])])
         g = build_horn_conflict_graph(phi)
-        assert g.edges == frozenset({frozenset({"x", "y"})})
+        assert g.edges == (("x", "y"),)
 
     def test_same_variable_two_modalities_gives_self_loop(self):
         phi = formula([Clause([Lit("x"), Lit("x", Mod.FUT)])],
                       ops={Mod.STAR, Mod.FUT})
         g = build_horn_conflict_graph(phi)
-        assert g.edges == frozenset({frozenset({"x"})})
+        assert g.edges == (("x",),)
 
     def test_horn_formula_has_no_edges(self):
         phi = formula([Clause([Lit("x", positive=False), Lit("y")]),
                        Clause([Lit("z", positive=False)])])
-        assert build_horn_conflict_graph(phi).edges == frozenset()
+        assert build_horn_conflict_graph(phi).edges == ()
 
 
 class TestHittingFamily:
@@ -51,7 +51,7 @@ class TestHittingFamily:
                                Lit("z", Mod.FUT)])],
                       ops={Mod.STAR, Mod.FUT})
         fam = build_krom_hitting_family(phi)
-        assert fam.sets == (frozenset({"x", "y", "z"}),)
+        assert fam.sets == (("x", "y", "z"),)
 
     def test_binary_clauses_give_nothing(self):
         phi = formula([Clause([Lit("x"), Lit("y", positive=False)])])
@@ -66,14 +66,12 @@ class TestHittingFamily:
     def test_repeated_variable_shrinks_the_set(self):
         phi = formula([Clause([Lit("x"), Lit("x", Mod.STAR), Lit("y")])])
         fam = build_krom_hitting_family(phi)
-        assert fam.sets == (frozenset({"x", "y"}),)
+        assert fam.sets == (("x", "y"),)
 
 
 class TestCoverAndHitting:
-    triangle = ConflictGraph(
-        frozenset("abc"),
-        frozenset({frozenset({"a", "b"}), frozenset({"b", "c"}),
-                   frozenset({"a", "c"})}))
+    triangle = ConflictGraph(frozenset("abc"),
+                             (("a", "b"), ("a", "c"), ("b", "c")))
 
     def test_triangle_bounds(self):
         assert vertex_cover(self.triangle, 1) is None
@@ -81,39 +79,37 @@ class TestCoverAndHitting:
         assert got is not None and len(got) <= 2 and covers(self.triangle, got)
 
     def test_self_loop_forced(self):
-        g = ConflictGraph(frozenset("ab"),
-                          frozenset({frozenset({"a"}), frozenset({"a", "b"})}))
+        g = ConflictGraph(frozenset("ab"), (("a",), ("a", "b")))
         assert vertex_cover(g, 1) == frozenset({"a"})
 
     def test_hitting_simple(self):
         fam = HittingFamily(frozenset("abcde"),
-                            (frozenset("abc"), frozenset("ade")))
+                            (("a", "b", "c"), ("a", "d", "e")))
         assert hitting_set_3(fam, 1) == frozenset({"a"})
 
     def test_hitting_two_disjoint_units(self):
-        fam = HittingFamily(frozenset("ab"), (frozenset("a"), frozenset("b")))
+        fam = HittingFamily(frozenset("ab"), (("a",), ("b",)))
         assert hitting_set_3(fam, 1) is None
 
     def test_forced_vertices_over_budget(self):
-        g = ConflictGraph(frozenset("ab"),
-                          frozenset({frozenset({"a"}), frozenset({"b"})}))
+        g = ConflictGraph(frozenset("ab"), (("a",), ("b",)))
         assert vertex_cover(g, 1) is None
         assert vertex_cover(g, 2) == frozenset("ab")
 
     def test_empty_set_is_never_hit(self):
-        fam = HittingFamily(frozenset("ab"), (frozenset("a"), frozenset()))
+        fam = HittingFamily(frozenset("ab"), ((), ("a",)))
         for k in range(3):
             assert hitting_set_3(fam, k) is None
 
     def test_deep_hitting_set_does_not_recurse(self):
-        fam = HittingFamily(frozenset(), tuple(
-            frozenset({f"a{i}", f"b{i}", f"c{i}"}) for i in range(3000)))
+        fam = HittingFamily(frozenset(), tuple(sorted(
+            (f"a{i}", f"b{i}", f"c{i}") for i in range(3000))))
         got = hitting_set_3(fam, 3000)
         assert got is not None and len(got) == 3000 and hits(fam, got)
 
     def test_deep_vertex_cover_does_not_recurse(self):
-        g = ConflictGraph(frozenset(), frozenset(
-            frozenset({f"a{i}", f"b{i}"}) for i in range(3000)))
+        g = ConflictGraph(frozenset(), tuple(sorted(
+            (f"a{i}", f"b{i}") for i in range(3000))))
         got = vertex_cover(g, 3000)
         assert got is not None and len(got) == 3000 and covers(g, got)
 
@@ -124,8 +120,8 @@ class TestCoverAndHitting:
             edges = set()
             for _ in range(rng.randint(1, 10)):
                 pair = rng.sample(names, 2)
-                edges.add(frozenset(pair))
-            g = ConflictGraph(frozenset(names), frozenset(edges))
+                edges.add(tuple(sorted(pair)))
+            g = ConflictGraph(frozenset(names), tuple(sorted(edges)))
             best = next(size for size in range(len(names) + 1)
                         for combo in [None]
                         if any(covers(g, c)
@@ -140,9 +136,9 @@ class TestCoverAndHitting:
         rng = random.Random(4)
         for _ in range(60):
             names = [f"v{i}" for i in range(rng.randint(3, 7))]
-            sets = tuple(frozenset(rng.sample(names, rng.randint(1, 3)))
-                         for _ in range(rng.randint(1, 8)))
-            fam = HittingFamily(frozenset(names), sets)
+            sets = {tuple(sorted(rng.sample(names, rng.randint(1, 3))))
+                    for _ in range(rng.randint(1, 8))}
+            fam = HittingFamily(frozenset(names), tuple(sorted(sets)))
             best = next(size for size in range(len(names) + 1)
                         if any(hits(fam, c)
                                for c in itertools.combinations(names, size)))
@@ -199,6 +195,74 @@ class TestPackingBound:
         assert pairs >= 20000
         # both answers are common, so neither side is tested only vacuously
         assert 0.2 < found / pairs < 0.8
+
+
+def frozenset_path_edges(core):
+    """The conflict graph as a frozenset family, in the search order a
+    wrapper sorted it into: self-loops, then edges, each in name order."""
+    edges = set()
+    for c in core.clauses:
+        pos = [l for l in c if l.positive]
+        for a, b in itertools.combinations(pos, 2):
+            edges.add(frozenset((a.var, b.var)))
+    loops = sorted(tuple(e) for e in edges if len(e) == 1)
+    pairs = sorted(tuple(sorted(e)) for e in edges if len(e) == 2)
+    return loops + pairs
+
+
+def frozenset_path_sets(core):
+    """The 3-selection family as frozensets, ordered and then turned into
+    name-sorted tuples the same way."""
+    sets = set()
+    for c in core.clauses:
+        for triple in itertools.combinations(c.literals, 3):
+            sets.add(frozenset(l.var for l in triple))
+    ordered = sorted(sets, key=lambda s: tuple(sorted(s)))
+    return [tuple(sorted(s)) for s in ordered]
+
+
+class TestSetForm:
+    def test_builders_fix_the_search_order(self):
+        phi = formula([Clause([Lit("e", positive=False),
+                               Lit("d", positive=False), Lit("a")]),
+                       Clause([Lit("d"), Lit("a", positive=False), Lit("c")]),
+                       Clause([Lit("b", Mod.FUT), Lit("b"), Lit("a")])],
+                      ops={Mod.STAR, Mod.FUT})
+        # the self-loop on b precedes (a, b), which sorts first by name
+        assert build_horn_conflict_graph(phi).edges == (
+            ("b",), ("a", "b"), ("c", "d"))
+        assert build_krom_hitting_family(phi).sets == (
+            ("a", "b"), ("a", "c", "d"), ("a", "d", "e"))
+
+    def test_same_sets_as_the_frozenset_path(self):
+        rng = random.Random(9)
+        op_sets = [set(ops) for size in range(4)
+                   for ops in itertools.combinations(
+                       (Mod.STAR, Mod.FUT, Mod.PAST), size)]
+        pairs = found = dropped = 0
+        for i in range(3000):
+            phi = random_formula(rng, rng.randint(1, 8), rng.randint(1, 10),
+                                 5, op_sets[i % len(op_sets)],
+                                 seed_tautologies=rng.random() < 0.4)
+            core = remove_tautologies(phi)
+            dropped += len(core.clauses) < len(phi.clauses)
+            graph = build_horn_conflict_graph(core)
+            family = build_krom_hitting_family(core)
+            edges = frozenset_path_edges(core)
+            sets = frozenset_path_sets(core)
+            for k in range(7):
+                want_horn = _first_hitting_set(edges, k)
+                want_krom = _first_hitting_set(sets, k)
+                assert vertex_cover(graph, k) == want_horn, (phi, k)
+                assert detect_horn_backdoor(phi, k) == want_horn, (phi, k)
+                assert hitting_set_3(family, k) == want_krom, (phi, k)
+                assert detect_krom_backdoor(phi, k) == want_krom, (phi, k)
+                pairs += 1
+                found += (want_horn is not None) + (want_krom is not None)
+        assert pairs >= 20000
+        # tautologies were removed, and both answers are common
+        assert dropped > 100
+        assert 0.2 < found / (2 * pairs) < 0.8
 
 
 class TestVerify:

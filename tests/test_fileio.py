@@ -37,6 +37,17 @@ class TestSnfFormat:
         with pytest.raises(ParseError) as err:
             parse_snf("operators: *\nclause: x | ]bad\n")
         assert err.value.line == 2 and err.value.col == 13
+        # the bad token also occurs earlier on the line; an empty literal
+        # points at the separator before it
+        for text, line, col in (
+                ("operators: * o", 1, 14), ("operators: rat", 1, 12),
+                ("operators: *\nclause: [F]x | [F]", 2, 16),
+                ("operators: *\nclause: a | b | ", 2, 15),
+                ("operators: *\nclause: | a", 2, 9),
+                ("operators: *\ninit: t:", 2, 7)):
+            with pytest.raises(ParseError) as err:
+                parse_snf(text + "\n")
+            assert (err.value.line, err.value.col) == (line, col), text
         with pytest.raises(ParseError) as err:
             parse_snf("operators: Q\n")
         assert err.value.line == 1
@@ -147,6 +158,14 @@ class TestModelTable:
         with pytest.raises(ParseError, match="distinct names"):
             parse_model_table("vars: x x\nleft: 0 0\nworld 0: 1 1\n"
                               "right: 0 0\n")
+
+    def test_repeated_rows_are_rejected(self):
+        rows = ["vars: x", "start: 0", "left: 0", "world 0: 1", "right: 1"]
+        for i in (1, 2, 4):
+            lines = rows[:i + 1] + rows[i:]
+            with pytest.raises(ParseError, match="duplicate") as err:
+                parse_model_table("\n".join(lines) + "\n")
+            assert err.value.line == i + 2
 
 
 class TestDimacsCol:
