@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 for a positive verdict (valid, found, satisfiable), 1 for a
-negative one, 2 for input or syntax errors, 3 for contract violations such
-as a supplied set that is not a backdoor, 4 for an internal error (any other
-exception, reported as one line on stderr).
+The commands read files and report; the library decides what it admits, and
+its refusals become exit codes.  Exit codes: 0 for a positive verdict
+(valid, found, satisfiable), 1 for a negative one, 2 for input or syntax
+errors (a ValueError, such as a formula whose clauses use an operator it does
+not declare), 3 for contract violations such as a supplied set that is not a
+backdoor (:class:`~ltlbd.evaluation.BackdoorError`), 4 for an internal error
+(any other exception, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -13,12 +16,11 @@ import sys
 import time
 from pathlib import Path
 
-from .detection import (HORN, KROM, detect_horn_backdoor,
-                        detect_krom_backdoor, verify_backdoor)
-from .evaluation import evaluate_horn_star
+from .detection import HORN, KROM, detect_horn_backdoor, detect_krom_backdoor
+from .evaluation import BackdoorError, evaluate_horn_star
 from .fileio import (_OP_TOKEN, ParseError, format_model_table, format_snf,
                      parse_dimacs_col, parse_model_table, parse_snf)
-from .formula import Mod, remove_tautologies, validate_normal_form
+from .formula import Mod, validate_normal_form
 from .gen import planted_instance
 from .interp import models
 from .oracle import star_sat_oracle, window_sat_oracle
@@ -38,10 +40,6 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_formula(path: str):
-    return parse_snf(_read(path))
-
-
 def _ops_from_string(text: str) -> frozenset[Mod]:
     ops = set()
     for ch in text:
@@ -53,23 +51,9 @@ def _ops_from_string(text: str) -> frozenset[Mod]:
     return frozenset(ops)
 
 
-def _undeclared_operator(phi) -> bool:
-    """Report a clause operator outside the declared set, a violation
-    `validate` reports.  Detection and evaluation read the declared set, so
-    their answer on such a file would be meaningless; `solve` refuses such a
-    file too, whichever oracle it runs, so no command gives a verdict on a
-    file that `validate` rejects for its operators."""
-    if any(issue.kind == "undeclared-operator"
-           for issue in validate_normal_form(phi)):
-        print("error: a clause uses an operator the formula does not declare",
-              file=sys.stderr)
-        return True
-    return False
-
-
 def cmd_validate(args) -> int:
     t0 = time.perf_counter()
-    phi = _load_formula(args.file)
+    phi = parse_snf(_read(args.file))
     issues = validate_normal_form(phi)
     for issue in issues:
         print(f"violation: {issue.kind}: {issue.message}")
@@ -81,46 +65,32 @@ def cmd_validate(args) -> int:
 
 def cmd_detect(args) -> int:
     t0 = time.perf_counter()
-    phi = _load_formula(args.file)
-    if _undeclared_operator(phi):
-        return 2
+    phi = parse_snf(_read(args.file))
     detect = detect_horn_backdoor if args.target == HORN else detect_krom_backdoor
     found = detect(phi, args.k)
+    stats = dict(file=args.file, target=args.target, k=args.k,
+                 vars=len(phi.variables), clauses=len(phi.clauses))
     if found is None:
-        _print_report("detect", "NONE", t0, file=args.file,
-                      target=args.target, k=args.k,
-                      vars=len(phi.variables), clauses=len(phi.clauses))
+        _print_report("detect", "NONE", t0, **stats)
         return 1
-    _print_report("detect", "BACKDOOR_FOUND", t0, file=args.file,
-                  target=args.target, k=args.k, vars=len(phi.variables),
-                  clauses=len(phi.clauses), backdoor_size=len(found))
+    _print_report("detect", "BACKDOOR_FOUND", t0, **stats,
+                  backdoor_size=len(found))
     print("backdoor: " + ",".join(sorted(found)))
     return 0
 
 
-def _model_out(args, default_stem: str) -> Path:
-    if args.model_out:
-        return Path(args.model_out)
-    return Path(default_stem).with_suffix(".model")
+def _write_certificate(args, interp) -> Path:
+    """Write a model table to ``--model-out``, by default ``<file>.model``."""
+    out = Path(args.model_out or Path(args.file).with_suffix(".model"))
+    out.write_text(format_model_table(interp), encoding="utf-8")
+    return out
 
 
 def cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
-    phi = _load_formula(args.file)
-    if _undeclared_operator(phi):
-        return 2
+    phi = parse_snf(_read(args.file))
     # a repeated name is one backdoor variable, as the library evaluates it
     backdoor = tuple(dict.fromkeys(v for v in args.backdoor.split(",") if v))
-    if not phi.operators <= {Mod.STAR}:
-        print("error: evaluation handles the always-only fragment",
-              file=sys.stderr)
-        return 2
-    unknown = set(backdoor) - set(phi.variables)
-    if unknown or not verify_backdoor(remove_tautologies(phi), backdoor, HORN):
-        print("error: supplied set is not a strong Horn backdoor",
-              file=sys.stderr)
-        return 3
-
     dumps = []
     on_candidate = None
     if args.dump_cnf:
@@ -140,17 +110,14 @@ def cmd_evaluate(args) -> int:
     if not result.satisfiable:
         _print_report("evaluate", "UNSAT", t0, **stats)
         return 1
-    out = _model_out(args, args.file)
-    out.write_text(format_model_table(result.interpretation), encoding="utf-8")
+    out = _write_certificate(args, result.interpretation)
     _print_report("evaluate", "SAT", t0, certificate=out, **stats)
     return 0
 
 
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
-    phi = _load_formula(args.file)
-    if _undeclared_operator(phi):
-        return 2
+    phi = parse_snf(_read(args.file))
     if args.oracle == "star":
         if args.window is not None:
             print("error: --window applies only to the window oracle",
@@ -172,8 +139,7 @@ def cmd_solve(args) -> int:
     if witness is None:
         _print_report("solve", negative, t0, **stats)
         return 1
-    out = _model_out(args, args.file)
-    out.write_text(format_model_table(witness), encoding="utf-8")
+    out = _write_certificate(args, witness)
     _print_report("solve", "SAT", t0, certificate=out, **stats)
     return 0
 
@@ -205,7 +171,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_check_model(args) -> int:
     t0 = time.perf_counter()
-    phi = _load_formula(args.formula)
+    phi = parse_snf(_read(args.formula))
     interp = parse_model_table(_read(args.model))
     if set(interp.left) != set(phi.variables):
         print("error: model variable set does not match the formula",
@@ -295,6 +261,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BackdoorError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,8 @@ most k levels deep, branching over the elements of the first unhit set in a
 fixed order, which makes the returned set deterministic.  Clauses satisfied
 by every consistent assignment are dropped before building the graph/family;
 the detected sets are backdoors of that satisfiability-equivalent core.
+Detection refuses a formula that :func:`~ltlbd.formula.check_operators`
+refuses.
 The builders emit the graph's edges and the family's sets in the one form
 the search reads unchanged: a tuple of name-sorted tuples in search order.
 
@@ -29,8 +31,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .formula import (Clause, SnfFormula, assignment_modalities,
-                      _local_choices, clause_is_horn, clause_is_krom,
-                      consistent_assignments, remove_tautologies)
+                      check_operators, _local_choices, clause_is_horn,
+                      clause_is_krom, consistent_assignments,
+                      remove_tautologies)
 
 HORN = "horn"
 KROM = "krom"
@@ -163,12 +166,14 @@ def hitting_set_3(family: HittingFamily, k: int) -> Optional[frozenset[str]]:
 
 def detect_horn_backdoor(phi: SnfFormula, k: int) -> Optional[frozenset[str]]:
     """A strong Horn backdoor of size <= k of the tautology-free core."""
+    check_operators(phi)
     core = remove_tautologies(phi)
     return vertex_cover(build_horn_conflict_graph(core), k)
 
 
 def detect_krom_backdoor(phi: SnfFormula, k: int) -> Optional[frozenset[str]]:
     """A strong Krom backdoor of size <= k of the tautology-free core."""
+    check_operators(phi)
     core = remove_tautologies(phi)
     return hitting_set_3(build_krom_hitting_family(core), k)
 

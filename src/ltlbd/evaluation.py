@@ -63,18 +63,29 @@ from typing import Iterable, Iterator, Optional
 
 from .detection import HORN, verify_backdoor
 from .formula import (ConsistentAssignment, Mod, SnfFormula, Clause,
-                      _derived, remove_tautologies, reduct)
+                      check_operators, _derived, remove_tautologies, reduct)
 from .interp import (AssignmentSet, FiniteWindowInterpretation,
                      from_assignment_set, models)
 from . import _kernels
 from .propsat import PropCnf, copy_atom, global_atom, plain_atom
 
 # bound once for the per-literal loops: class lookups of enum members are slow
-_NONE, _STAR = Mod.NONE, Mod.STAR
+_NONE = Mod.NONE
 
 #: Evaluation handles at most this many backdoor variables: k variables
 #: give 2^(2^k) - 1 member sets, about 4.3·10^9 at k = 5.
 EVAL_BACKDOOR_LIMIT = 4
+
+
+class BackdoorError(ValueError):
+    """A supplied set that names a variable the formula lacks or fails
+    :func:`~ltlbd.detection.verify_backdoor` for the Horn class."""
+
+
+def _check_backdoor(phi: SnfFormula, back: tuple[str, ...]) -> None:
+    if not (set(back) <= set(phi.variables)
+            and verify_backdoor(phi, back, HORN)):
+        raise BackdoorError("supplied set is not a strong Horn backdoor")
 
 
 @dataclass(frozen=True)
@@ -255,11 +266,8 @@ class _Encoding:
                     for lit in clause:
                         if lit.mod is _NONE:
                             a = base + slot[lit.var]
-                        elif lit.mod is _STAR:
+                        else:  # admitted input holds no [P] or [F] literal
                             a = slot[lit.var] + 1
-                        else:
-                            raise ValueError(f"literal {lit} outside the "
-                                             "always-only fragment")
                         if lit.positive:
                             heads += 1
                             lits.append(a)
@@ -368,13 +376,12 @@ def build_horn_encoding(phi: SnfFormula, backdoor: Iterable[str],
     (r+1)-copy encoding, built from its definition and sharing no integer
     code with the solve of :func:`evaluate_horn_star`.
 
-    Requires the always-only fragment and a verified strong Horn backdoor;
-    the result is then guaranteed Horn.
+    Requires the always-only fragment (ValueError otherwise) and a strong
+    Horn backdoor of ``phi`` (:class:`BackdoorError`); the result is Horn.
     """
-    _check_fragment(phi)
+    check_operators(phi, (Mod.STAR,))
     back = tuple(sorted(set(backdoor)))
-    if not verify_backdoor(phi, back, HORN):
-        raise ValueError("backdoor does not verify for the Horn class")
+    _check_backdoor(phi, back)
     return _with_facts(_full_encoding(phi, back, ts.members), phi.initial,
                        ts.designated)
 
@@ -387,12 +394,6 @@ def encoding_size_bound(phi: SnfFormula, backdoor: Iterable[str]) -> int:
     return (1 << k) * r * size + 2 * (1 << k) * r * r
 
 
-def _check_fragment(phi: SnfFormula) -> None:
-    if not phi.operators <= {Mod.STAR}:
-        raise ValueError("backdoor evaluation handles the always-only "
-                         f"fragment; formula declares {sorted(m.name for m in phi.operators)}")
-
-
 def evaluate_horn_star(phi: SnfFormula, backdoor: Iterable[str],
                        on_candidate=None) -> EvalResult:
     """Decide satisfiability through a strong Horn backdoor.
@@ -403,18 +404,19 @@ def evaluate_horn_star(phi: SnfFormula, backdoor: Iterable[str],
     short-circuit on the first satisfiable encoding, so the certificate is
     reproducible.  On SAT the certificate is re-checked against the original
     formula.  ``on_candidate(ts, cnf)`` is invoked for every candidate tried,
-    e.g. to dump its encoding.  Raises ValueError for a backdoor of more
-    than :data:`EVAL_BACKDOOR_LIMIT` variables.
+    e.g. to dump its encoding.  Before any candidate, in this order, it
+    raises ValueError for a formula outside the always-only fragment,
+    :class:`BackdoorError` unless ``backdoor`` is a strong Horn backdoor of
+    the core, and ValueError for more than :data:`EVAL_BACKDOOR_LIMIT`.
     """
-    _check_fragment(phi)
+    check_operators(phi, (Mod.STAR,))
     core = remove_tautologies(phi)
     back = tuple(sorted(set(backdoor)))
+    _check_backdoor(core, back)
     if len(back) > EVAL_BACKDOOR_LIMIT:
         raise ValueError(f"backdoor evaluation limited to "
                          f"{EVAL_BACKDOOR_LIMIT} backdoor variables, "
                          f"got {len(back)}")
-    if not verify_backdoor(core, back, HORN):
-        raise ValueError("backdoor does not verify for the Horn class")
     enc = _Encoding(core, back)
     pool = enc.pool
 

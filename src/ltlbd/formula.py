@@ -151,9 +151,6 @@ class SnfFormula:
         universe = set(self.variables) | occurring if self.variables else occurring
         object.__setattr__(self, "variables", tuple(sorted(universe)))
 
-    def vars(self) -> tuple[str, ...]:
-        return self.variables
-
     @property
     def is_false(self) -> bool:
         return any(len(c) == 0 for c in self.clauses)
@@ -341,6 +338,31 @@ class Violation(NamedTuple):
     message: str
 
 
+def _undeclared_literals(phi: SnfFormula) -> Iterator[Lit]:
+    """The clause literals whose operator the formula does not declare."""
+    allowed = {Mod.NONE, *phi.operators}
+    for c in phi.clauses:
+        for lit in c.literals:
+            if lit.mod not in allowed:
+                yield lit
+
+
+def check_operators(phi: SnfFormula,
+                    fragment: Iterable[Mod] = TEMPORAL_MODS) -> None:
+    """Admit a formula to a procedure that handles the operators of
+    ``fragment``: raise ValueError if a clause uses an operator the formula
+    does not declare (the ``undeclared-operator`` violation of
+    :func:`validate_normal_form`) or if it declares one outside ``fragment``.
+    """
+    if next(_undeclared_literals(phi), None) is not None:
+        raise ValueError(
+            "a clause uses an operator the formula does not declare")
+    outside = sorted(phi.operators.difference(fragment))
+    if outside:
+        raise ValueError("the formula declares an operator outside the "
+                         "fragment: " + " ".join(m.token for m in outside))
+
+
 def validate_normal_form(phi: SnfFormula) -> list[Violation]:
     """Diagnose normal-form violations; an empty list means valid.
 
@@ -349,14 +371,9 @@ def validate_normal_form(phi: SnfFormula) -> list[Violation]:
     undeclared operator in a clause and an initial fact absent from the
     clause part.
     """
-    out = []
-    declared = phi.operators
-    for c in phi.clauses:
-        for lit in c:
-            if lit.mod is not Mod.NONE and lit.mod not in declared:
-                out.append(Violation(
-                    "undeclared-operator",
-                    f"literal {lit} uses an operator outside the declared set"))
+    out = [Violation("undeclared-operator",
+                     f"literal {lit} uses an operator outside the declared set")
+           for lit in _undeclared_literals(phi)]
     clause_vars = set()
     for c in phi.clauses:
         clause_vars.update(c.vars())

@@ -21,6 +21,9 @@ from typing import Iterable
 from .detection import HORN, KROM, verify_backdoor
 from .formula import Clause, Lit, Mod, SnfFormula
 
+#: At most this many variables and clauses: generation is linear in both.
+GEN_SIZE_LIMIT = 100_000
+
 
 def _pick_slots(rng: random.Random, pool: list, mods: list, count: int) -> list:
     """``min(count, len(pool) * len(mods))`` distinct (variable, modality)
@@ -41,6 +44,8 @@ def planted_instance(seed: int, n_vars: int, n_clauses: int, target: str,
                      backdoor_size: int,
                      operators: Iterable[Mod]) -> tuple[SnfFormula, tuple[str, ...]]:
     """A formula together with a planted strong backdoor that verifies."""
+    if max(n_vars, n_clauses) > GEN_SIZE_LIMIT:
+        raise ValueError(f"at most {GEN_SIZE_LIMIT} variables and clauses")
     if target not in (HORN, KROM):
         raise ValueError(f"unknown target class: {target}")
     if not 0 <= backdoor_size <= n_vars:

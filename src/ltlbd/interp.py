@@ -60,9 +60,6 @@ class FiniteWindowInterpretation:
     def hi(self) -> int:
         return self.lo + len(self.window) - 1
 
-    def vars(self) -> tuple[str, ...]:
-        return tuple(sorted(self.left))
-
     def row(self, world: int) -> WorldAssignment:
         """Assignment holding at an arbitrary integer world (no copy)."""
         if world < self.lo:

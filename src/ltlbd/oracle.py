@@ -10,7 +10,8 @@ variable plus one, which realises the same bounded-witness characterisation.
 For formulas with past/future operators the oracle searches eventually
 constant interpretations over a window of requested width.  A negative
 answer there is only "no model within this window", never an
-unsatisfiability claim.
+unsatisfiability claim.  Both oracles refuse a formula that
+:func:`~ltlbd.formula.check_operators` refuses.
 
 Both encodings are integer clauses (literals ±(atom+1)) at fixed atom
 offsets, solved by :func:`ltlbd._kernels.search_solve`, which returns the
@@ -26,7 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import _kernels
-from .formula import Mod, SnfFormula
+from .formula import Mod, SnfFormula, check_operators
 from .interp import (AssignmentSet, FiniteWindowInterpretation,
                      from_assignment_set, models)
 
@@ -47,16 +48,9 @@ def star_sat_oracle(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
     encoding strategy returns the lexicographically first model, deciding
     the always-atoms and then rows 1..n+1, each over the sorted variables,
     false before true.  Raises ValueError when the formula declares or holds
-    a past or future operator.
+    a past or future operator (:func:`check_operators`).
     """
-    if not phi.operators <= {Mod.STAR}:
-        raise ValueError("star oracle handles the always-only fragment")
-    allowed = (Mod.NONE, Mod.STAR)  # bound once: enum lookups are slow
-    for c in phi.clauses:
-        for lit in c:
-            if lit.mod not in allowed:
-                raise ValueError(
-                    f"literal {lit} outside the always-only fragment")
+    check_operators(phi, (Mod.STAR,))
     n = len(phi.variables)
     if n <= SCAN_VAR_LIMIT:
         result = _star_by_scan(phi)
@@ -136,8 +130,7 @@ def window_sat_oracle(phi: SnfFormula,
     row over sorted variables, false before true), or None when no model
     exists within the window.  None is not an unsatisfiability claim.
     """
-    if not phi.operators <= set((Mod.PAST, Mod.FUT, Mod.STAR)):
-        raise ValueError("unsupported operator set")
+    check_operators(phi)
     if width < 0:
         raise ValueError("window width must be nonnegative")
     variables = sorted(phi.variables)

@@ -18,6 +18,10 @@ from .interp import FiniteWindowInterpretation, models
 STAR_KROM = "star-krom"
 FP_HORN = "fp-horn"
 
+#: At most this many vertices: a tiny graph file can name any count, and
+#: both reductions build a few clauses per vertex.
+REDUCE_VERTEX_LIMIT = 10_000
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -61,6 +65,11 @@ def brute_3col(graph: Graph) -> Optional[Colouring]:
     return None
 
 
+def _check_size(graph: Graph) -> None:
+    if graph.n > REDUCE_VERTEX_LIMIT:
+        raise ValueError(f"at most {REDUCE_VERTEX_LIMIT} vertices")
+
+
 def _vertex(i: int) -> str:
     return f"v{i}"
 
@@ -79,6 +88,7 @@ def threecol_to_star_krom(graph: Graph) -> tuple[SnfFormula, tuple[str, str]]:
     always-variables per edge transport the colour of the lower endpoint to
     the higher one.
     """
+    _check_size(graph)
     b1 = Lit("b1")
     b2 = Lit("b2")
     clauses = []
@@ -119,6 +129,7 @@ def threecol_to_fp_horn(graph: Graph) -> tuple[SnfFormula, tuple[str, ...]]:
     world i copies the colour of vertex i, so edges translate into
     mutual-exclusion clauses on the colour variables.
     """
+    _check_size(graph)
     n = graph.n
     cs = [Lit(f"c{j}") for j in (1, 2, 3)]
     prime = Lit(prime_var(n))

@@ -10,6 +10,8 @@ import ltlbd
 from ltlbd import cli
 from ltlbd.cli import main
 from ltlbd.evaluation import EVAL_BACKDOOR_LIMIT
+from ltlbd.gen import GEN_SIZE_LIMIT
+from ltlbd.reductions import REDUCE_VERTEX_LIMIT
 from ltlbd.fileio import format_snf, parse_snf
 from ltlbd.formula import Clause, Lit, Mod, SnfFormula
 
@@ -297,6 +299,25 @@ class TestEvaluateAndCheckModel:
         assert err.startswith("error: ")
         assert f"limited to {EVAL_BACKDOOR_LIMIT} backdoor variables" in err
 
+    @pytest.mark.parametrize("text,backdoor", [
+        ("operators: *\nclause: a | b\n", "nosuch"),
+        # five names, one over the limit, yet the set fails first: f | g
+        ("operators: *\nclause: a | b | c | d | e | f | g\n", "a,b,c,d,e"),
+    ], ids=["unknown-name", "five-variable-non-backdoor"])
+    def test_non_backdoor_is_a_contract_violation(self, tmp_path, capsys,
+                                                  text, backdoor):
+        path = write(tmp_path, "f.snf", text)
+        model = tmp_path / "m.model"
+        prefix = str(tmp_path / "dump")
+        assert main(["evaluate", path, "--backdoor", backdoor,
+                     "--model-out", str(model), "--dump-cnf", prefix]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: supplied set is not a strong Horn backdoor\n")
+        assert not model.exists()
+        assert not list(tmp_path.glob("dump*"))
+
     def test_corrupted_model_cell_invalid(self, simple, tmp_path, capsys):
         model = tmp_path / "m.model"
         assert main(["evaluate", simple, "--backdoor", "",
@@ -409,6 +430,20 @@ class TestReduce:
         col = write(tmp_path, "bad.col", "p edge 2 1\ne 1 1\n")
         assert main(["reduce", col, "--target", "star-krom"]) == 2
 
+    @pytest.mark.parametrize("target", ["star-krom", "fp-horn"])
+    def test_graph_over_the_vertex_limit_is_an_input_error(self, tmp_path,
+                                                           capsys, target):
+        col = write(tmp_path, "big.col",
+                    f"p edge {REDUCE_VERTEX_LIMIT + 1} 0\n")
+        out = tmp_path / "big.snf"
+        t0 = time.perf_counter()
+        assert main(["reduce", col, "--target", target,
+                     "--out", str(out)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == (
+            f"error: at most {REDUCE_VERTEX_LIMIT} vertices\n")
+        assert not out.exists()
+
 
 class TestGen:
     def test_deterministic_and_verified(self, tmp_path, capsys):
@@ -444,4 +479,19 @@ class TestGen:
         assert main(["gen", *size, "--plant", "horn", "--ops", "*",
                      "--seed", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", [
+        ["--vars", str(GEN_SIZE_LIMIT + 1), "--clauses", "1"],
+        ["--vars", "1", "--clauses", str(GEN_SIZE_LIMIT + 1)],
+    ], ids=["vars", "clauses"])
+    def test_size_over_the_limit_is_an_input_error(self, tmp_path, capsys,
+                                                   size):
+        out = tmp_path / "big.snf"
+        t0 = time.perf_counter()
+        assert main(["gen", *size, "--plant", "horn", "--backdoor-size", "0",
+                     "--ops", "*", "--seed", "1", "--out", str(out)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == (
+            f"error: at most {GEN_SIZE_LIMIT} variables and clauses\n")
         assert not out.exists()

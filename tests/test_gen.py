@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from ltlbd.detection import HORN, KROM
 from ltlbd.fileio import format_snf, parse_snf
 from ltlbd.formula import Mod
-from ltlbd.gen import _pick_slots, planted_instance
+from ltlbd.gen import GEN_SIZE_LIMIT, _pick_slots, planted_instance
 
 POOL = ["x1", "x2", "x3"]
 MODS = [Mod.NONE, Mod.STAR]
@@ -55,3 +56,16 @@ def test_large_planted_instance_is_fast(target, ops):
     assert len(backdoor) == 5 and len(phi.clauses) >= 10000
     assert parse_snf(format_snf(phi)) == phi
 
+
+@pytest.mark.parametrize("n_vars,n_clauses", [
+    (GEN_SIZE_LIMIT + 1, 1), (1, GEN_SIZE_LIMIT + 1)], ids=["vars", "clauses"])
+def test_size_over_the_limit_is_refused_before_generating(n_vars, n_clauses):
+    # the limit is checked first: refusing allocates almost nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"at most {GEN_SIZE_LIMIT}"):
+            planted_instance(0, n_vars, n_clauses, HORN, 0, {Mod.STAR})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,8 +9,8 @@ from ltlbd.detection import (HORN, KROM, detect_horn_backdoor,
 from ltlbd.fileio import parse_model_table
 from ltlbd.interp import models
 from ltlbd.oracle import star_sat_oracle, window_sat_oracle
-from ltlbd.reductions import (FP_HORN, STAR_KROM, Graph, brute_3col,
-                              coloring_from_model, is_proper,
+from ltlbd.reductions import (FP_HORN, REDUCE_VERTEX_LIMIT, STAR_KROM, Graph,
+                              brute_3col, coloring_from_model, is_proper,
                               model_from_coloring, threecol_to_fp_horn,
                               threecol_to_star_krom)
 from tables import K4, TRIANGLE, TRIANGLE_HORN_TABLE, TRIANGLE_KROM_TABLE
@@ -35,6 +36,22 @@ class TestGraph:
         assert brute_3col(TRIANGLE) == {1: 1, 2: 2, 3: 3}
         assert brute_3col(K4) is None
         assert brute_3col(Graph(3, frozenset())) == {1: 1, 2: 1, 3: 1}
+
+
+@pytest.mark.parametrize("build", [threecol_to_star_krom,
+                                   threecol_to_fp_horn])
+def test_graph_over_the_vertex_limit_is_refused_before_building(build):
+    # the limit is checked first: refusing allocates almost nothing
+    graph = Graph(REDUCE_VERTEX_LIMIT + 1, frozenset())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=f"at most {REDUCE_VERTEX_LIMIT} vertices"):
+            build(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 class TestKromReduction:
