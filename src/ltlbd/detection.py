@@ -183,10 +183,6 @@ def _check_target(target: str) -> None:
         raise ValueError(f"unknown target class: {target}")
 
 
-def _clause_in_class(positives: int, total: int, target: str) -> bool:
-    return positives <= 1 if target == HORN else total <= 2
-
-
 def verify_backdoor(phi: SnfFormula, backdoor: Iterable[str],
                     target: str) -> bool:
     """True iff every consistent assignment over the backdoor (and its modal
@@ -198,8 +194,17 @@ def verify_backdoor(phi: SnfFormula, backdoor: Iterable[str],
     is then exactly the clause's non-backdoor literals.  Clause reducts are
     classified individually: an emptied clause belongs to every class but
     does not exempt the clauses next to it.
+
+    A reduct only deletes clauses and literals, and both classes are closed
+    under deleting literals, so a clause already in the target class cannot
+    fail and is skipped.  Literals sort negatives first, so a clause is Horn
+    iff its second-to-last literal, if any, is negative.  Whether a
+    variable's literals are satisfied by every consistent local choice
+    depends only on their (modality, sign) pairs, so it is decided once per
+    distinct pattern.
     """
     _check_target(target)
+    horn = target == HORN
     back = set(backdoor)
     extra = back - set(phi.variables)
     if extra:
@@ -207,28 +212,34 @@ def verify_backdoor(phi: SnfFormula, backdoor: Iterable[str],
     mods = assignment_modalities(phi.operators)
     choices = _local_choices(mods)
     mod_pos = {m: i for i, m in enumerate(mods)}
+    satisfied: dict[tuple, bool] = {}  # (modality position, sign) pairs
 
     for c in phi.clauses:
+        lits = c.literals
+        if (len(lits) < 2 or not lits[-2].positive) if horn else len(lits) < 3:
+            continue
         by_var: dict[str, list] = {}
         rest_pos = 0
         rest_total = 0
-        for lit in c:
-            if lit.var in back and lit.mod in mod_pos:
-                by_var.setdefault(lit.var, []).append(lit)
+        for var, mod, positive in lits:
+            if var in back and mod in mod_pos:
+                by_var.setdefault(var, []).append((mod_pos[mod], positive))
             else:
                 # literals with an undeclared modality are never assigned
                 rest_total += 1
-                rest_pos += 1 if lit.positive else 0
-        deletable = False
-        for lits in by_var.values():
-            if not any(all(bits[mod_pos[l.mod]] != l.positive for l in lits)
-                       for bits in choices):
-                deletable = True  # every consistent choice satisfies a literal
+                rest_pos += positive
+        for pairs in by_var.values():
+            key = tuple(pairs)
+            deletable = satisfied.get(key)
+            if deletable is None:
+                deletable = satisfied[key] = not any(
+                    all(bits[i] != positive for i, positive in pairs)
+                    for bits in choices)
+            if deletable:
                 break
-        if deletable:
-            continue
-        if not _clause_in_class(rest_pos, rest_total, target):
-            return False
+        else:
+            if (rest_pos > 1 if horn else rest_total > 2):
+                return False
     return True
 
 

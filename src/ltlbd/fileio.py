@@ -1,8 +1,10 @@
 """Text formats: formula files, model tables, and DIMACS-style graph input.
 
-Formula files are line based.  ``#`` starts a comment.  The header line
-``operators: F P *`` declares the operator set (any subset, space
-separated); an optional ``init: v1, v2`` line lists the initial facts; each
+Every format is line based, with lines broken at ``\\n``, ``\\r\\n`` and
+``\\r`` only.  ``#`` starts a comment in formula files and model tables.
+
+In a formula file the header line ``operators: F P *`` declares the
+operator set (any subset, space separated); an optional ``init: v1, v2`` line lists the initial facts; each
 ``clause: LIT | LIT | ...`` line holds one clause, where a literal is
 ``~``-negation, an optional ``[F]``/``[P]``/``[*]`` tag, and a name.
 
@@ -16,7 +18,8 @@ from __future__ import annotations
 
 import re
 
-from .formula import Clause, Lit, Mod, SnfFormula, VAR_NAME, VAR_NAME_RE
+from .formula import (Clause, Lit, Mod, SnfFormula, VAR_NAME, VAR_NAME_RE,
+                      _trusted)
 from .interp import FiniteWindowInterpretation
 from .reductions import Graph
 
@@ -33,23 +36,41 @@ class ParseError(ValueError):
         super().__init__(f"{message}{where}")
 
 
-_LIT_RE = re.compile(rf"(~)?(\[[FP*]\])?({VAR_NAME})\Z")
-_TAG_MOD = {"[F]": Mod.FUT, "[P]": Mod.PAST, "[*]": Mod.STAR}
+# a literal token: its sign-and-tag prefix, then its name
+_LIT_RE = re.compile(rf"(~?(?:\[[FP*]\])?)({VAR_NAME})\Z")
+# prefix -> (modality, positive), the tail of the token's Lit
+_PREFIX = {sign + tag: (mod, not sign) for sign in ("", "~")
+           for tag, mod in (("", Mod.NONE), ("[F]", Mod.FUT),
+                            ("[P]", Mod.PAST), ("[*]", Mod.STAR))}
+_tuple_new = tuple.__new__  # builds a Lit without its Python-level __new__
 _OP_TOKEN = {"F": Mod.FUT, "P": Mod.PAST, "*": Mod.STAR}
 _MOD_OP_TOKEN = {m: t for t, m in _OP_TOKEN.items()}
 
 
-def _strip_comment(raw: str) -> str:
-    cut = raw.find("#")
-    return raw if cut < 0 else raw[:cut]
+# characters that str.splitlines() breaks at besides \n and \r
+_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _piece_col(start: int, pieces: list[str], i: int) -> int:
-    """1-based column of ``pieces[i]``, the pieces being a body split on a
-    one-character separator and the body starting at 0-based ``start``: its
-    first non-blank character, or for a blank piece the separator before it
-    (after it, for the first piece)."""
-    at = start + sum(len(p) + 1 for p in pieces[:i])
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, broken at ``\\n``, ``\\r\\n`` and ``\\r``
+    only, so that line numbers are the ones an editor shows.  A character
+    that ``str.splitlines()`` would also break at raises ParseError."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if any(ch in text for ch in _OTHER_BREAKS):
+        for ln, line in enumerate(lines, 1):
+            for col, ch in enumerate(line, 1):
+                if ch in _OTHER_BREAKS:
+                    raise ParseError(f"line break character {ch!r} inside "
+                                     "a line", ln, col)
+    return lines
+
+
+def _piece_col(line: str, pieces: list[str], i: int) -> int:
+    """1-based column of ``pieces[i]``, the pieces being the body of a
+    ``directive: body`` line split on a one-character separator: its first
+    non-blank character, or for a blank piece the separator before it (after
+    it, for the first piece)."""
+    at = line.index(":") + 1 + sum(len(p) + 1 for p in pieces[:i])
     piece = pieces[i]
     if piece.strip():
         return at + len(piece) - len(piece.lstrip()) + 1
@@ -64,21 +85,38 @@ def _int(token: str, ln: int) -> int:
 
 
 def parse_snf(text: str) -> SnfFormula:
+    """Read a formula file.
+
+    Each literal token is read once per call: a dict local to the call maps
+    every stripped token seen so far to its ``Lit``, so a repeated token
+    costs a lookup and shares the first one's ``Lit``.  A new token gets one
+    anchored ``_LIT_RE`` match, whose name group admits exactly the
+    ``VAR_NAME`` names.  So the formula is built without
+    ``SnfFormula.__post_init__``: its universe is the names of the tokens
+    plus the initial facts.  Error columns are computed only when raising.
+    """
     operators = None
     initial: list[str] = []
     clauses: list[Clause] = []
-    saw_any = False
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw)
-        if not line.strip():
-            continue
-        saw_any = True
+    memo: dict[str, Lit] = {}
+    for ln, raw in enumerate(_lines(text), 1):
+        line = raw.partition("#")[0]
         key, sep, body = line.partition(":")
         if not sep:
+            if not line.strip():
+                continue
             raise ParseError("expected 'directive: ...'", ln, 1)
-        start = len(key) + 1  # offset of the body in the line
         key = key.strip()
-        if key == "operators":
+        if key == "clause":
+            if operators is None:
+                raise ParseError("operators line must come first", ln)
+            toks = [*map(str.strip, body.split("|"))]
+            lits = [*map(memo.get, toks)]
+            if None in lits:  # a blank body, or a token new to this call
+                lits = [] if toks == [""] else _read_new(memo, toks, lits,
+                                                          ln, line)
+            clauses.append(Clause(lits))
+        elif key == "operators":
             if operators is not None:
                 raise ParseError("duplicate operators line", ln)
             operators = set()
@@ -86,7 +124,7 @@ def parse_snf(text: str) -> SnfFormula:
                 tok = m.group()
                 if tok not in _OP_TOKEN:
                     raise ParseError(f"unknown operator token {tok!r}", ln,
-                                     start + m.start() + 1)
+                                     line.index(":") + m.start() + 2)
                 operators.add(_OP_TOKEN[tok])
         elif key == "init":
             if operators is None:
@@ -96,30 +134,39 @@ def parse_snf(text: str) -> SnfFormula:
                 name = piece.strip()
                 if not VAR_NAME_RE.match(name):
                     raise ParseError(f"invalid variable name {name!r}", ln,
-                                     _piece_col(start, pieces, i))
+                                     _piece_col(line, pieces, i))
                 initial.append(name)
-        elif key == "clause":
-            if operators is None:
-                raise ParseError("operators line must come first", ln)
-            lits = []
-            if body.strip():
-                pieces = body.split("|")
-                for i, piece in enumerate(pieces):
-                    tok = piece.strip()
-                    m = _LIT_RE.match(tok)
-                    if not m:
-                        raise ParseError(f"malformed literal {tok!r}", ln,
-                                         _piece_col(start, pieces, i))
-                    neg, tag, name = m.groups()
-                    lits.append(Lit(name, _TAG_MOD.get(tag, Mod.NONE),
-                                    neg is None))
-            clauses.append(Clause(lits))
         else:
             raise ParseError(f"unknown directive {key!r}", ln, 1)
     if operators is None:
-        raise ParseError("empty input: missing operators line",
-                         1 if not saw_any else ln)
-    return SnfFormula(frozenset(operators), tuple(initial), tuple(clauses))
+        # every other non-blank line raises before the operators line
+        raise ParseError("empty input: missing operators line", 1)
+    names = {lit[0] for lit in memo.values()}
+    names.update(initial)
+    return _trusted(frozenset(operators), tuple(sorted(set(initial))),
+                    tuple(clauses), tuple(sorted(names)))
+
+
+def _read_new(memo: dict[str, Lit], toks: list[str], lits: list,
+              ln: int, line: str) -> list[Lit]:
+    """Fill the ``None`` entries of ``lits``, the memo hits of ``toks``:
+    read each such token with one ``_LIT_RE`` match and add it to ``memo``.
+    ``toks`` are the stripped pieces of the clause body of ``line``, line
+    ``ln`` of the text."""
+    for i, lit in enumerate(lits):
+        if lit is None:
+            tok = toks[i]
+            lit = memo.get(tok)  # an earlier token of the same clause
+            if lit is None:
+                m = _LIT_RE.match(tok)
+                if m is None:
+                    pieces = line.partition(":")[2].split("|")
+                    raise ParseError(f"malformed literal {tok!r}", ln,
+                                     _piece_col(line, pieces, i))
+                prefix, name = m.groups()
+                lit = memo[tok] = _tuple_new(Lit, (name, *_PREFIX[prefix]))
+            lits[i] = lit
+    return lits
 
 
 def format_snf(phi: SnfFormula) -> str:
@@ -167,8 +214,8 @@ def parse_model_table(text: str) -> FiniteWindowInterpretation:
             row[v] = cell == "1"
         return row
 
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw).strip()
+    for ln, raw in enumerate(_lines(text), 1):
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         key, sep, body = line.partition(":")
@@ -210,7 +257,7 @@ def parse_model_table(text: str) -> FiniteWindowInterpretation:
 def parse_dimacs_col(text: str) -> Graph:
     n = None
     edges = []
-    for ln, raw in enumerate(text.splitlines(), 1):
+    for ln, raw in enumerate(_lines(text), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

@@ -10,6 +10,7 @@ the future, always in the past, or always (both directions).
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -59,9 +60,10 @@ class Lit(NamedTuple):
         return f"{sign}{self.mod.token}{self.var}"
 
 
-def _lit_key(lit: Lit) -> tuple:
-    # negatives first, then by name, then by modality order
-    return (lit.positive, lit.var, int(lit.mod))
+#: Canonical literal order: negatives first, then by name, then by modality
+#: order.  ``Lit`` is ``(var, mod, positive)`` and ``Mod`` an IntEnum, so
+#: this C-level key orders as ``(positive, var, int(mod))``.
+_lit_key = operator.itemgetter(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -167,19 +169,30 @@ class SnfFormula:
         return " & ".join(parts) if parts else "TRUE"
 
 
+def _trusted(operators: frozenset[Mod], initial: tuple[str, ...],
+             clauses: tuple[Clause, ...],
+             variables: tuple[str, ...]) -> SnfFormula:
+    """An ``SnfFormula`` built without ``__post_init__``: the caller vouches
+    that the fields are what it would compute: a frozenset of temporal
+    operators, the sorted distinct initial names, a tuple of clauses, and a
+    sorted universe that holds every initial and clause variable, all names
+    valid."""
+    out = object.__new__(SnfFormula)
+    object.__setattr__(out, "operators", operators)
+    object.__setattr__(out, "initial", initial)
+    object.__setattr__(out, "clauses", clauses)
+    object.__setattr__(out, "variables", variables)
+    return out
+
+
 def _derived(phi: SnfFormula, initial: tuple[str, ...],
              clauses: tuple[Clause, ...]) -> SnfFormula:
     """``phi`` with other initial facts and clauses, built without
     re-validation: ``initial`` must be a subsequence of ``phi.initial`` and
     every variable of ``clauses`` one of ``phi.variables``.  Then the
     operators, names and sorted universe that ``SnfFormula.__post_init__``
-    would compute are ``phi``'s, so they are copied."""
-    out = object.__new__(SnfFormula)
-    object.__setattr__(out, "operators", phi.operators)
-    object.__setattr__(out, "initial", initial)
-    object.__setattr__(out, "clauses", clauses)
-    object.__setattr__(out, "variables", phi.variables)
-    return out
+    would compute are ``phi``'s, so they are kept."""
+    return _trusted(phi.operators, initial, clauses, phi.variables)
 
 
 class ConsistentAssignment:

@@ -61,6 +61,15 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/nope.snf"]) == 2
 
+    def test_lines_break_at_newlines_only(self, tmp_path, capsys):
+        # a form feed splits no line: the file is one bad clause, not two
+        path = write(tmp_path, "ff.snf", "operators: *\nclause: x\x0cclause: y\n")
+        assert main(["validate", path]) == 2
+        assert "(line 2, col 10)" in capsys.readouterr().err
+        path = write(tmp_path, "crlf.snf", "operators: *\r\nclause: ~[*]x\r\n")
+        assert main(["validate", path]) == 0
+        assert "verdict: VALID" in capsys.readouterr().out
+
 
 class TestDetect:
     def test_found(self, tmp_path, capsys):

@@ -9,7 +9,8 @@ from ltlbd.detection import (HORN, KROM, ConflictGraph, HittingFamily,
                              detect_krom_backdoor, hitting_set_3,
                              minimal_backdoor_bruteforce, verify_backdoor,
                              verify_backdoor_reference, vertex_cover)
-from ltlbd.formula import Clause, Lit, Mod, SnfFormula, remove_tautologies
+from ltlbd.formula import (Clause, Lit, Mod, SnfFormula, _local_choices,
+                           assignment_modalities, remove_tautologies)
 from ltlbd.gen import random_formula
 
 
@@ -265,6 +266,31 @@ class TestSetForm:
         assert 0.2 < found / (2 * pairs) < 0.8
 
 
+def verify_every_clause(phi, backdoor, target):
+    """``verify_backdoor`` as it was before it skipped the clauses already
+    in the target class: every clause goes through the backdoor test."""
+    back = set(backdoor)
+    mods = assignment_modalities(phi.operators)
+    choices = _local_choices(mods)
+    mod_pos = {m: i for i, m in enumerate(mods)}
+    for c in phi.clauses:
+        by_var = {}
+        rest_pos = rest_total = 0
+        for lit in c:
+            if lit.var in back and lit.mod in mod_pos:
+                by_var.setdefault(lit.var, []).append(lit)
+            else:
+                rest_total += 1
+                rest_pos += 1 if lit.positive else 0
+        if any(not any(all(bits[mod_pos[l.mod]] != l.positive for l in lits)
+                       for bits in choices)
+               for lits in by_var.values()):
+            continue
+        if not (rest_pos <= 1 if target == HORN else rest_total <= 2):
+            return False
+    return True
+
+
 class TestVerify:
     def test_empty_set_fails_on_non_horn_clause(self):
         phi = formula([Clause([Lit("x"), Lit("y")])])
@@ -304,6 +330,40 @@ class TestVerify:
                     for target in (HORN, KROM):
                         assert (verify_backdoor(phi, chosen, target)
                                 == verify_backdoor_reference(phi, chosen, target))
+
+    def test_skipping_clauses_in_the_class_changes_no_verdict(self):
+        # random formulas under all eight operator sets, some with seeded
+        # tautologies or a literal under an undeclared operator, against the
+        # reference and against the loop without the skip
+        rng = random.Random(18)
+        op_sets = [set(ops) for size in range(4)
+                   for ops in itertools.combinations(
+                       (Mod.STAR, Mod.FUT, Mod.PAST), size)]
+        cases = holds = 0
+        for i in range(1200):
+            ops = op_sets[i % len(op_sets)]
+            phi = random_formula(rng, rng.randint(1, 5), rng.randint(1, 8),
+                                 5, ops, seed_tautologies=rng.random() < 0.3)
+            stray = [m for m in (Mod.PAST, Mod.FUT, Mod.STAR) if m not in ops]
+            if stray and rng.random() < 0.3:
+                clauses = list(phi.clauses)
+                j = rng.randrange(len(clauses))
+                clauses[j] = Clause([*clauses[j], Lit(
+                    rng.choice(phi.variables), rng.choice(stray),
+                    rng.random() < 0.5)])
+                phi = formula(clauses, ops, phi.initial)
+            for target in (HORN, KROM):
+                for _ in range(5):
+                    chosen = rng.sample(phi.variables, rng.randint(
+                        0, min(2, len(phi.variables))))
+                    want = verify_backdoor_reference(phi, chosen, target)
+                    assert verify_backdoor(phi, chosen, target) == want, (
+                        phi, chosen, target)
+                    assert verify_every_clause(phi, chosen, target) == want
+                    cases += 1
+                    holds += want
+        assert cases == 12000
+        assert 0.2 < holds / cases < 0.8
 
 
 class TestDetect:

@@ -44,6 +44,24 @@ class TestClauseClasses:
         c = Clause([lit("x"), lit("x"), lit("y", Mod.STAR)])
         assert len(c) == 2
 
+    def test_construction_sorts_and_dedups(self):
+        c = Clause([lit("b"), lit("a", Mod.STAR, False), lit("b"),
+                    lit("a", Mod.PAST), lit("a"), lit("c", Mod.FUT, False),
+                    lit("a", Mod.STAR, False), lit("a", Mod.NONE, False)])
+        assert c.literals == (
+            lit("a", Mod.NONE, False), lit("a", Mod.STAR, False),
+            lit("c", Mod.FUT, False), lit("a"), lit("a", Mod.PAST),
+            lit("b"))
+        # negatives first, then by name, then by modality order
+        rng = random.Random(18)
+        for _ in range(300):
+            lits = [Lit(rng.choice("abc"), rng.choice(list(Mod)),
+                        rng.random() < 0.5) for _ in range(rng.randint(0, 8))]
+            want = sorted(set(lits), key=lambda l: (l.positive, l.var,
+                                                    int(l.mod)))
+            assert Clause(lits).literals == tuple(want)
+            assert Clause(reversed(lits)).literals == tuple(want)
+
     def test_counting_matches_definition_on_random_clauses(self):
         rng = random.Random(0)
         names = ["a", "b", "c"]
