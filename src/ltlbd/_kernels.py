@@ -2,10 +2,12 @@
 
 Every kernel takes its clauses as a list of clauses, each a sequence of
 DIMACS-style literals ±(atom+1), and leaves that list and its clauses
-unchanged.  Everything runs in plain CPython.  The clause search and the
-Horn propagator index those clauses in their own arrays; the two exhaustive
-scans over 2^n assignments are bit-parallel, with one Python-int truth table
-per atom (``_columns``), and split their clauses the same way (``_split``).
+unchanged.  Everything runs in plain CPython.  The clause search keeps
+per-literal watch lists over the clauses (MiniSat's layout), copying only
+the clauses of three or more literals, whose watches move; the Horn
+propagator indexes its clauses in its own arrays; the two exhaustive scans
+over 2^n assignments are bit-parallel, with one Python-int truth table per
+atom (``_columns``), and split their clauses the same way (``_split``).
 """
 
 from __future__ import annotations
@@ -15,228 +17,201 @@ def search_solve(n_atoms, clauses, order):
     """Conflict-driven clause search with a fixed decision order.
 
     Literals are DIMACS-style ±(atom+1); a clause may repeat a literal or
-    hold one together with its negation.  Decisions follow ``order`` with
-    value 0 before 1 and never restart, and assignments flip to 1 only
-    through entailed learned clauses, so the returned model is the
-    lexicographically smallest one with respect to that atom order.
-    Two-watched-literal propagation, first-UIP learning, non-chronological
-    backjumping; no clause deletion.  Decisions read ``order`` through a
-    pointer instead of rescanning it from the start: every atom before the
-    pointer is assigned, a decision moves it past assigned atoms, and a
-    backjump lowers it to the first position of each atom it unassigns, so
-    each decision picks the atom a rescan would.  Returns
-    ``(1, values)`` on SAT and ``(0, values)`` on UNSAT, ``values`` a list
-    of 0/1 (-1 unassigned).
+    hold one with its negation.  ``order`` must hold every atom (ValueError
+    otherwise) and may repeat one.  Decisions follow it, value 0 before 1,
+    with no restarts; two watched literals, first-UIP learning, backjumping,
+    and no learned clause is ever deleted.  Unit clauses are assigned in
+    clause order until the first empty clause or contradicting unit, which
+    answers UNSAT at once.  Returns ``(1, values)`` on SAT and
+    ``(0, values)`` on UNSAT, ``values`` a list of 0/1 (-1 unassigned).
 
-    The search keeps its clauses in private flat arrays (``lits``, with
-    ``starts[c]..starts[c+1]`` holding clause ``c``), where it moves
-    watched literals and appends learned clauses.
+    A pointer into ``order`` replaces rescanning it: every atom before it
+    is assigned, and a backjump lowers it to the first position of each
+    atom it unassigns, so each decision is the first unassigned atom of
+    ``order``.  Hence the SAT model is the lexicographically smallest for
+    ``order``, whatever order propagation visits clauses in: an atom set to
+    1 was propagated, so the clauses (input and learned, all entailed by
+    the input) imply it from the decisions at or below its level; each of
+    those was made while this atom was unassigned, so it comes earlier in
+    ``order``; and a model agreeing on the earlier atoms sets them to 0
+    and so must set this atom to 1.
+
+    Layout (MiniSat's; Eén and Sörensson 2003): values, watch lists, and
+    the levels, reasons and marks of true literals are lists indexed by
+    signed literal, the negative ones at Python's negative indices, so the
+    hot loop reads ``lv[lit]`` (1 true, 0 false, -1 unassigned) with no
+    sign branch.  ``watches[lit]`` holds the clauses whose position 0 or 1
+    is ``lit``.  A clause of three or more literals is copied into a list
+    where its watches move; a binary clause never moves one, so it is read
+    in place and never written.  A reason is the clause itself.
     """
-    val = [-1] * n_atoms
-    level = [0] * n_atoms
-    reason = [-1] * n_atoms
-    trail = [0] * n_atoms
-    trail_len = 0
-    qhead = 0
-    lev_start = [0] * (n_atoms + 2)
-    cur_level = 0
-
-    watch_head = [-1] * (2 * n_atoms)
-    watch_next = [-1] * (2 * len(clauses))
-    seen = [0] * n_atoms
-
-    # order position of each atom (its first one); atoms outside order sit
-    # past its end and never lower the pointer
     n_order = len(order)
-    opos = [n_order] * n_atoms
+    opos = [n_order] * (n_atoms + 1)  # first order position, by atom + 1
     for i in range(n_order - 1, -1, -1):
-        opos[order[i]] = i
-    optr = 0
+        opos[order[i] + 1] = i
+    if n_order in opos[1:]:
+        raise ValueError("search order misses an atom")
+    opos += reversed(opos[1:])  # ...and by negative literal
+    olit = [a + 1 for a in order]
 
-    # copy the clauses into the flat arrays and install watches (literal
-    # code 2*atom, +1 when negative; node 2*c + slot); queue unit clauses,
-    # fail on empty ones
-    lits = []
-    starts = []
-    node = 0
+    size = 2 * n_atoms + 1
+    lv = [-1] * size
+    level = [0] * size  # by true literal
+    reason = [None] * size  # by true literal
+    seen = [0] * size  # by true literal
+    watches = [[] for _ in range(size)]
+    trail = [0] * n_atoms  # true literals, in assignment order
+    tl = 0
+    lev_start = [0] * (n_atoms + 2)
+
+    # install watches and assign unit clauses in clause order; fail on an
+    # empty clause or a contradicting unit
     for clause in clauses:
-        starts.append(len(lits))
-        lits += clause
-        if len(clause) >= 2:
+        k = len(clause)
+        if k > 2:
+            clause = [*clause]
+        elif k < 2:
+            if not k:
+                return 0, lv[1:n_atoms + 1]
             lit = clause[0]
-            code = 2 * lit - 2 if lit > 0 else -2 * lit - 1
-            watch_next[node] = watch_head[code]
-            watch_head[code] = node
-            lit = clause[1]
-            code = 2 * lit - 2 if lit > 0 else -2 * lit - 1
-            watch_next[node + 1] = watch_head[code]
-            watch_head[code] = node + 1
-        elif clause:
-            lit = clause[0]
-            a = lit - 1 if lit > 0 else -lit - 1
-            want = 1 if lit > 0 else 0
-            if val[a] == -1:
-                val[a] = want
-                level[a] = 0
-                reason[a] = node >> 1
-                trail[trail_len] = a
-                trail_len += 1
-            elif val[a] != want:
-                return 0, val
-        else:
-            return 0, val
-        node += 2
-    starts.append(len(lits))
+            if not lv[lit]:
+                return 0, lv[1:n_atoms + 1]
+            if lv[lit] < 0:
+                lv[lit] = 1
+                lv[-lit] = 0
+                reason[lit] = clause
+                trail[tl] = lit
+                tl += 1
+            continue
+        watches[clause[0]].append(clause)
+        watches[clause[1]].append(clause)
 
+    qhead = 0
+    cur_level = 0
+    optr = 0
     while True:
-        # propagate to fixpoint
-        confl = -1
-        while qhead < trail_len and confl < 0:
-            a = trail[qhead]
+        # propagate to fixpoint: visit the clauses watching each literal
+        # that became false
+        confl = None
+        while qhead < tl:
+            f = -trail[qhead]
             qhead += 1
-            fcode = 2 * a + val[a]  # code of the literal this falsifies
-            node = watch_head[fcode]
-            prev = -1
-            while node != -1:
-                nxt = watch_next[node]
-                ci = node >> 1
-                slot = node & 1
-                my_pos = starts[ci] + slot
-                other_pos = starts[ci] + (1 - slot)
-                other = lits[other_pos]
-                if other > 0:
-                    ob, owant = other - 1, 1
-                else:
-                    ob, owant = -other - 1, 0
-                if val[ob] == owant:
-                    prev = node
-                    node = nxt
+            ws = watches[f]
+            i = 0
+            end = len(ws)
+            while i < end:
+                c = ws[i]
+                other = c[0]
+                if other == f:
+                    other = c[1]
+                if lv[other] == 1:
+                    i += 1
                     continue
-                moved = False
-                for k in range(starts[ci] + 2, starts[ci + 1]):
-                    lk = lits[k]
-                    if lk > 0:
-                        kb, kwant = lk - 1, 1
-                    else:
-                        kb, kwant = -lk - 1, 0
-                    if val[kb] == -1 or val[kb] == kwant:
-                        lits[my_pos] = lk
-                        lits[k] = -(a + 1) if val[a] == 1 else (a + 1)
-                        # relink this watch node onto the new literal
-                        if prev == -1:
-                            watch_head[fcode] = nxt
+                for k in range(2, len(c)):
+                    lk = c[k]
+                    if lv[lk]:  # unassigned or true: watch it instead
+                        if c[0] == f:
+                            c[0] = lk
                         else:
-                            watch_next[prev] = nxt
-                        code = 2 * kb + (0 if kwant == 1 else 1)
-                        watch_next[node] = watch_head[code]
-                        watch_head[code] = node
-                        moved = True
+                            c[1] = lk
+                        c[k] = f
+                        watches[lk].append(c)
+                        end -= 1
+                        ws[i] = ws[end]
+                        ws.pop()
                         break
-                if moved:
-                    node = nxt
-                    continue
-                if val[ob] == -1:
-                    val[ob] = owant
-                    level[ob] = cur_level
-                    reason[ob] = ci
-                    trail[trail_len] = ob
-                    trail_len += 1
                 else:
-                    confl = ci
-                prev = node
-                node = nxt
-                if confl >= 0:
-                    break
+                    if not lv[other]:
+                        confl = c
+                        break
+                    lv[other] = 1
+                    lv[-other] = 0
+                    level[other] = cur_level
+                    reason[other] = c
+                    trail[tl] = other
+                    tl += 1
+                    i += 1
+            if confl is not None:
+                break
 
-        if confl >= 0:
+        if confl is not None:
             if cur_level == 0:
-                return 0, val
-            # first-UIP conflict analysis
+                return 0, lv[1:n_atoms + 1]
+            # first-UIP conflict analysis over true trail literals
             learnt = []
             count = 0
             btlevel = 0
-            p_atom = -1
-            ci = confl
-            idx = trail_len - 1
+            p = 0
+            c = confl
+            idx = tl - 1
             while True:
-                for k in range(starts[ci], starts[ci + 1]):
-                    lit = lits[k]
-                    b = lit - 1 if lit > 0 else -lit - 1
-                    if b == p_atom or seen[b] == 1 or level[b] == 0:
+                for q in c:
+                    t = -q
+                    if q == p or seen[t] or not level[t]:
                         continue
-                    seen[b] = 1
-                    if level[b] >= cur_level:
+                    seen[t] = 1
+                    if level[t] >= cur_level:
                         count += 1
                     else:
-                        learnt.append(lit)
-                        if level[b] > btlevel:
-                            btlevel = level[b]
-                while seen[trail[idx]] == 0:
+                        learnt.append(q)
+                        if level[t] > btlevel:
+                            btlevel = level[t]
+                while not seen[trail[idx]]:
                     idx -= 1
-                b = trail[idx]
+                p = trail[idx]
                 idx -= 1
-                seen[b] = 0
+                seen[p] = 0
                 count -= 1
-                if count == 0:
-                    p_atom = b
+                if not count:
                     break
-                ci = reason[b]
-                p_atom = b
-            uip_lit = -(p_atom + 1) if val[p_atom] == 1 else (p_atom + 1)
-            for lb in learnt:
-                seen[lb - 1 if lb > 0 else -lb - 1] = 0
+                c = reason[p]
+            for q in learnt:
+                seen[-q] = 0
 
             # pop back to the backjump level
             keep = lev_start[btlevel + 1]
-            for i in range(keep, trail_len):
-                b = trail[i]
-                val[b] = -1
-                if opos[b] < optr:
-                    optr = opos[b]
-            trail_len = keep
+            for i in range(keep, tl):
+                q = trail[i]
+                lv[q] = lv[-q] = -1
+                if opos[q] < optr:
+                    optr = opos[q]
+            tl = keep
             qhead = keep
             cur_level = btlevel
 
-            # store the learned clause (asserting literal first, then a
-            # literal of the backjump level for the second watch)
+            # learn (asserting literal first, then a literal of the
+            # backjump level for the second watch) and assert
+            uip = -p
             if len(learnt) > 1:
-                for i, lb in enumerate(learnt):
-                    if level[lb - 1 if lb > 0 else -lb - 1] == btlevel:
-                        learnt[0], learnt[i] = lb, learnt[0]
+                for i, q in enumerate(learnt):
+                    if level[-q] == btlevel:
+                        learnt[0], learnt[i] = q, learnt[0]
                         break
-            ci = len(starts) - 1
-            lits.append(uip_lit)
-            lits.extend(learnt)
-            starts.append(len(lits))
-            watch_next += (-1, -1)
+            c = [uip] + learnt
             if learnt:
-                for slot in range(2):
-                    lit = lits[starts[ci] + slot]
-                    code = 2 * lit - 2 if lit > 0 else -2 * lit - 1
-                    node = 2 * ci + slot
-                    watch_next[node] = watch_head[code]
-                    watch_head[code] = node
-            b = p_atom
-            val[b] = 1 if uip_lit > 0 else 0
-            level[b] = cur_level
-            reason[b] = ci
-            trail[trail_len] = b
-            trail_len += 1
+                watches[uip].append(c)
+                watches[c[1]].append(c)
+            lv[uip] = 1
+            lv[p] = 0
+            level[uip] = cur_level
+            reason[uip] = c
+            trail[tl] = uip
+            tl += 1
             continue
 
         # decide the next unassigned atom in order, value 0 first
-        while optr < n_order and val[order[optr]] != -1:
+        while optr < n_order and lv[olit[optr]] >= 0:
             optr += 1
         if optr == n_order:
-            return 1, val
-        nxt = order[optr]
+            return 1, lv[1:n_atoms + 1]
+        d = -olit[optr]
         cur_level += 1
-        lev_start[cur_level] = trail_len
-        val[nxt] = 0
-        level[nxt] = cur_level
-        reason[nxt] = -1
-        trail[trail_len] = nxt
-        trail_len += 1
+        lev_start[cur_level] = tl
+        lv[d] = 1
+        lv[-d] = 0
+        level[d] = cur_level
+        trail[tl] = d
+        tl += 1
 
 
 def horn_index(n_atoms, clauses):

@@ -18,12 +18,14 @@ offsets, solved by :func:`ltlbd._kernels.search_solve`, which returns the
 lexicographically first model for its decision order.  The star encoding
 decides the always-atoms, then rows 1..n+1; the window encoding decides the
 cells row by row, then the atoms of its modal literals.  Each row is over
-the sorted variables.  This module shares no code with backdoor evaluation,
-which it cross-checks.
+the sorted variables.  Both encodings count their clauses before building
+any.  This module shares no code with backdoor evaluation, which it
+cross-checks.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 from . import _kernels
@@ -37,6 +39,9 @@ SCAN_VAR_LIMIT = 12
 STAR_VAR_LIMIT = 64
 #: Window search budget: explicit window cells (rows times variables).
 WINDOW_CELL_LIMIT = 4096
+#: Both encodings refuse a formula whose grounded encoding would exceed
+#: this many clauses; the reduce-3col inputs ground at most 7,520.
+ENCODING_CLAUSE_LIMIT = 200_000
 
 
 def star_sat_oracle(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
@@ -48,7 +53,8 @@ def star_sat_oracle(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
     encoding strategy returns the lexicographically first model, deciding
     the always-atoms and then rows 1..n+1, each over the sorted variables,
     false before true.  Raises ValueError when the formula declares or holds
-    a past or future operator (:func:`check_operators`).
+    a past or future operator (:func:`check_operators`), or is over
+    ``STAR_VAR_LIMIT`` variables or ``ENCODING_CLAUSE_LIMIT`` clauses.
     """
     check_operators(phi, (Mod.STAR,))
     n = len(phi.variables)
@@ -92,21 +98,50 @@ def _star_by_scan(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
     return from_assignment_set(AssignmentSet(tuple(members), members[0]))
 
 
+def _check_clause_budget(n_clauses: int) -> None:
+    if n_clauses > ENCODING_CLAUSE_LIMIT:
+        raise ValueError(f"encoding budget exceeded: {n_clauses} clauses > "
+                         f"{ENCODING_CLAUSE_LIMIT}")
+
+
+def _ground(phi: SnfFormula, codes, copies: int) -> list:
+    """Each clause of ``phi`` in each of ``copies`` rows or worlds: per
+    clause, one list of signed atoms per copy.  ``codes(lit)`` gives a
+    literal's atom in every copy, and runs once per distinct literal; a
+    clause without literals yields one empty clause per copy."""
+    column = {}
+    grounded = []
+    for c in phi.clauses:
+        cols = []
+        for lit in c:
+            codes_at = column.get(lit)
+            if codes_at is None:
+                codes_at = column[lit] = codes(lit)
+            cols.append(codes_at)
+        grounded.append(list(map(list, zip(*cols))) if cols
+                        else [[] for _ in range(copies)])
+    return grounded
+
+
 def _star_by_encoding(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
     # atom r*n + i: the always-atom of variable i for r = 0, else its value
     # in row r; row 1 is designated, row 2+i refutes a false always-atom i
     variables = sorted(phi.variables)
     n = len(variables)
-    col = {v: i for i, v in enumerate(variables)}
+    _check_clause_budget(
+        len(phi.clauses) * (n + 1) + len(phi.initial) + n * (n + 2))
+    col = {v: i + 1 for i, v in enumerate(variables)}  # signed atom in row 0
     rows = range(1, n + 2)
     none = Mod.NONE  # bound once: enum lookups are slow
 
-    def code(lit, r: int) -> int:
-        a = (r * n if lit.mod is none else 0) + col[lit.var]
-        return a + 1 if lit.positive else -a - 1
+    def codes(lit) -> list:
+        i = col[lit.var]
+        a = [r * n + i for r in rows] if lit.mod is none else [i] * (n + 1)
+        return a if lit.positive else [-x for x in a]
 
-    clauses = [[code(lit, r) for lit in c] for r in rows for c in phi.clauses]
-    clauses.extend([n + col[v] + 1] for v in phi.initial)
+    # every clause in row 1, then every clause in row 2, and so on
+    clauses = [g for row in zip(*_ground(phi, codes, n + 1)) for g in row]
+    clauses.extend([n + col[v]] for v in phi.initial)
     for i in range(n):
         clauses.extend([-i - 1, r * n + i + 1] for r in rows)
         clauses.append([i + 1, -(2 + i) * n - i - 1])
@@ -129,6 +164,8 @@ def window_sat_oracle(phi: SnfFormula,
     the cell grid (left edge, then worlds 0..width, then right edge, each
     row over sorted variables, false before true), or None when no model
     exists within the window.  None is not an unsatisfiability claim.
+    Raises ValueError on a negative width or one over
+    ``WINDOW_CELL_LIMIT`` cells or ``ENCODING_CLAUSE_LIMIT`` clauses.
     """
     check_operators(phi)
     if width < 0:
@@ -140,17 +177,13 @@ def window_sat_oracle(phi: SnfFormula,
         raise ValueError(
             f"window budget exceeded: {n_rows} rows x {nv} "
             f"variables > {WINDOW_CELL_LIMIT} cells")
-    col = {v: i for i, v in enumerate(variables)}
-    worlds = range(-2, width + 3)  # the worlds every clause is grounded at
+    n_worlds = width + 5  # the worlds -2..width+2 every clause is grounded at
+    # first cell atom of the row of each world -3..width+3: the edge rows 0
+    # and n_rows-1 hold every world left and right of the window
+    rows_at = ([0] * 3 + [r * nv for r in range(1, n_rows - 1)]
+               + [(n_rows - 1) * nv] * 3)
+    col = {v: i + 1 for i, v in enumerate(variables)}  # signed atom in row 0
     none, star = Mod.NONE, Mod.STAR  # bound once: enum lookups are slow
-
-    def row(world: int) -> int:  # row 0 and row n_rows-1: the edges
-        return min(max(world + 1, 0), n_rows - 1) * nv
-
-    def cell(v: str, world: int) -> int:
-        return row(world) + col[v]
-
-    row_at = [row(w) for w in worlds]  # first cell atom of each world's row
 
     # atoms after the cells: one always-atom, or one future/past atom per
     # evaluation world, for each modal (operator, variable) pair
@@ -159,55 +192,44 @@ def window_sat_oracle(phi: SnfFormula,
         for lit in c:
             if lit.mod is not none and (lit.mod, lit.var) not in base:
                 base[lit.mod, lit.var] = n_atoms
-                n_atoms += 1 if lit.mod is star else len(worlds)
+                n_atoms += 1 if lit.mod is star else n_worlds
+    _check_clause_budget(len(phi.clauses) * n_worlds + len(phi.initial) + sum(
+        n_rows + 1 if mod is star else 3 * n_worlds - 1 for mod, _ in base))
 
     def codes(lit) -> list:
         """The literal's signed atom at every evaluation world."""
         if lit.mod is none:
-            a = [r + col[lit.var] + 1 for r in row_at]
+            a = [r + col[lit.var] for r in rows_at[1:-1]]
         elif lit.mod is star:
-            a = [base[star, lit.var] + 1] * len(worlds)
+            a = [base[star, lit.var] + 1] * n_worlds
         else:
             first = base[lit.mod, lit.var] + 1
-            a = list(range(first, first + len(worlds)))
+            a = list(range(first, first + n_worlds))
         return a if lit.positive else [-x for x in a]
 
-    # every clause at every evaluation world, and initial facts at world 0;
-    # a literal's codes are built once, and a clause without literals still
-    # yields one empty clause per world
-    column = {}
-    clauses = []
-    for c in phi.clauses:
-        cols = []
-        for lit in c:
-            codes_at = column.get(lit)
-            if codes_at is None:
-                codes_at = column[lit] = codes(lit)
-            cols.append(codes_at)
-        if cols:
-            clauses.extend(map(list, zip(*cols)))
-        else:
-            clauses.extend([] for _ in worlds)
-    clauses.extend([cell(v, 0) + 1] for v in phi.initial)
+    # every clause at every evaluation world, and initial facts at world 0
+    clauses = list(chain.from_iterable(_ground(phi, codes, n_worlds)))
+    clauses.extend([nv + col[v]] for v in phi.initial)
 
     for (mod, v), a in base.items():
+        i = col[v]
         if mod is star:  # always-atom: conjunction of all rows
-            cells = [r * nv + col[v] + 1 for r in range(n_rows)]
+            cells = range(i, n_rows * nv + 1, nv)
             clauses.extend([-a - 1, x] for x in cells)
             clauses.append([a + 1] + [-x for x in cells])
             continue
         # future (past) atom at w: v holds at every later (earlier) world;
-        # beyond the last evaluation world only the frozen edge remains
+        # beyond the last (first) evaluation world only the frozen edge
+        # remains, so that world's atom has no neighbour to chain to
         step = 1 if mod is Mod.FUT else -1
-        for w in worlds:
-            here, nxt = a + w + 3, cell(v, w + step) + 1
-            clauses.append([-here, nxt])
-            if w + step in worlds:
-                chained = here + step
-                clauses.append([-here, chained])
-                clauses.append([here, -nxt, -chained])
+        cells = [r + i for r in rows_at]  # v's cell at worlds -3..width+3
+        end = a + n_worlds if step > 0 else a + 1
+        for here, nxt in zip(range(a + 1, a + n_worlds + 1), cells[1 + step:]):
+            if here == end:
+                clauses += ([-here, nxt], [here, -nxt])
             else:
-                clauses.append([here, -nxt])
+                clauses += ([-here, nxt], [-here, here + step],
+                            [here, -nxt, -here - step])
 
     found, values = _kernels.search_solve(n_atoms, clauses,
                                           list(range(n_atoms)))

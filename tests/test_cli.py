@@ -400,6 +400,20 @@ class TestSolve:
         assert done.returncode == 0, done.stderr
         assert "verdict: SAT" in done.stdout
 
+    def test_window_over_the_clause_budget_is_an_input_error(self, tmp_path,
+                                                             capsys):
+        # 300 copies of the clause at width 4000 would ground 1.2M clauses
+        path = write(tmp_path, "big.snf", "operators: F P\n"
+                     + "clause: x | [F]x | ~[P]x\n" * 300)
+        model = tmp_path / "big.model"
+        assert main(["solve", path, "--oracle", "window", "--window", "4000",
+                     "--model-out", str(model)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: encoding budget exceeded: ")
+        assert captured.err.count("\n") == 1
+        assert not model.exists()
+
     def test_window_requires_width(self, simple, capsys):
         assert main(["solve", simple, "--oracle", "window"]) == 2
 
