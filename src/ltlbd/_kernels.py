@@ -248,7 +248,7 @@ def horn_index(n_atoms, clauses):
     return heads, counts, occ, facts
 
 
-def horn_forward(heads, counts, occ, values, facts):
+def horn_forward(heads, counts, occ, values, facts, trail=None):
     """Linear forward chaining over a :func:`horn_index` (Dowling–Gallier).
 
     Makes each atom of ``facts`` true (-1 is falsum) and fires every clause
@@ -257,7 +257,9 @@ def horn_forward(heads, counts, occ, values, facts):
     been propagated through ``counts``, as a successful earlier call leaves
     them, so a closure can be copied and extended by further facts.
     Returns 0 once falsum fires; otherwise 1, and ``values`` is then the
-    minimal model of the clauses, the earlier facts and ``facts``.
+    minimal model of the clauses, the earlier facts and ``facts``.  On
+    success the atoms the call made true are appended to ``trail``, if
+    given, in the order they were set.
     """
     queue = []
     for a in facts:
@@ -266,8 +268,9 @@ def horn_forward(heads, counts, occ, values, facts):
         if not values[a]:
             values[a] = 1
             queue.append(a)
-    while queue:
-        for ci in occ[queue.pop()]:
+    # first in, first out: the loop also visits the heads appended below
+    for a in queue:
+        for ci in occ[a]:
             left = counts[ci] - 1
             counts[ci] = left
             if left == 0:
@@ -277,6 +280,8 @@ def horn_forward(heads, counts, occ, values, facts):
                 if not values[head]:
                     values[head] = 1
                     queue.append(head)
+    if trail is not None:
+        trail += queue
     return 1
 
 

@@ -23,22 +23,39 @@ linear in r, where the full encoding's is quadratic.
 
 It is built on integers, not on :class:`~ltlbd.propsat.Atom`:
 
-* Block cache.  A block's reduct depends only on its assignment θ and the
-  set's unanimity vector (the always-copies in :func:`global_assignment`),
-  so it is reduced once per such key and coded straight into the member's
-  copy ids as integer clauses.
+* Clause codes.  Each clause of the core is coded once per call: its
+  backdoor literals as bit masks over pool positions, its other literals as
+  slots of ``rest``.  A block's reduct depends only on its member θ and the
+  set's unanimity mask (the always-copies in :func:`global_assignment`), so
+  it is a filter over those codes: a clause that some backdoor literal
+  satisfies goes, the others keep their ``rest`` literals.  No
+  :func:`~ltlbd.formula.reduct` runs and no :class:`Clause` is built.
+* Blocks indexed once.  Each (member, mask) block is indexed once per call
+  on local atoms (the r globals, then its c·r copies) with its own closure,
+  no global true.  If that closure derives falsum, every set holding the
+  block is unsatisfiable: Horn closure is monotone in the clauses.
+* Chaining across blocks.  The quotient of a member set is its blocks,
+  which share only the globals, plus the ties ``¬g ∨ c`` and ``g ∨ ¬c…``.
+  Its least model is reached from the blocks' own closures, each contained
+  in it, by forward chaining (Dowling and Gallier, 1984) where each block
+  fires its own clauses and the ties act between blocks: a global that
+  becomes true in one block is a fact in every block, with all its copies
+  (``¬g ∨ c``), and a global whose copies are all true over the set becomes
+  true (``g ∨ ¬c…``).  Every step derives an atom of the least model by
+  one of the quotient's clauses, and at the end every clause whose body
+  holds has its head true, so the values are that least model: the
+  verdicts and certificates cannot change.  A block's values and counts
+  are copied the first time the chaining changes them, so the cached
+  blocks are never written.
 * Factoring.  The candidates of one member set share everything but their
-  initial-fact units U: the blocks and the consistency clauses S.  S is
-  built once per set, as one list of integer clauses: the cached blocks
-  (members in order, copies in order, reduct clauses in order), then per
-  variable the consistency clauses.  The minimal model of a Horn formula
-  S ∧ U is forward chaining from the closure of S with U added, so S is
-  closed once per set and each variant extends a copy of that closure.  If
-  S is unsatisfiable, so is every variant; a variant whose designated
+  initial-fact units U, on copy 1 of the designated member.  Each variant
+  extends a copy of the set's closure by U, through the same chaining, so
+  the units reach the other blocks through the globals.  If the set's
+  closure derives falsum, so does every variant; a variant whose designated
   member falsifies a backdoor initial fact (a dead candidate, holding an
   empty clause) needs no solve, and a set whose variants are all dead
-  builds no block.
-* One Horn kernel.  Closure and extension run
+  indexes no block.
+* One Horn kernel.  Every closure and extension runs
   :func:`ltlbd._kernels.horn_forward`, the same propagator behind
   :func:`~ltlbd.propsat.horn_sat`.
 
@@ -209,111 +226,237 @@ def _member_sets(n: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(range(n), size)
 
 
+class _Block:
+    """One member's block for one unanimity mask, indexed once on local
+    atoms: the global of ``rest[j]`` is ``j`` and its copy ``i`` (1..c) is
+    ``i * r + j``.  ``heads``, ``counts`` and ``occ`` are the
+    :func:`~ltlbd._kernels.horn_index` of its clauses on every copy;
+    ``values`` and ``counts`` are its closure with no global true.  Bit j of
+    ``derived`` says that closure makes global j true, and bit j of ``tied``
+    that it makes every copy of ``rest[j]`` true.  Never changed once
+    built."""
+
+    __slots__ = ("heads", "counts", "occ", "values", "derived", "tied")
+
+    def __init__(self, heads, counts, occ, values, derived, tied):
+        self.heads = heads
+        self.counts = counts
+        self.occ = occ
+        self.values = values
+        self.derived = derived
+        self.tied = tied
+
+
+class _Chain:
+    """Forward chaining over the quotient of one member set, block by block.
+
+    Per block in set order it holds ``values`` and ``counts``, shared with
+    the cached :class:`_Block` (or the state it was copied from) until it
+    first changes them (``owned``); ``gvals`` are the global atoms.  Local
+    atoms exist only when r >= 1, and then c = 2, so the copies of
+    ``rest[j]`` are ``j + r`` and ``j + 2 * r``."""
+
+    __slots__ = ("blocks", "values", "counts", "owned", "gvals", "r")
+
+    def __init__(self, blocks: list, r: int):
+        self.blocks, self.r = blocks, r
+        self.values = [block.values for block in blocks]
+        self.counts = [block.counts for block in blocks]
+        self.owned = [False] * len(blocks)
+        self.gvals = [0] * r
+
+    def copy(self) -> "_Chain":
+        new = object.__new__(_Chain)
+        new.blocks, new.r = self.blocks, self.r
+        new.values = self.values[:]
+        new.counts = self.counts[:]
+        new.owned = [False] * len(self.blocks)
+        new.gvals = self.gvals[:]
+        return new
+
+    def extend(self, b: int, facts, pending: list) -> bool:
+        """Chain ``facts`` (local atoms) in block ``b``; False on falsum.
+        A global it makes true goes to ``pending``, and so does the global
+        of a copy it makes true once every copy of that variable over the
+        set is true (``g ∨ ¬c…``)."""
+        values = self.values[b]
+        facts = [a for a in facts if not values[a]]
+        if not facts:
+            return True
+        if not self.owned[b]:
+            self.owned[b] = True
+            values = self.values[b] = values[:]
+            self.counts[b] = self.counts[b][:]
+        block = self.blocks[b]
+        trail = []
+        if not _kernels.horn_forward(block.heads, self.counts[b], block.occ,
+                                     values, facts, trail):
+            return False
+        r, gvals, all_values = self.r, self.gvals, self.values
+        for a in trail:
+            j = a % r
+            if not gvals[j] and (a < r or all(v[j + r] and v[j + 2 * r]
+                                              for v in all_values)):
+                pending.append(j)
+        return True
+
+    def settle(self, pending: list) -> bool:
+        """Make each pending global true: a fact in every block, with all
+        its copies (``¬g ∨ c``), until nothing is pending; False on
+        falsum."""
+        r, gvals = self.r, self.gvals
+        while pending:
+            j = pending.pop()
+            if gvals[j]:
+                continue
+            gvals[j] = 1
+            facts = (j, j + r, j + 2 * r)
+            for b in range(len(self.blocks)):
+                if not self.extend(b, facts, pending):
+                    return False
+        return True
+
+
 class _Encoding:
     """The candidate encodings of one formula and backdoor, solved as the
     quotient on ``c = min(r + 1, 2)`` world copies per block (module
     docstring), on integers.
 
-    Atom layout, with ``r = len(rest)``: the global atom of ``rest[j]`` is
-    ``j``, and copy ``i`` (1..c) of ``rest[j]`` in the block of pool member
-    ``p`` is ``r + ((p * c) + i - 1) * r + j``.  A literal is ±(atom+1).
-    Copy 1 carries the designated member's initial facts; copy 2 stands for
-    copies 2..r+1 of the full encoding, so the rows of copies 1..c are the
-    certificate (:meth:`certificate`).
+    Each clause of the core is coded once: its backdoor literals as four
+    bit masks over pool positions (plain positive, plain negative, always
+    positive, always negative), its positive literals over ``rest`` as
+    ``(slot, plain)`` pairs, and its negative ones as the slots of the
+    always-literals and of the plain ones.  Member ``p``'s block for a set
+    of unanimity ``mask`` keeps the clauses that no backdoor literal
+    satisfies, on local atoms (:class:`_Block`).  Copy 1 carries the designated member's
+    initial facts; copy 2 stands for copies 2..r+1 of the full encoding, so
+    the rows of copies 1..c are the certificate (:meth:`certificate`).
     """
 
     def __init__(self, phi: SnfFormula, backdoor: tuple[str, ...]):
-        self.back = backdoor
         self.rest = sorted(set(phi.variables) - set(backdoor))
         r = len(self.rest)
         self.c = min(r + 1, 2)
         self.pool = assignments_over(backdoor)
-        self.n_atoms = r + len(self.pool) * self.c * r
-        self.clause_part = _derived(phi, (), phi.clauses)
-        self.slot = {v: j for j, v in enumerate(self.rest)}
-        # (member, unanimity mask) -> the member's block on its c copies,
-        # a list of integer clauses
+        slot = {v: j for j, v in enumerate(self.rest)}
+        k = len(backdoor)
+        bit = {v: 1 << (k - 1 - i) for i, v in enumerate(backdoor)}
+        self.codes = []
+        for clause in phi.clauses:
+            masks = [0, 0, 0, 0]
+            heads, star_body, plain_body = [], [], []
+            for var, mod, positive in clause:
+                if var in bit:
+                    # admitted input holds no [P] or [F] literal
+                    masks[(mod is not _NONE) * 2 + (not positive)] |= bit[var]
+                elif positive:
+                    heads.append((slot[var], mod is _NONE))
+                elif mod is _NONE:
+                    plain_body.append(slot[var])
+                else:
+                    star_body.append(slot[var])
+            self.codes.append((*masks, heads, star_body, plain_body))
+        # (member, unanimity mask) -> its _Block, or None when its closure
+        # alone derives falsum; each key is indexed once
         self.blocks: dict = {}
-        # per member: is it dead, and its initial facts as copy-1 ids
+        # per member: is it dead, and its initial facts as local copy-1 atoms
         self.dead = [any(v in theta and not theta[v] for v in phi.initial)
                      for theta in self.pool]
-        self.units = [[self.copy_id(p, 1, self.slot[v])
-                       for v in phi.initial if v not in theta]
-                      for p, theta in enumerate(self.pool)]
+        self.units = [[r + slot[v] for v in phi.initial if v not in theta]
+                      for theta in self.pool]
 
-    def copy_id(self, p: int, i: int, j: int) -> int:
-        r = len(self.rest)
-        return r + (p * self.c + i - 1) * r + j
-
-    def block(self, p: int, mask: int, members: tuple) -> list:
-        """Member ``p``'s block for a set of unanimity ``mask``: the reduct
-        under :func:`global_assignment`, computed once per ``(p, mask)`` and
-        coded into each of the member's copies in turn.  The reduct assigns
-        both atoms of every backdoor variable, so every plain or
-        always-literal left is over ``rest``."""
-        key = (p, mask)
-        if key not in self.blocks:
-            glob = global_assignment(members, self.back, self.pool[p])
-            clauses = reduct(self.clause_part, glob).clauses
-            slot = self.slot
-            coded = []
-            horn = True
-            for i in range(1, self.c + 1):
-                base = self.copy_id(p, i, 0) + 1
-                for clause in clauses:
-                    heads = 0
-                    lits = []
-                    for lit in clause:
-                        if lit.mod is _NONE:
-                            a = base + slot[lit.var]
-                        else:  # admitted input holds no [P] or [F] literal
-                            a = slot[lit.var] + 1
-                        if lit.positive:
-                            heads += 1
-                            lits.append(a)
-                        else:
-                            lits.append(-a)
-                    horn = horn and heads <= 1
-                    coded.append(lits)
-            if not horn:
+    def _index(self, p: int, mask: int) -> Optional[_Block]:
+        """The reduct of the core under :func:`global_assignment` (plain
+        backdoor atoms read ``p``, always-atoms ``mask``), indexed on every
+        copy.  A clause with no plain literal over ``rest`` is the same on
+        every copy, so it is indexed once."""
+        r, c = len(self.rest), self.c
+        n_local = r + c * r
+        not_p, not_mask = ~p, ~mask
+        heads, counts, facts = [], [], []
+        occ = [[] for _ in range(n_local)]
+        for (pos_plain, neg_plain, pos_star, neg_star, head_lits, star_body,
+             plain_body) in self.codes:
+            if (p & pos_plain or not_p & neg_plain or mask & pos_star
+                    or not_mask & neg_star):
+                continue
+            if len(head_lits) > 1:
                 raise AssertionError(
                     "encoding of a verified backdoor must be Horn")
-            self.blocks[key] = coded
-        return self.blocks[key]
-
-    def closure(self, combo: tuple[int, ...], members: tuple) -> tuple:
-        """Minimal model of the clauses a member set's candidates share:
-        ``(values, (heads, counts, occ))``, or None when they are
-        unsatisfiable.  The clauses are the blocks (members in order, copies
-        in order), then per variable ``rest[j]`` the ties ``¬g ∨ c`` for
-        every copy and ``g ∨ ¬c…``."""
-        mask = _unanimity(combo, len(self.pool))
-        clauses = []
-        for p in combo:
-            clauses += self.block(p, mask, members)
-        bases = [self.copy_id(p, i, 0) + 1
-                 for p in combo for i in range(1, self.c + 1)]
-        for j in range(len(self.rest)):
-            clauses += [[-j - 1, b + j] for b in bases]
-            clauses.append([j + 1] + [-(b + j) for b in bases])
-        heads, counts, occ, facts = _kernels.horn_index(self.n_atoms, clauses)
-        values = [0] * self.n_atoms
-        if not _kernels.horn_forward(heads, counts, occ, values, facts):
+            head, head_plain = head_lits[0] if head_lits else (-1, False)
+            body = len(star_body) + len(plain_body)
+            for off in (range(r, n_local, r) if plain_body or head_plain
+                        else (0,)):
+                ci = len(heads)
+                for a in star_body:
+                    occ[a].append(ci)
+                for j in plain_body:
+                    occ[off + j].append(ci)
+                heads.append(off + head if head_plain else head)
+                counts.append(body)
+                if not body:
+                    facts.append(heads[ci])
+        values = [0] * n_local
+        trail = []
+        if not _kernels.horn_forward(heads, counts, occ, values, facts, trail):
             return None
-        return values, (heads, counts, occ)
+        derived = tied = 0
+        for a in trail:
+            if a < r:
+                derived |= 1 << a
+            elif values[a % r + r] and values[a % r + 2 * r]:
+                tied |= 1 << a % r
+        return _Block(heads, counts, occ, values, derived, tied)
+
+    def closure(self, combo: tuple[int, ...]) -> Optional[_Chain]:
+        """Minimal model of the clauses a member set's candidates share (its
+        blocks and the ties), or None when they are unsatisfiable."""
+        mask = _unanimity(combo, len(self.pool))
+        cache = self.blocks
+        blocks = []
+        for p in combo:
+            key = (p, mask)
+            if key not in cache:
+                cache[key] = self._index(p, mask)
+            if cache[key] is None:
+                return None
+            blocks.append(cache[key])
+        derived, tied = 0, -1
+        for block in blocks:
+            derived |= block.derived
+            tied &= block.tied
+        pending = []
+        bits = derived | tied
+        while bits:
+            low = bits & -bits
+            pending.append(low.bit_length() - 1)
+            bits ^= low
+        state = _Chain(blocks, len(self.rest))
+        return state if state.settle(pending) else None
+
+    def variant(self, shared: _Chain, combo: tuple[int, ...],
+                d: int) -> Optional[_Chain]:
+        """Minimal model of designated member ``d``'s candidate: a copy of
+        the set's closure, extended by ``d``'s units and chained through the
+        globals into every block; None when it is unsatisfiable."""
+        state = shared.copy()
+        pending = []
+        if not (state.extend(combo.index(d), self.units[d], pending)
+                and state.settle(pending)):
+            return None
+        return state
 
     def certificate(self, combo: tuple[int, ...], d: int,
-                    values: list) -> AssignmentSet:
+                    state: _Chain) -> AssignmentSet:
         """The certificate of a satisfied candidate, from the least model
-        ``values`` of its quotient: copies 1..c of each member in ``combo``
+        ``state`` of its quotient: copies 1..c of each member in ``combo``
         order, with copy 1 of ``d`` as the initial row."""
         r, c = len(self.rest), self.c
         rows = []
-        for p in combo:
+        for p, values in zip(combo, state.values):
             for i in range(1, c + 1):
-                base = self.copy_id(p, i, 0)
                 row = dict(self.pool[p])
-                row.update(zip(self.rest, map(bool, values[base:base + r])))
+                row.update(zip(self.rest, map(bool, values[i * r:i * r + r])))
                 rows.append(row)
         return AssignmentSet(tuple(rows), rows[combo.index(d) * c])
 
@@ -421,8 +564,8 @@ def evaluate_horn_star(phi: SnfFormula, backdoor: Iterable[str],
     pool = enc.pool
 
     for combo in _member_sets(len(pool)):
-        members = tuple(pool[p] for p in combo)
         if on_candidate is not None:
+            members = tuple(pool[p] for p in combo)
             full = _full_encoding(core, back, members)
         shared = False  # not built yet; None once found unsatisfiable
         for d in combo:
@@ -432,18 +575,16 @@ def evaluate_horn_star(phi: SnfFormula, backdoor: Iterable[str],
             if enc.dead[d]:
                 continue
             if shared is False:
-                shared = enc.closure(combo, members)
+                shared = enc.closure(combo)
             if shared is None:
                 continue
-            values, (heads, counts, occ) = shared
-            values = values[:]
-            if not _kernels.horn_forward(heads, counts[:], occ, values,
-                                         enc.units[d]):
+            state = enc.variant(shared, combo, d)
+            if state is None:
                 continue
-            aset = enc.certificate(combo, d, values)
+            aset = enc.certificate(combo, d, state)
             interp = from_assignment_set(aset)
             if not models(interp, phi):
                 raise AssertionError("certificate failed the model check")
-            return EvalResult("SAT", ThetaSet(members, pool[d]), aset,
-                              interp)
+            return EvalResult("SAT", ThetaSet(tuple(pool[p] for p in combo),
+                                              pool[d]), aset, interp)
     return EvalResult("UNSAT")

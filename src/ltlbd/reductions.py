@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import Clause, Lit, Mod, SnfFormula
+from .formula import Clause, Lit, Mod, SnfFormula, _trusted
 from .interp import FiniteWindowInterpretation, models
 
 STAR_KROM = "star-krom"
@@ -103,7 +103,12 @@ def threecol_to_star_krom(graph: Graph) -> tuple[SnfFormula, tuple[str, str]]:
             clauses.append(Clause([vi, Lit(ev, Mod.STAR), lit1, lit2]))
             clauses.append(Clause([vj, Lit(ev, Mod.STAR, False), lit1, lit2]))
     clauses.append(Clause([b1.negated(), b2.negated()]))
-    phi = SnfFormula(frozenset({Mod.STAR}), (), tuple(clauses))
+    names = ["b1", "b2"]
+    names += map(_vertex, range(1, graph.n + 1))
+    for i, j in graph.sorted_edges():
+        names += _edge_vars(i, j)
+    phi = _trusted(frozenset({Mod.STAR}), (), tuple(clauses),
+                   tuple(sorted(names)))
     return phi, ("b1", "b2")
 
 
@@ -172,7 +177,10 @@ def threecol_to_fp_horn(graph: Graph) -> tuple[SnfFormula, tuple[str, ...]]:
         for c in (1, 2, 3):
             clauses.append(Clause([Lit(_vc(i, c), positive=False),
                                    Lit(_vc(j, c), positive=False)]))
-    phi = SnfFormula(frozenset({Mod.FUT, Mod.PAST}), ("s",), tuple(clauses))
+    names = ["c1", "c2", "c3", "s", prime_var(n), *p[1:]]
+    names += (_vc(i, c) for i in range(1, n + 1) for c in (1, 2, 3))
+    phi = _trusted(frozenset({Mod.FUT, Mod.PAST}), ("s",), tuple(clauses),
+                   tuple(sorted(names)))
     return phi, ("c1", "c2", "c3", prime_var(n))
 
 

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import itertools
 import os
 import random
@@ -10,15 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 import ltlbd
 
+from ltlbd import _kernels, evaluation
 from ltlbd.detection import HORN, verify_backdoor
-from ltlbd.evaluation import (ThetaSet, assignments_over,
+from ltlbd.evaluation import (EvalResult, ThetaSet, assignments_over,
                               build_horn_encoding, candidate_theta_sets,
                               encoding_size_bound, evaluate_horn_star,
                               global_assignment, propositionalize,
                               relabel_copy)
-from ltlbd.formula import Clause, Lit, Mod, SnfFormula, remove_tautologies
+from ltlbd.formula import (Clause, Lit, Mod, SnfFormula, reduct,
+                           remove_tautologies)
 from ltlbd.gen import planted_instance, random_formula
-from ltlbd.interp import models
+from ltlbd.interp import AssignmentSet, from_assignment_set, models
 from ltlbd.oracle import star_sat_oracle
 from ltlbd.propsat import PropCnf, copy_atom, global_atom, horn_sat, plain_atom
 
@@ -311,18 +315,67 @@ def test_failed_designated_variant_leaves_the_shared_closure_intact():
     assert models(result.interpretation, phi)
 
 
-def test_closure_leaves_the_cached_blocks_alone():
-    # the member sets {0} and {0, 1} share member 0's cached block (same
-    # unanimity mask); closing both must leave that block as it was built
-    phi, back = planted_instance(3, 6, 12, HORN, 1, [Mod.STAR])
-    enc = ltlbd.evaluation._Encoding(remove_tautologies(phi), back)
-    pool = enc.pool
-    block = enc.block(0, 0, (pool[0],))
-    snapshot = [c[:] for c in block]
-    assert block
-    enc.closure((0,), (pool[0],))
-    enc.closure((0, 1), tuple(pool))
-    assert enc.blocks[0, 0] is block and block == snapshot
+@pytest.mark.parametrize("make", [lambda: _unsat_gadget(0, 8, 14, 3),
+                                  lambda: planted_instance(
+                                      1, 10, 20, HORN, 2, [Mod.STAR])],
+                         ids=["k3-gadget", "planted-k2"])
+def test_chaining_leaves_the_cached_blocks_alone(make):
+    # member sets share cached blocks (same member and unanimity mask) and
+    # variants share their set's closure; chaining copies a block's counts
+    # and values before it first changes them, so closing every set and
+    # extending every variant leaves the coded clauses and each block's
+    # index, counts, closure values and masks as they were built
+    phi, back = make()
+    enc = evaluation._Encoding(remove_tautologies(phi), back)
+    combos = list(evaluation._member_sets(len(enc.pool)))
+    for combo in combos:
+        mask = evaluation._unanimity(combo, len(enc.pool))
+        for p in combo:
+            if (p, mask) not in enc.blocks:
+                enc.blocks[p, mask] = enc._index(p, mask)
+
+    def snapshot():
+        return copy.deepcopy((enc.codes, {
+            key: block and (block.heads, block.counts, block.occ,
+                            block.values, block.derived, block.tied)
+            for key, block in enc.blocks.items()}))
+
+    before = snapshot()
+    written = 0
+    for combo in combos:
+        shared = enc.closure(combo)
+        if shared is None:
+            continue
+        written += any(shared.owned)
+        for d in combo:
+            state = enc.variant(shared, combo, d)
+            written += state is not None and any(state.owned)
+    assert written and snapshot() == before
+
+
+def test_each_block_is_indexed_once_and_nothing_is_reduced(monkeypatch):
+    # the clauses are coded once per formula, so a call indexes each
+    # (member, unanimity mask) block at most once and, with no hook asking
+    # for the reference encoding, computes no reduct at all
+    keys = []
+    index = evaluation._Encoding._index
+
+    def counted(self, p, mask):
+        keys.append((p, mask))
+        return index(self, p, mask)
+
+    def refused(*args):
+        raise AssertionError("the solve computed a reduct")
+
+    monkeypatch.setattr(evaluation._Encoding, "_index", counted)
+    monkeypatch.setattr(evaluation, "reduct", refused)
+    for phi, back in (_unsat_gadget(1, 8, 14, 3),
+                      planted_instance(1, 10, 20, HORN, 2, [Mod.STAR])):
+        keys.clear()
+        evaluate_horn_star(phi, back)
+        assert keys and len(keys) == len(set(keys))
+    with pytest.raises(AssertionError, match="computed a reduct"):
+        evaluate_horn_star(phi, back, on_candidate=lambda ts, cnf: None)
 
 
 def test_reference_encoding_shares_no_code_with_the_solve(monkeypatch):
@@ -363,6 +416,145 @@ def _unsat_gadget(seed, n_vars, n_clauses, k):
                       phi.clauses + gadget), backdoor
 
 
+def _reference_evaluate(phi, backdoor, on_candidate=None):
+    """The solve path that evaluation replaced, kept here as a differential
+    reference: per (member, unanimity mask) the :func:`reduct` of the core,
+    coded on the member's copies of one global layout, and per member set
+    one :func:`horn_index` over its concatenated blocks and ties."""
+    core = remove_tautologies(phi)
+    back = tuple(sorted(set(backdoor)))
+    rest = sorted(set(core.variables) - set(back))
+    r, c = len(rest), min(len(rest) + 1, 2)
+    slot = {v: j for j, v in enumerate(rest)}
+    pool = assignments_over(back)
+    n_atoms = r + len(pool) * c * r
+    clause_part = SnfFormula(core.operators, (), core.clauses, core.variables)
+    dead = [any(v in theta and not theta[v] for v in core.initial)
+            for theta in pool]
+
+    def base(p, i):
+        return r + (p * c + i - 1) * r + 1
+
+    blocks = {}
+
+    def block(p, mask, members):
+        if (p, mask) not in blocks:
+            glob = global_assignment(members, back, pool[p])
+            coded = []
+            for i in range(1, c + 1):
+                for clause in reduct(clause_part, glob).clauses:
+                    coded.append([(1 if lit.positive else -1)
+                                  * (base(p, i) + slot[lit.var]
+                                     if lit.mod is Mod.NONE
+                                     else slot[lit.var] + 1)
+                                  for lit in clause])
+            blocks[p, mask] = coded
+        return blocks[p, mask]
+
+    for size in range(1, len(pool) + 1):
+        for combo in itertools.combinations(range(len(pool)), size):
+            members = tuple(pool[p] for p in combo)
+            if on_candidate is not None:
+                full = evaluation._full_encoding(core, back, members)
+            mask = len(pool) - 1
+            for p in combo:
+                mask &= p
+            shared = False
+            for d in combo:
+                if on_candidate is not None:
+                    on_candidate(ThetaSet(members, pool[d]),
+                                 evaluation._with_facts(full, core.initial,
+                                                        pool[d]))
+                if dead[d]:
+                    continue
+                if shared is False:
+                    clauses = [cl for p in combo
+                               for cl in block(p, mask, members)]
+                    bases = [base(p, i) for p in combo
+                             for i in range(1, c + 1)]
+                    for j in range(r):
+                        clauses += [[-j - 1, b + j] for b in bases]
+                        clauses.append([j + 1] + [-(b + j) for b in bases])
+                    heads, counts, occ, facts = _kernels.horn_index(n_atoms,
+                                                                    clauses)
+                    values = [0] * n_atoms
+                    shared = ((values, heads, counts, occ)
+                              if _kernels.horn_forward(heads, counts, occ,
+                                                       values, facts)
+                              else None)
+                if shared is None:
+                    continue
+                values, heads, counts, occ = shared
+                values = values[:]
+                units = [base(d, 1) - 1 + slot[v] for v in core.initial
+                         if v not in pool[d]]
+                if not _kernels.horn_forward(heads, counts[:], occ, values,
+                                             units):
+                    continue
+                rows = []
+                for p in combo:
+                    for i in range(1, c + 1):
+                        row = dict(pool[p])
+                        row.update(zip(rest, map(bool, values[
+                            base(p, i) - 1:base(p, i) - 1 + r])))
+                        rows.append(row)
+                aset = AssignmentSet(tuple(rows),
+                                     rows[combo.index(d) * c])
+                return EvalResult("SAT", ThetaSet(members, pool[d]), aset,
+                                  from_assignment_set(aset))
+    return EvalResult("UNSAT")
+
+
+def _differential_pairs():
+    """Seeded (formula, backdoor, hooked) triples: every verified backdoor
+    of size <= 2 of random formulas, planted instances at k = 0..3 and UNSAT
+    gadgets at k = 2..4 on small n.  ``hooked`` says whether to pass an
+    ``on_candidate`` hook: for all but four in five planted k = 3 instances
+    and the k = 4 gadget (2^19 candidates), whose hooks build thousands of
+    reference encodings."""
+    rng = random.Random(21)
+    for _ in range(400):
+        phi = random_formula(rng, rng.randint(1, 5), rng.randint(1, 6), 3,
+                             {Mod.STAR})
+        core = remove_tautologies(phi)
+        names = sorted(phi.variables)
+        for size in range(min(2, len(names)) + 1):
+            for chosen in itertools.combinations(names, size):
+                if verify_backdoor(core, chosen, HORN):
+                    yield phi, chosen, True
+    for seed in range(400):
+        n_vars = 3 + seed % 6
+        phi, back = planted_instance(seed, n_vars, rng.randint(1, 2 * n_vars),
+                                     HORN, seed % 4, {Mod.STAR})
+        yield phi, back, seed % 4 < 3 or seed % 20 == 3
+    for seed in range(40):
+        yield (*_unsat_gadget(seed, 4 + seed % 4, 6, 2 + (seed % 10 == 9)),
+               True)
+    yield (*_unsat_gadget(0, 4, 3, 4), False)
+
+
+def test_solve_matches_the_replaced_reduct_path():
+    # the per-block index and the chaining across blocks close the same
+    # quotient as one horn_index over each set's concatenated blocks, so
+    # the verdict, the certificate and every candidate tried are unchanged
+    n_pairs = n_sat = 0
+    for phi, back, hooked in _differential_pairs():
+        seen = [hashlib.sha256(), hashlib.sha256()]
+        hooks = [None, None]
+        if hooked:
+            hooks = [lambda ts, cnf, h=h: h.update(
+                         repr(ts).encode()
+                         + hash(cnf.clauses).to_bytes(8, "big", signed=True))
+                     for h in seen]
+        got = evaluate_horn_star(phi, back, on_candidate=hooks[0])
+        want = _reference_evaluate(phi, back, on_candidate=hooks[1])
+        assert got == want, (phi, back)
+        assert seen[0].digest() == seen[1].digest(), (phi, back)
+        n_pairs += 1
+        n_sat += got.satisfiable
+    assert n_pairs >= 2000 and 0.2 * n_pairs <= n_sat <= 0.9 * n_pairs
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_k3_unsat_gadget_tries_every_candidate(seed):
     # no candidate can succeed, so all 2^3 * 2^(2^3 - 1) are tried
@@ -384,6 +576,28 @@ def test_k2_unsat_gadget_at_detection_scale():
     elapsed = time.perf_counter() - t0
     assert not result.satisfiable
     assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+def test_k3_unsat_gadget_at_detection_scale():
+    # 255 member sets at n = 1000: each block is indexed once per key and
+    # a set only chains what its globals add, so no set re-indexes its
+    # blocks
+    phi, backdoor = _unsat_gadget(0, 1000, 2000, 3)
+    t0 = time.perf_counter()
+    result = evaluate_horn_star(phi, backdoor)
+    elapsed = time.perf_counter() - t0
+    assert not result.satisfiable
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+def test_k4_unsat_gadget_tries_every_set_in_seconds():
+    # 2^16 - 1 member sets, each closed from the cached block closures
+    phi, backdoor = _unsat_gadget(0, 8, 14, 4)
+    t0 = time.perf_counter()
+    result = evaluate_horn_star(phi, backdoor)
+    elapsed = time.perf_counter() - t0
+    assert not result.satisfiable
+    assert elapsed < 5.0, f"{elapsed:.2f} s"
 
 
 def test_sat_chain_at_detection_scale():

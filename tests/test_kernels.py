@@ -474,10 +474,14 @@ def test_horn_closure_extends_like_a_fresh_solve():
             assert not ok
             continue
         extended = values[:]
+        trail = []
         assert _kernels.horn_forward(heads, counts[:], occ, extended,
-                                     facts) == ok
+                                     facts, trail) == ok
         if ok:
             assert extended == fresh
+            # the trail lists exactly the atoms the extension made true
+            assert sorted(trail) == [a for a in range(n)
+                                     if extended[a] and not values[a]]
     assert 50 <= n_sat <= 350
 
 

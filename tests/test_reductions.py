@@ -7,6 +7,7 @@ import pytest
 from ltlbd.detection import (HORN, KROM, detect_horn_backdoor,
                              detect_krom_backdoor, verify_backdoor)
 from ltlbd.fileio import parse_model_table
+from ltlbd.formula import SnfFormula
 from ltlbd.interp import models
 from ltlbd.oracle import star_sat_oracle, window_sat_oracle
 from ltlbd.reductions import (FP_HORN, REDUCE_VERTEX_LIMIT, STAR_KROM, Graph,
@@ -52,6 +53,19 @@ def test_graph_over_the_vertex_limit_is_refused_before_building(build):
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+@pytest.mark.parametrize("build", [threecol_to_star_krom,
+                                   threecol_to_fp_horn])
+def test_reductions_equal_a_validated_build(build):
+    # both builders skip SnfFormula's validation: their generated names are
+    # valid and sorted, so the formula equals a validated rebuild, universe
+    # included
+    rng = random.Random(20)
+    for _ in range(300):
+        phi, _ = build(random_graph(rng, rng.randint(1, 8)))
+        again = SnfFormula(phi.operators, phi.initial, phi.clauses)
+        assert phi == again and phi.variables == again.variables
 
 
 class TestKromReduction:
