@@ -13,28 +13,25 @@ atom (``_columns``), and split their clauses the same way (``_split``).
 from __future__ import annotations
 
 
-def search_solve(n_atoms, clauses, order):
-    """Conflict-driven clause search with a fixed decision order.
+def search_solve(n_atoms, clauses):
+    """Conflict-driven clause search deciding atoms in index order.
 
     Literals are DIMACS-style ±(atom+1); a clause may repeat a literal or
-    hold one with its negation.  ``order`` must hold every atom (ValueError
-    otherwise) and may repeat one.  Decisions follow it, value 0 before 1,
-    with no restarts; two watched literals, first-UIP learning, backjumping,
-    and no learned clause is ever deleted.  Unit clauses are assigned in
-    clause order until the first empty clause or contradicting unit, which
-    answers UNSAT at once.  Returns ``(1, values)`` on SAT and
-    ``(0, values)`` on UNSAT, ``values`` a list of 0/1 (-1 unassigned).
+    hold one with its negation.  Each decision takes the lowest unassigned
+    atom, value 0 before 1, with no restarts; two watched literals,
+    first-UIP learning, backjumping, and no learned clause is ever deleted.
+    Unit clauses are assigned in clause order until the first empty clause
+    or contradicting unit, which answers UNSAT at once.  Returns
+    ``(1, values)`` on SAT and ``(0, values)`` on UNSAT, ``values`` a list
+    of 0/1 (-1 unassigned).  A caller that wants another decision order
+    numbers its atoms in that order.
 
-    A pointer into ``order`` replaces rescanning it: every atom before it
-    is assigned, and a backjump lowers it to the first position of each
-    atom it unassigns, so each decision is the first unassigned atom of
-    ``order``.  Hence the SAT model is the lexicographically smallest for
-    ``order``, whatever order propagation visits clauses in: an atom set to
-    1 was propagated, so the clauses (input and learned, all entailed by
-    the input) imply it from the decisions at or below its level; each of
-    those was made while this atom was unassigned, so it comes earlier in
-    ``order``; and a model agreeing on the earlier atoms sets them to 0
-    and so must set this atom to 1.
+    The SAT model is the lexicographically smallest, atom 0 first, whatever
+    order propagation visits clauses in: an atom set to 1 was propagated,
+    so the clauses (input and learned, all entailed by the input) imply it
+    from the decisions at or below its level; each of those was made while
+    this atom was unassigned, so it is a lower atom; and a model agreeing
+    on the lower atoms sets them to 0 and so must set this atom to 1.
 
     Layout (MiniSat's; Eén and Sörensson 2003): values, watch lists, and
     the levels, reasons and marks of true literals are lists indexed by
@@ -45,15 +42,6 @@ def search_solve(n_atoms, clauses, order):
     where its watches move; a binary clause never moves one, so it is read
     in place and never written.  A reason is the clause itself.
     """
-    n_order = len(order)
-    opos = [n_order] * (n_atoms + 1)  # first order position, by atom + 1
-    for i in range(n_order - 1, -1, -1):
-        opos[order[i] + 1] = i
-    if n_order in opos[1:]:
-        raise ValueError("search order misses an atom")
-    opos += reversed(opos[1:])  # ...and by negative literal
-    olit = [a + 1 for a in order]
-
     size = 2 * n_atoms + 1
     lv = [-1] * size
     level = [0] * size  # by true literal
@@ -88,7 +76,7 @@ def search_solve(n_atoms, clauses, order):
 
     qhead = 0
     cur_level = 0
-    optr = 0
+    nxt = 1  # the literal of the lowest atom that may be unassigned
     while True:
         # propagate to fixpoint: visit the clauses watching each literal
         # that became false
@@ -168,13 +156,13 @@ def search_solve(n_atoms, clauses, order):
             for q in learnt:
                 seen[-q] = 0
 
-            # pop back to the backjump level
+            # pop back to the backjump level; the lowest atom this unassigns
+            # is the decision of level btlevel + 1, at trail[keep] with value
+            # 0: every atom below it was assigned at a lower level
             keep = lev_start[btlevel + 1]
-            for i in range(keep, tl):
-                q = trail[i]
+            for q in trail[keep:tl]:
                 lv[q] = lv[-q] = -1
-                if opos[q] < optr:
-                    optr = opos[q]
+            nxt = -trail[keep]
             tl = keep
             qhead = keep
             cur_level = btlevel
@@ -199,12 +187,12 @@ def search_solve(n_atoms, clauses, order):
             tl += 1
             continue
 
-        # decide the next unassigned atom in order, value 0 first
-        while optr < n_order and lv[olit[optr]] >= 0:
-            optr += 1
-        if optr == n_order:
+        # decide the lowest unassigned atom, value 0 first
+        while nxt <= n_atoms and lv[nxt] >= 0:
+            nxt += 1
+        if nxt > n_atoms:
             return 1, lv[1:n_atoms + 1]
-        d = -olit[optr]
+        d = -nxt
         cur_level += 1
         lev_start[cur_level] = tl
         lv[d] = 1

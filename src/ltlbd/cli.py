@@ -89,8 +89,10 @@ def _write_certificate(args, interp) -> Path:
 def cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
     phi = parse_snf(_read(args.file))
-    # a repeated name is one backdoor variable, as the library evaluates it
-    backdoor = tuple(dict.fromkeys(v for v in args.backdoor.split(",") if v))
+    # names are stripped as on an ``init:`` line; a repeated name is one
+    # backdoor variable, as the library evaluates it
+    names = (v.strip() for v in args.backdoor.split(","))
+    backdoor = tuple(dict.fromkeys(v for v in names if v))
     dumps = []
     on_candidate = None
     if args.dump_cnf:

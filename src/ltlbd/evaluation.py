@@ -14,7 +14,8 @@ facts are units on its copy 1; nothing else tells copies apart.  Permuting
 copies 2..r+1 of one block therefore maps the clause set onto itself and
 fixes every unit, and the least model of a Horn formula is unique, so it is
 constant on those copies.  Merging them into one copy gives a quotient
-encoding on min(r+1, 2) copies per block.  A model of the quotient, read back
+encoding on two copies per block (with r = 0 both are empty, and the full
+encoding's one copy is too).  A model of the quotient, read back
 on every merged copy, is a model of the full encoding, and the least model of
 the full encoding projects to a model of the quotient; so the quotient is
 satisfiable exactly when the full encoding is, and its least model is the
@@ -31,7 +32,7 @@ It is built on integers, not on :class:`~ltlbd.propsat.Atom`:
   satisfies goes, the others keep their ``rest`` literals.  No
   :func:`~ltlbd.formula.reduct` runs and no :class:`Clause` is built.
 * Blocks indexed once.  Each (member, mask) block is indexed once per call
-  on local atoms (the r globals, then its c·r copies) with its own closure,
+  on local atoms (the r globals, then its 2r copies) with its own closure,
   no global true.  If that closure derives falsum, every set holding the
   block is unsatisfiable: Horn closure is monotone in the clauses.
 * Chaining across blocks.  The quotient of a member set is its blocks,
@@ -100,8 +101,11 @@ class BackdoorError(ValueError):
 
 
 def _check_backdoor(phi: SnfFormula, back: tuple[str, ...]) -> None:
-    if not (set(back) <= set(phi.variables)
-            and verify_backdoor(phi, back, HORN)):
+    unknown = sorted(set(back) - set(phi.variables))
+    if unknown:
+        raise BackdoorError("supplied set names variables the formula "
+                            "lacks: " + ", ".join(unknown))
+    if not verify_backdoor(phi, back, HORN):
         raise BackdoorError("supplied set is not a strong Horn backdoor")
 
 
@@ -228,7 +232,7 @@ def _member_sets(n: int) -> Iterator[tuple[int, ...]]:
 
 class _Block:
     """One member's block for one unanimity mask, indexed once on local
-    atoms: the global of ``rest[j]`` is ``j`` and its copy ``i`` (1..c) is
+    atoms: the global of ``rest[j]`` is ``j`` and its copy ``i`` (1, 2) is
     ``i * r + j``.  ``heads``, ``counts`` and ``occ`` are the
     :func:`~ltlbd._kernels.horn_index` of its clauses on every copy;
     ``values`` and ``counts`` are its closure with no global true.  Bit j of
@@ -252,9 +256,8 @@ class _Chain:
 
     Per block in set order it holds ``values`` and ``counts``, shared with
     the cached :class:`_Block` (or the state it was copied from) until it
-    first changes them (``owned``); ``gvals`` are the global atoms.  Local
-    atoms exist only when r >= 1, and then c = 2, so the copies of
-    ``rest[j]`` are ``j + r`` and ``j + 2 * r``."""
+    first changes them (``owned``); ``gvals`` are the global atoms.  The
+    copies of ``rest[j]`` are ``j + r`` and ``j + 2 * r``."""
 
     __slots__ = ("blocks", "values", "counts", "owned", "gvals", "r")
 
@@ -319,8 +322,8 @@ class _Chain:
 
 class _Encoding:
     """The candidate encodings of one formula and backdoor, solved as the
-    quotient on ``c = min(r + 1, 2)`` world copies per block (module
-    docstring), on integers.
+    quotient on two world copies per block (module docstring), on
+    integers.
 
     Each clause of the core is coded once: its backdoor literals as four
     bit masks over pool positions (plain positive, plain negative, always
@@ -330,13 +333,12 @@ class _Encoding:
     of unanimity ``mask`` keeps the clauses that no backdoor literal
     satisfies, on local atoms (:class:`_Block`).  Copy 1 carries the designated member's
     initial facts; copy 2 stands for copies 2..r+1 of the full encoding, so
-    the rows of copies 1..c are the certificate (:meth:`certificate`).
+    the rows of copies 1 and 2 are the certificate (:meth:`certificate`).
     """
 
     def __init__(self, phi: SnfFormula, backdoor: tuple[str, ...]):
         self.rest = sorted(set(phi.variables) - set(backdoor))
         r = len(self.rest)
-        self.c = min(r + 1, 2)
         self.pool = assignments_over(backdoor)
         slot = {v: j for j, v in enumerate(self.rest)}
         k = len(backdoor)
@@ -370,8 +372,8 @@ class _Encoding:
         backdoor atoms read ``p``, always-atoms ``mask``), indexed on every
         copy.  A clause with no plain literal over ``rest`` is the same on
         every copy, so it is indexed once."""
-        r, c = len(self.rest), self.c
-        n_local = r + c * r
+        r = len(self.rest)
+        n_local = 3 * r
         not_p, not_mask = ~p, ~mask
         heads, counts, facts = [], [], []
         occ = [[] for _ in range(n_local)]
@@ -385,8 +387,7 @@ class _Encoding:
                     "encoding of a verified backdoor must be Horn")
             head, head_plain = head_lits[0] if head_lits else (-1, False)
             body = len(star_body) + len(plain_body)
-            for off in (range(r, n_local, r) if plain_body or head_plain
-                        else (0,)):
+            for off in (r, 2 * r) if plain_body or head_plain else (0,):
                 ci = len(heads)
                 for a in star_body:
                     occ[a].append(ci)
@@ -449,16 +450,17 @@ class _Encoding:
     def certificate(self, combo: tuple[int, ...], d: int,
                     state: _Chain) -> AssignmentSet:
         """The certificate of a satisfied candidate, from the least model
-        ``state`` of its quotient: copies 1..c of each member in ``combo``
-        order, with copy 1 of ``d`` as the initial row."""
-        r, c = len(self.rest), self.c
+        ``state`` of its quotient: copies 1 and 2 of each member in
+        ``combo`` order, with copy 1 of ``d`` as the initial row.  With
+        r = 0 the two rows of a member are equal, and the set keeps one."""
+        r = len(self.rest)
         rows = []
         for p, values in zip(combo, state.values):
-            for i in range(1, c + 1):
+            for lo in (r, 2 * r):
                 row = dict(self.pool[p])
-                row.update(zip(self.rest, map(bool, values[i * r:i * r + r])))
+                row.update(zip(self.rest, map(bool, values[lo:lo + r])))
                 rows.append(row)
-        return AssignmentSet(tuple(rows), rows[combo.index(d) * c])
+        return AssignmentSet(tuple(rows), rows[combo.index(d) * 2])
 
 
 def _unanimity(combo: tuple[int, ...], n_pool: int) -> int:

@@ -14,13 +14,14 @@ unsatisfiability claim.  Both oracles refuse a formula that
 :func:`~ltlbd.formula.check_operators` refuses.
 
 Both encodings are integer clauses (literals ±(atom+1)) at fixed atom
-offsets, solved by :func:`ltlbd._kernels.search_solve`, which returns the
-lexicographically first model for its decision order.  The star encoding
-decides the always-atoms, then rows 1..n+1; the window encoding decides the
-cells row by row, then the atoms of its modal literals.  Each row is over
-the sorted variables.  Both encodings count their clauses before building
-any.  This module shares no code with backdoor evaluation, which it
-cross-checks.
+offsets, solved by :func:`ltlbd._kernels.search_solve`, which decides atoms
+in index order and so returns the lexicographically first model in that
+order.  Each encoding's atom layout is therefore its decision order: the
+star encoding numbers the always-atoms first, then rows 1..n+1; the window
+encoding the cells row by row, then the atoms of its modal literals.  Each
+row is over the sorted variables.  Both encodings count their clauses
+before building any.  This module shares no code with backdoor evaluation,
+which it cross-checks.
 """
 
 from __future__ import annotations
@@ -146,8 +147,7 @@ def _star_by_encoding(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
         clauses.extend([-i - 1, r * n + i + 1] for r in rows)
         clauses.append([i + 1, -(2 + i) * n - i - 1])
     n_atoms = n * (n + 2)
-    found, values = _kernels.search_solve(n_atoms, clauses,
-                                          list(range(n_atoms)))
+    found, values = _kernels.search_solve(n_atoms, clauses)
     if not found:
         return None
     members = tuple({v: bool(values[r * n + i])
@@ -231,8 +231,7 @@ def window_sat_oracle(phi: SnfFormula,
                 clauses += ([-here, nxt], [-here, here + step],
                             [here, -nxt, -here - step])
 
-    found, values = _kernels.search_solve(n_atoms, clauses,
-                                          list(range(n_atoms)))
+    found, values = _kernels.search_solve(n_atoms, clauses)
     if not found:
         return None
     rows = [{v: bool(values[r * nv + i]) for i, v in enumerate(variables)}

@@ -4,7 +4,7 @@ Atoms are structural: a plain stand-in for a variable, a global stand-in for
 its always-literal, or a labelled world copy.  Solvers: linear Horn-SAT with
 minimal models, implication-graph 2-SAT, an exhaustive scanner used as a test
 oracle, and a complete clause search that returns the lexicographically
-first model for a given decision order.  Every solver and
+first model in canonical atom order.  Every solver and
 :func:`to_dimacs` number the atoms in one place (``_numbered``), which turns
 each clause into a list of integer literals ±(atom+1), the one clause form
 of :mod:`ltlbd._kernels`; Horn-SAT, the scanner and the search run a kernel
@@ -213,20 +213,14 @@ def _tarjan_scc(adj: list[list[int]]) -> list[int]:
     return comp
 
 
-def solve_cnf(cnf: PropCnf, branch_first: Iterable[Atom] = ()) -> Model:
+def solve_cnf(cnf: PropCnf) -> Model:
     """Complete deterministic search for arbitrary CNF.
 
-    Decisions follow ``branch_first`` in the given order (remaining atoms
-    appended in canonical order), value false before true, so the returned
-    model is lexicographically minimal for that order.
+    Decisions follow the canonical atom order, value false before true, so
+    the returned model is the lexicographically minimal one in that order.
     """
     atoms, clauses = _numbered(cnf)
-    n = len(atoms)
-    position = {a: i for i, a in enumerate(atoms)}
-    head = [position[a] for a in branch_first if a in position]
-    seen = set(head)
-    order = head + [i for i in range(n) if i not in seen]
-    status, values = _kernels.search_solve(n, clauses, order)
+    status, values = _kernels.search_solve(len(atoms), clauses)
     if not status:
         return None
     return {a: bool(values[i]) for i, a in enumerate(atoms)}

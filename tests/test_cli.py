@@ -183,12 +183,6 @@ class TestEvaluateAndCheckModel:
         assert main(["evaluate", path, "--backdoor", ""]) == 1
         assert "verdict: UNSAT" in capsys.readouterr().out
 
-    def test_non_backdoor_is_a_contract_violation(self, tmp_path, capsys):
-        phi = SnfFormula(frozenset({Mod.STAR}), (),
-                         (Clause([Lit("x"), Lit("y")]),))
-        path = snf(tmp_path, "f.snf", phi)
-        assert main(["evaluate", path, "--backdoor", ""]) == 3
-
     def test_empty_clause_is_unsat(self, tmp_path, capsys):
         path = write(tmp_path, "empty.snf",
                      "operators: *\nclause:\nclause: b | c\n")
@@ -308,13 +302,21 @@ class TestEvaluateAndCheckModel:
         assert err.startswith("error: ")
         assert f"limited to {EVAL_BACKDOOR_LIMIT} backdoor variables" in err
 
-    @pytest.mark.parametrize("text,backdoor", [
-        ("operators: *\nclause: a | b\n", "nosuch"),
+    @pytest.mark.parametrize("text,backdoor,err", [
+        ("operators: *\nclause: a | b\n", "nosuch",
+         "supplied set names variables the formula lacks: nosuch"),
+        # every unknown name is listed, sorted, once its spaces are stripped
+        ("operators: *\nclause: a | b\n", "a, w, v",
+         "supplied set names variables the formula lacks: v, w"),
+        ("operators: *\nclause: x | y\n", "",
+         "supplied set is not a strong Horn backdoor"),
         # five names, one over the limit, yet the set fails first: f | g
-        ("operators: *\nclause: a | b | c | d | e | f | g\n", "a,b,c,d,e"),
-    ], ids=["unknown-name", "five-variable-non-backdoor"])
+        ("operators: *\nclause: a | b | c | d | e | f | g\n", "a,b,c,d,e",
+         "supplied set is not a strong Horn backdoor"),
+    ], ids=["unknown-name", "unknown-names", "empty-set",
+            "five-variable-non-backdoor"])
     def test_non_backdoor_is_a_contract_violation(self, tmp_path, capsys,
-                                                  text, backdoor):
+                                                  text, backdoor, err):
         path = write(tmp_path, "f.snf", text)
         model = tmp_path / "m.model"
         prefix = str(tmp_path / "dump")
@@ -322,10 +324,31 @@ class TestEvaluateAndCheckModel:
                      "--model-out", str(model), "--dump-cnf", prefix]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: supplied set is not a strong Horn backdoor\n")
+        assert captured.err == f"error: {err}\n"
         assert not model.exists()
         assert not list(tmp_path.glob("dump*"))
+
+    def test_backdoor_names_are_stripped_like_init_names(self, tmp_path,
+                                                         capsys):
+        # {x, y} is a Horn backdoor of x | y | c; spaces around a name are
+        # dropped as on an init: line, so the report and model are the same
+        path = write(tmp_path, "f.snf", "operators: *\ninit: c\n"
+                     "clause: x | y | c\nclause: [*]x | ~c\n")
+        seen = []
+        for i, backdoor in enumerate(("x,y", "x, y", " y ,x, ")):
+            model = tmp_path / f"m{i}.model"
+            assert main(["evaluate", path, "--backdoor", backdoor,
+                         "--model-out", str(model)]) == 0
+            out = capsys.readouterr().out
+            report = [line for line in out.splitlines()
+                      if not line.startswith(("time:", "certificate:"))]
+            seen.append((report, model.read_text()))
+        assert "backdoor: x,y" in seen[0][0] and "verdict: SAT" in seen[0][0]
+        assert seen[1] == seen[0]
+        # the names are kept in the order given
+        assert seen[2][0] == [line.replace("x,y", "y,x")
+                              for line in seen[0][0]]
+        assert seen[2][1] == seen[0][1]
 
     def test_corrupted_model_cell_invalid(self, simple, tmp_path, capsys):
         model = tmp_path / "m.model"

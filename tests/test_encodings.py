@@ -93,13 +93,13 @@ def reference_window_clauses(phi, width):
 
 @pytest.fixture
 def handed(monkeypatch):
-    """The ``(n_atoms, clauses, order)`` of every clause search call."""
+    """The ``(n_atoms, clauses)`` of every clause search call."""
     calls = []
     real = _kernels.search_solve
 
-    def record(n_atoms, clauses, order):
-        calls.append((n_atoms, clauses, order))
-        return real(n_atoms, clauses, order)
+    def record(n_atoms, clauses):
+        calls.append((n_atoms, clauses))
+        return real(n_atoms, clauses)
 
     monkeypatch.setattr(_kernels, "search_solve", record)
     yield calls
@@ -110,8 +110,8 @@ def assert_handed(handed, expected, solve, monkeypatch):
     budget is exact: the count passes at the limit and fails one below."""
     handed.clear()
     solve()
-    n_atoms, clauses = expected
-    assert handed == [(n_atoms, clauses, list(range(n_atoms)))]
+    assert handed == [expected]
+    clauses = expected[1]
     monkeypatch.setattr(oracle, "ENCODING_CLAUSE_LIMIT", len(clauses) - 1)
     with pytest.raises(ValueError, match="encoding budget exceeded"):
         solve()

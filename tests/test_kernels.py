@@ -8,8 +8,6 @@ import random
 import subprocess
 import sys
 
-import pytest
-
 import ltlbd
 from ltlbd import _kernels
 
@@ -33,9 +31,10 @@ def random_int_cnf(rng, n_atoms, max_clauses=10, max_len=4, repeats=0.0):
 
 def test_search_solve_standalone():
     # the clause search must be a complete solver on its own, for any
-    # decision order, also when a clause repeats a literal or holds it with
-    # its negation, so that both watches may sit on one atom; relabelling
-    # order[i] to atom i makes the scan's first model the search's
+    # numbering of the atoms, also when a clause repeats a literal or holds
+    # it with its negation, so that both watches may sit on one atom; both
+    # the search and the scan must return the first model of the clauses
+    # with order[i] relabelled to atom i
     rng = random.Random(3)
     n_repeats = n_sat = 0
     for repeats, count in ((0.0, 50), (0.5, 400)):
@@ -47,15 +46,14 @@ def test_search_solve_standalone():
                              for c in clauses)
             order = list(range(n))
             rng.shuffle(order)
-            status, values = _kernels.search_solve(n, clauses, order)
-            rank = {a: i for i, a in enumerate(order)}
-            found, mask = _kernels.brute_scan(n, relabel(clauses, rank))
+            relabelled = relabel(clauses, {a: i for i, a in enumerate(order)})
+            status, values = _kernels.search_solve(n, relabelled)
+            found, mask = _kernels.brute_scan(n, relabelled)
             assert status == found
             if status:
                 n_sat += 1
-                got = sum(values[a] << (n - 1 - i)
-                          for i, a in enumerate(order))
-                assert got == mask  # lexicographically minimal in both
+                # lexicographically minimal in both
+                assert as_mask(values) == mask
     assert n_repeats >= 400 and 100 <= n_sat <= 350
 
 
@@ -63,6 +61,11 @@ def relabel(clauses, rank):
     """The clauses with atom ``a`` renamed to ``rank[a]``."""
     return [[(rank[abs(l) - 1] + 1) * (1 if l > 0 else -1) for l in c]
             for c in clauses]
+
+
+def as_mask(values):
+    """A 0/1 assignment as the scan's mask: atom i at bit n-1-i."""
+    return sum(v << (len(values) - 1 - i) for i, v in enumerate(values))
 
 
 def random_3cnf(rng, n, n_clauses):
@@ -73,9 +76,9 @@ def random_3cnf(rng, n, n_clauses):
 
 def test_shuffled_order_model_is_lex_minimal_after_learning():
     # ~20 atoms and ~80 three-literal clauses sit near the satisfiability
-    # threshold, so the search learns clauses before it answers.  Relabelling
-    # order[i] to atom i makes the scan's ascending order the search's
-    # decision order, so both must return the same model.
+    # threshold, so the search learns clauses before it answers.  On the
+    # clauses with order[i] relabelled to atom i, the scan's ascending order
+    # is the search's decision order, so both must return the same model.
     rng = random.Random(4)
     n_sat = 0
     for _ in range(20):
@@ -83,22 +86,22 @@ def test_shuffled_order_model_is_lex_minimal_after_learning():
         clauses = random_3cnf(rng, n, rng.randint(70, 90))
         order = list(range(n))
         rng.shuffle(order)
-        status, values = _kernels.search_solve(n, clauses, order)
-        rank = {a: i for i, a in enumerate(order)}
-        found, mask = _kernels.brute_scan(n, relabel(clauses, rank))
+        relabelled = relabel(clauses, {a: i for i, a in enumerate(order)})
+        status, values = _kernels.search_solve(n, relabelled)
+        found, mask = _kernels.brute_scan(n, relabelled)
         assert status == found
         if status:
             n_sat += 1
-            got = sum(values[a] << (n - 1 - i) for i, a in enumerate(order))
-            assert got == mask
+            assert as_mask(values) == mask
     assert n_sat >= 5
 
 
 def test_backjumps_below_the_decision_pointer_keep_the_first_model():
     # near the 3-SAT threshold (about 4.26 clauses per atom) learned clauses
-    # unassign atoms before the decision pointer, which must then revisit
-    # them; relabelling order[i] to atom i makes the scan's first model the
-    # search's, at every size from a few atoms to a few dozen
+    # unassign atoms below the decision pointer, which must then revisit
+    # them; on the clauses with order[i] relabelled to atom i, the scan's
+    # first model is the search's, at every size from a few atoms to a few
+    # dozen
     rng = random.Random(8)
     n_sat = n_unsat = 0
     for n in range(4, 25):
@@ -106,14 +109,13 @@ def test_backjumps_below_the_decision_pointer_keep_the_first_model():
             clauses = random_3cnf(rng, n, round(n * rng.uniform(3.8, 4.8)))
             order = list(range(n))
             rng.shuffle(order)
-            status, values = _kernels.search_solve(n, clauses, order)
-            rank = {a: i for i, a in enumerate(order)}
-            found, mask = _kernels.brute_scan(n, relabel(clauses, rank))
+            relabelled = relabel(clauses, {a: i for i, a in enumerate(order)})
+            status, values = _kernels.search_solve(n, relabelled)
+            found, mask = _kernels.brute_scan(n, relabelled)
             assert status == found
             if status:
                 n_sat += 1
-                assert mask == sum(values[a] << (n - 1 - i)
-                                   for i, a in enumerate(order))
+                assert mask == as_mask(values)
             else:
                 n_unsat += 1
     assert n_sat >= 30 and n_unsat >= 30
@@ -130,9 +132,11 @@ def test_kernels_leave_their_inputs_alone():
     horn = random_horn_cnf(rng, 12, max_clauses=30)
     order = list(range(12))
     rng.shuffle(order)
+    rank = {a: i for i, a in enumerate(order)}
+    sat, unsat = relabel(sat, rank), relabel(unsat, rank)
 
     def answers(clauses):
-        return (_kernels.search_solve(12, clauses, order),
+        return (_kernels.search_solve(12, clauses),
                 _kernels.brute_scan(12, clauses),
                 _kernels.star_scan(6, clauses, 0b101))
 
@@ -160,7 +164,7 @@ def test_empty_clause_or_contradicting_unit_after_other_units():
         ([[-3], [], [1, 2, 3]], [-1, -1, 0]),  # empty after one unit
     ]
     for clauses, values in cases:
-        assert _kernels.search_solve(n, clauses, [0, 1, 2]) == (0, values)
+        assert _kernels.search_solve(n, clauses) == (0, values)
         assert _kernels.brute_scan(n, clauses) == (0, 0)
 
 
@@ -176,17 +180,6 @@ def random_horn_cnf(rng, n_atoms, max_clauses=8, max_body=3):
             clause.append(rng.randint(1, n_atoms))
         clauses.append(clause)
     return clauses
-
-
-def test_search_solve_decides_every_atom():
-    # an atom missing from the order would never be decided; a repeated
-    # one is decided at its first position
-    for order in ([], [0], [1, 1]):
-        with pytest.raises(ValueError, match="misses an atom"):
-            _kernels.search_solve(2, [[1, 2]], order)
-    assert _kernels.search_solve(2, [[1, 2]], [1, 0, 1]) == (1, [1, 0])
-    assert _kernels.search_solve(3, [[-1, 3], [2]], [2, 0, 2, 1, 0]) == (
-        1, [0, 1, 0])
 
 
 def flat_search_solve(n_atoms, clauses, order):
@@ -404,9 +397,11 @@ def flat_search_solve(n_atoms, clauses, order):
 def test_search_solve_matches_the_flat_kernel():
     # the same status and, on SAT, the same values as the flat-array kernel
     # on small CNFs with repeated literals, a literal next to its negation,
-    # units and empty clauses, and on near-threshold 3-CNFs, under shuffled
-    # orders that may repeat an atom; the list and tuple inputs stay as
-    # they were
+    # units and empty clauses, and on near-threshold 3-CNFs; the reference
+    # decides in a shuffled order that may repeat an atom, and the search
+    # runs on the clauses with each atom relabelled to its first position
+    # among the distinct atoms of that order; the list and tuple inputs
+    # stay as they were
     rng = random.Random(19)
     cases = []
     for _ in range(9000):
@@ -426,15 +421,17 @@ def test_search_solve_matches_the_flat_kernel():
         rng.shuffle(order)
         if rng.random() < 0.2:
             order.insert(rng.randint(0, n), rng.choice(order))
-        snapshot = [c[:] for c in clauses]
-        frozen = tuple(map(tuple, clauses))
-        status, values = _kernels.search_solve(n, clauses, order)
-        assert clauses == snapshot
-        assert _kernels.search_solve(n, frozen, order) == (status, values)
-        expected = flat_search_solve(n, snapshot, order)
+        rank = {a: i for i, a in enumerate(dict.fromkeys(order))}
+        relabelled = relabel(clauses, rank)
+        snapshot = [c[:] for c in relabelled]
+        frozen = tuple(map(tuple, relabelled))
+        status, values = _kernels.search_solve(n, relabelled)
+        assert relabelled == snapshot
+        assert _kernels.search_solve(n, frozen) == (status, values)
+        expected = flat_search_solve(n, clauses, order)
         assert status == expected[0]
         if status:
-            assert values == expected[1]
+            assert [values[rank[a]] for a in range(n)] == expected[1]
         counts[status, any(not c for c in clauses),
                any(len(c) == 1 for c in clauses)] += 1
     sat = counts[1, False, False] + counts[1, False, True]
