@@ -8,6 +8,9 @@ the clauses of three or more literals, whose watches move; the Horn
 propagator indexes its clauses in its own arrays; the two exhaustive scans
 over 2^n assignments are bit-parallel, with one Python-int truth table per
 atom (``_columns``), and split their clauses the same way (``_split``).
+``brute_scan`` runs its prefixes in a flat loop; ``star_scan`` walks its
+global candidates depth first, in ascending order, and cuts every prefix
+below which no candidate can qualify.
 """
 
 from __future__ import annotations
@@ -377,35 +380,72 @@ def star_scan(n_vars, clauses, psi_mask):
     clause that no always-literal satisfies under ``g``, each such clause
     being the OR of its plain literals' columns.  ``a0`` and the witnesses
     are lowest set bits.
+
+    The candidates are walked depth first: depth i decides variable i, 0
+    before 1, so the leaves come in ascending order.  A prefix's table is
+    its parent's ANDed with variable i's column (when set) and with each
+    clause whose highest always-atom is i and that the prefix leaves
+    unsatisfied; a clause without always-literals is ANDed in at the root.
+    A leaf's table is thus the candidate's member table.  Down a path the
+    table only loses worlds, so a prefix whose table has no world in the
+    initial-fact mask, or no world falsifying some variable it fixes to 0,
+    has no qualifying leaf below it, and its subtree is cut.  Every prefix
+    on the path to a leaf passed both cuts, so the first leaf reached is
+    the first qualifying candidate, and its ``a0`` and witnesses are those
+    of a flat scan.
     """
-    cols = _columns(n_vars)
-    full = (1 << (1 << n_vars)) - 1
-    split = _split(clauses, n_vars, cols, full)
+    n = n_vars
+    cols = _columns(n)
+    full = (1 << (1 << n)) - 1
+    zero = [full ^ col for col in cols]  # the worlds where variable i is 0
     psi = full
-    for i in range(n_vars):
-        if (psi_mask >> (n_vars - 1 - i)) & 1:
+    for i in range(n):
+        if (psi_mask >> (n - 1 - i)) & 1:
             psi &= cols[i]
-    for g in range(1 << n_vars):
-        member = full
-        for i in range(n_vars):
-            if (g >> (n_vars - 1 - i)) & 1:
-                member &= cols[i]
-        for pos, neg, table in split:
+    # each clause at the depth of its highest always-atom, or at the root
+    root = full
+    at = [[] for _ in range(n)]
+    for pos, neg, table in _split(clauses, n, cols, full):
+        if pos | neg:
+            at[n - 1 - _lowest(pos | neg)].append((pos, neg, table))
+        else:
+            root &= table
+    if not root & psi:
+        return 0, 0, 0, [-1] * n
+    tables = [root] * (n + 1)  # tables[d]: the table of g's first d bits
+    g = d = 0  # while variable d is decided, g's later bits are 0
+    while d < n:
+        bit = 1 << (n - 1 - d)
+        member = parent = tables[d]
+        if g & bit:
+            member &= cols[d]
+        for pos, neg, table in at[d]:
             if g & pos or ~g & neg:
                 continue
             member &= table
-            if not member:
-                break
-        if not member & psi:
-            continue
-        wit = [-1] * n_vars
-        for i in range(n_vars):
-            if (g >> (n_vars - 1 - i)) & 1:
-                continue
-            cand = member & ~cols[i]
-            if not cand:
-                break
-            wit[i] = _lowest(cand)
+        if member is parent:  # same table: only a new 0 needs a witness
+            live = g & bit or member & zero[d]
+        elif member & psi:
+            live = 1
+            for j in range(d + 1):
+                if not (g >> (n - 1 - j)) & 1 and not member & zero[j]:
+                    live = 0
+                    break
         else:
-            return 1, g, _lowest(member & psi), wit
-    return 0, 0, 0, [-1] * n_vars
+            live = 0
+        if live:
+            d += 1
+            tables[d] = member
+            continue
+        # cut: on to the next prefix of d + 1 bits, deciding again from the
+        # variable the carry stops at
+        g += bit
+        if g >> n:
+            return 0, 0, 0, [-1] * n
+        d = n - 1 - _lowest(g)
+    member = tables[n]
+    wit = [-1] * n
+    for i in range(n):
+        if not (g >> (n - 1 - i)) & 1:
+            wit[i] = _lowest(member & zero[i])
+    return 1, g, _lowest(member & psi), wit

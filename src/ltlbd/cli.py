@@ -20,7 +20,7 @@ from .detection import HORN, KROM, detect_horn_backdoor, detect_krom_backdoor
 from .evaluation import BackdoorError, evaluate_horn_star
 from .fileio import (_OP_TOKEN, ParseError, format_model_table, format_snf,
                      parse_dimacs_col, parse_model_table, parse_snf)
-from .formula import Mod, validate_normal_form
+from .formula import VAR_NAME_RE, Mod, validate_normal_form
 from .gen import planted_instance
 from .interp import models
 from .oracle import star_sat_oracle, window_sat_oracle
@@ -89,10 +89,13 @@ def _write_certificate(args, interp) -> Path:
 def cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
     phi = parse_snf(_read(args.file))
-    # names are stripped as on an ``init:`` line; a repeated name is one
-    # backdoor variable, as the library evaluates it
-    names = (v.strip() for v in args.backdoor.split(","))
-    backdoor = tuple(dict.fromkeys(v for v in names if v))
+    # names are stripped and checked as on an ``init:`` line; a repeated
+    # name is one backdoor variable, as the library evaluates it
+    names = [v for v in (v.strip() for v in args.backdoor.split(",")) if v]
+    for name in names:
+        if not VAR_NAME_RE.match(name):
+            raise ParseError(f"invalid variable name {name!r}")
+    backdoor = tuple(dict.fromkeys(names))
     dumps = []
     on_candidate = None
     if args.dump_cnf:

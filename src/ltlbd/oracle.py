@@ -3,9 +3,12 @@
 For the always-only fragment the oracle is exact: satisfiability is
 equivalent to the existence of a set of world assignments whose unanimous
 variables realise the always-literals, with a designated member carrying the
-initial facts.  Small instances scan the candidate global assignments
-directly; larger ones solve a propositional encoding with one world copy per
-variable plus one, which realises the same bounded-witness characterisation.
+initial facts.  Small instances scan the candidate global assignments in
+ascending order, as a depth-first walk over the always-atoms that cuts every
+prefix below which no candidate qualifies
+(:func:`ltlbd._kernels.star_scan`); larger ones solve a propositional
+encoding with one world copy per variable plus one, which realises the same
+bounded-witness characterisation.
 
 For formulas with past/future operators the oracle searches eventually
 constant interpretations over a window of requested width.  A negative

@@ -302,6 +302,21 @@ class TestEvaluateAndCheckModel:
         assert err.startswith("error: ")
         assert f"limited to {EVAL_BACKDOOR_LIMIT} backdoor variables" in err
 
+    @pytest.mark.parametrize("backdoor,name", [
+        ("x y", "x y"), ("x,~y", "~y"), (" x , [*]y", "[*]y")])
+    def test_invalid_backdoor_name_is_an_input_error(self, tmp_path, capsys,
+                                                     backdoor, name):
+        # a piece that is no variable name is refused as on an init: line,
+        # before the library looks for it among the formula's variables
+        path = write(tmp_path, "f.snf", "operators: *\nclause: x | y\n")
+        model = tmp_path / "m.model"
+        assert main(["evaluate", path, "--backdoor", backdoor,
+                     "--model-out", str(model)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid variable name {name!r}\n"
+        assert not model.exists()
+
     @pytest.mark.parametrize("text,backdoor,err", [
         ("operators: *\nclause: a | b\n", "nosuch",
          "supplied set names variables the formula lacks: nosuch"),

@@ -592,3 +592,77 @@ def test_star_scan_matches_enumeration():
             assert got == naive_star(n, clauses, psi_mask)
             n_found += got[0]
     assert 100 <= n_found <= 380
+
+
+def flat_star(n, clauses, psi_mask):
+    """``star_scan`` as a flat loop: every candidate ``g`` in ascending
+    order, its member table built from scratch."""
+    cols = _kernels._columns(n)
+    full = (1 << (1 << n)) - 1
+    split = _kernels._split(clauses, n, cols, full)
+    psi = full
+    for i in range(n):
+        if (psi_mask >> (n - 1 - i)) & 1:
+            psi &= cols[i]
+    for g in range(1 << n):
+        member = full
+        for i in range(n):
+            if (g >> (n - 1 - i)) & 1:
+                member &= cols[i]
+        for pos, neg, table in split:
+            if g & pos or ~g & neg:
+                continue
+            member &= table
+        if not member & psi:
+            continue
+        wit = [-1] * n
+        for i in range(n):
+            if (g >> (n - 1 - i)) & 1:
+                continue
+            cand = member & ~cols[i]
+            if not cand:
+                break
+            wit[i] = _kernels._lowest(cand)
+        else:
+            return 1, g, _kernels._lowest(member & psi), wit
+    return 0, 0, 0, [-1] * n
+
+
+def test_star_scan_matches_the_flat_scan():
+    # above the sizes plain enumeration can check: the pruned walk returns
+    # the flat scan's candidate, first member and witnesses, with plain-only
+    # clauses, empty clauses, an always-atom in both signs of one clause,
+    # and clauses that fix always-atoms, so that the first candidate may lie
+    # deep in the order or not exist
+    rng = random.Random(23)
+    found = collections.Counter()
+    kinds = collections.Counter()
+    for n in range(9, 13):
+        for case in range(12):
+            clauses = []
+            for _ in range(rng.randint(n // 2, n + n // 2)):
+                clause = []
+                for _ in range(rng.randint(2, 3)):
+                    a = rng.randrange(2 * n) + 1
+                    clause.append(a if rng.random() < 0.5 else -a)
+                clauses.append(clause)
+            # units on always-atoms push the first candidate up the order
+            for a in rng.sample(range(1, n + 1), rng.randint(0, n // 2)):
+                clauses.append([a if rng.random() < 0.3 else -a])
+            if case % 4 == 1:
+                clauses.append([n + rng.randrange(n) + 1])
+                kinds["plain-only"] += 1
+            elif case % 4 == 2:
+                a = rng.randrange(n) + 1
+                clauses.append([a, n + rng.randrange(n) + 1, -a])
+                kinds["both-signs"] += 1
+            elif case % 4 == 3 and case > 4:
+                clauses.append([])
+                kinds["empty"] += 1
+            rng.shuffle(clauses)
+            psi_mask = rng.randrange(1 << n)
+            got = _kernels.star_scan(n, clauses, psi_mask)
+            assert got == flat_star(n, clauses, psi_mask)
+            found[got[0]] += 1
+    assert found[0] >= 15 and found[1] >= 20
+    assert min(kinds.values()) >= 8

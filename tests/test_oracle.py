@@ -169,6 +169,36 @@ class TestStarOracle:
                 if a is not None:
                     assert models(a, phi) and models(b, phi)
 
+    def test_strategies_at_the_scan_limit(self):
+        n = SCAN_VAR_LIMIT
+        # UNSAT: plain clauses contradict the initial fact (init r1, r1 -> r2,
+        # r2 -> b, r2 -> ~b) beside always-literals over the other variables
+        gadget = [Clause([Lit("r1", positive=False), Lit("r2")]),
+                  Clause([Lit("r2", positive=False), Lit("b")]),
+                  Clause([Lit("r2", positive=False), Lit("b", positive=False)])]
+        filler = [Clause([Lit(f"x{i}", Mod.STAR), Lit(f"x{i + 1}")])
+                  for i in range(n - 4)]
+        phi = formula(gadget + filler, initial=["r1"])
+        assert len(phi.variables) == n
+        assert _star_by_scan(phi) is None
+        assert _star_by_encoding(phi) is None
+        # SAT with only the last candidate: x0..x5 hold in every world, so
+        # their always-atoms have no false witness, and always-literals force
+        # x6..x11
+        half = n // 2
+        plain = [Clause([Lit("x0")])] + [
+            Clause([Lit(f"x{i}", positive=False), Lit(f"x{i + 1}")])
+            for i in range(half - 1)]
+        always = [Clause([Lit(f"x{half}", Mod.STAR)])] + [
+            Clause([Lit(f"x{i}", Mod.STAR, False), Lit(f"x{i + 1}", Mod.STAR)])
+            for i in range(half, n - 1)]
+        phi = formula(plain + always, initial=[f"x{n - 1}"])
+        assert len(phi.variables) == n
+        for witness in (_star_by_scan(phi), _star_by_encoding(phi)):
+            assert witness is not None and models(witness, phi)
+            rows = (witness.left, *witness.window, witness.right)
+            assert all(all(row.values()) for row in rows)
+
     def test_verdict_stable_under_tautology_removal(self):
         rng = random.Random(22)
         for _ in range(100):
