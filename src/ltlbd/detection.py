@@ -18,10 +18,20 @@ non-empty sets greedily in list order, keeping each set disjoint from those
 packed before it.  A node whose chosen elements miss more packed sets than
 the budget has elements left holds no solution in its subtree: the packed
 sets are pairwise disjoint, so each missed one needs an element of its own.
-Only such subtrees are cut, so the first hitting set in depth-first order,
-the returned set, is the one the unpruned search returns.  Hit counters
-keep the missed count current in O(1) per choice; a packing recomputed at
-every node would prune more but cost O(m) per node.
+Hit counters keep the missed count current in O(1) per choice; a packing
+recomputed at every node would prune more but cost O(m) per node.
+
+The search also branches with exclusion.  When a node moves from child e to
+its next sibling, e is excluded in the subtrees of all later siblings of
+that node: they skip e as a child, a node whose branch set is all excluded
+closes at once, and the node lifts its exclusions when it is exhausted.
+The subtree of e is complete for the hitting sets of size <= k that contain
+the chosen elements and e, because the budget and packing cuts drop only
+subtrees that hold no solution, and by induction so do the exclusions.  So
+once that subtree has failed, no solution below the node contains e, and
+excluding e cuts only empty subtrees.  With both cuts dropping only
+subtrees that hold no solution, the first hitting set in depth-first order,
+the returned set, is the one the plain search returns.
 """
 
 from __future__ import annotations
@@ -92,11 +102,16 @@ def _first_hitting_set(sets: Sequence[tuple[str, ...]],
     chosen elements do not hit yet, so the tree has depth <= k and at most
     max |set| children per node; an empty set can never be hit.  The search
     keeps one chosen set and an explicit path of (set index, branch
-    position), undoing the last choice on backtrack.  Every set before the
-    last branch set is already hit, so each scan starts just past it.
+    position, trail mark), undoing the last choice on backtrack.  Every set
+    before the last branch set is already hit, so each scan starts just
+    past it.
 
     A node is pruned before its scan when the chosen elements miss more
-    sets of the packing than the budget has left (module docstring).
+    sets of the packing than the budget has left.  A child that an earlier
+    sibling's failed subtree excluded is skipped, and a node with no child
+    left closes (module docstring).  The excluded elements are one set and a
+    trail; each path node marks where its own exclusions begin on the trail
+    and lifts them when it is exhausted.
     """
     owner: dict[str, int] = {}  # element -> its packed set
     packed = 0
@@ -108,7 +123,9 @@ def _first_hitting_set(sets: Sequence[tuple[str, ...]],
     missed = packed
     chosen: set[str] = set()
     disjoint = chosen.isdisjoint
-    path: list[tuple[int, int]] = []
+    banned: set[str] = set()
+    trail: list[str] = []  # banned elements, by the node that banned them
+    path: list[tuple[int, int, int]] = []
     start = 0
     while True:
         j = -1  # the branch taken next, or -1 to backtrack
@@ -118,21 +135,34 @@ def _first_hitting_set(sets: Sequence[tuple[str, ...]],
                     break
             else:
                 return frozenset(chosen)
-            if len(path) < k and sets[i]:
-                j = 0
+            if len(path) < k:
+                for j, e in enumerate(sets[i]):
+                    if e not in banned:
+                        break
+                else:
+                    j = -1
+                mark = len(trail)
         if j < 0:
             while path:
-                i, j = path.pop()
-                e = sets[i][j]
+                i, j, mark = path.pop()
+                s = sets[i]
+                e = s[j]
                 chosen.remove(e)
                 p = owner.get(e)
                 if p is not None:
                     hits[p] -= 1
                     if not hits[p]:
                         missed += 1
-                j += 1
-                if j < len(sets[i]):
-                    break
+                banned.add(e)
+                trail.append(e)
+                for j in range(j + 1, len(s)):
+                    if s[j] not in banned:
+                        break
+                else:
+                    banned.difference_update(trail[mark:])
+                    del trail[mark:]
+                    continue
+                break
             else:
                 return None
         e = sets[i][j]
@@ -142,7 +172,7 @@ def _first_hitting_set(sets: Sequence[tuple[str, ...]],
             hits[p] += 1
             if hits[p] == 1:
                 missed -= 1
-        path.append((i, j))
+        path.append((i, j, mark))
         start = i + 1
 
 

@@ -204,19 +204,28 @@ def propositionalize(clauses: Iterable[Clause]) -> PropCnf:
 def relabel_copy(cnf: PropCnf, variables: Iterable[str], index: int,
                  label: str) -> PropCnf:
     """Replace plain atoms over ``variables`` with labelled copies; global
-    atoms (and atoms over other variables) are shared untouched."""
+    atoms (and atoms over other variables) are shared untouched.
+
+    Without copy atoms in ``cnf`` the relabelling is injective on atoms, so
+    its duplicate-free clauses stay duplicate-free and are wrapped as they
+    are; otherwise a copy may meet its own plain atom's image and the result
+    is normalised again."""
     if index < 1:
         raise ValueError("copy index must be >= 1")
-    vs = set(variables)
+    copies = {v: copy_atom(v, index, label) for v in variables}
+    has_copy = False
     out = []
     for c in cnf.clauses:
         lits = []
         for atom, pos in c:
-            if atom.kind == "plain" and atom.var in vs:
-                atom = copy_atom(atom.var, index, label)
+            kind = atom.kind
+            if kind == "plain":
+                atom = copies.get(atom.var, atom)
+            elif kind == "copy":
+                has_copy = True
             lits.append((atom, pos))
         out.append(tuple(lits))
-    return PropCnf(out)
+    return PropCnf(out) if has_copy else PropCnf.from_normal(tuple(out))
 
 
 def _theta_label(theta: dict) -> str:

@@ -1,7 +1,9 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltlbd.detection import (HORN, KROM, ConflictGraph, HittingFamily,
                              _first_hitting_set, build_horn_conflict_graph,
@@ -150,33 +152,20 @@ class TestCoverAndHitting:
                     assert len(got) <= k and hits(fam, got)
 
 
-def unpruned_first_hitting_set(sets, k):
-    """The depth-first search without a lower bound: the reference for the
-    pruned one, which must return the same set."""
-    chosen = set()
-    path = []
-    start = 0
-    while True:
-        i = start
-        while i < len(sets) and not chosen.isdisjoint(sets[i]):
-            i += 1
-        if i == len(sets):
-            return frozenset(chosen)
-        if len(path) < k and sets[i]:
-            chosen.add(sets[i][0])
-            path.append((i, 0))
-            start = i + 1
-            continue
-        while path:
-            i, j = path.pop()
-            chosen.remove(sets[i][j])
-            if j + 1 < len(sets[i]):
-                chosen.add(sets[i][j + 1])
-                path.append((i, j + 1))
-                start = i + 1
-                break
-        else:
-            return None
+def first_hitting_set_by_definition(sets, k, chosen=frozenset()):
+    """The first hitting set of size <= len(chosen) + k in depth-first
+    order, branching over the elements of the first unhit set: no packing,
+    no exclusion."""
+    unhit = next((s for s in sets if chosen.isdisjoint(s)), None)
+    if unhit is None:
+        return chosen
+    if k == 0:
+        return None
+    for e in unhit:
+        found = first_hitting_set_by_definition(sets, k - 1, chosen | {e})
+        if found is not None:
+            return found
+    return None
 
 
 class TestPackingBound:
@@ -190,12 +179,172 @@ class TestPackingBound:
             sets = [tuple(rng.sample(names, size)) for size in sizes]
             for k in range(7):
                 got = _first_hitting_set(sets, k)
-                assert got == unpruned_first_hitting_set(sets, k), (sets, k)
+                assert got == first_hitting_set_by_definition(sets, k), \
+                    (sets, k)
                 pairs += 1
                 found += got is not None
         assert pairs >= 20000
         # both answers are common, so neither side is tested only vacuously
         assert 0.2 < found / pairs < 0.8
+
+
+def packed_first_hitting_set(sets, k):
+    """The packing-bounded search as it was before it branched with
+    exclusion: the reference for the excluding one, which must return the
+    same set."""
+    owner = {}
+    packed = 0
+    for s in sets:
+        if s and owner.keys().isdisjoint(s):
+            owner.update(dict.fromkeys(s, packed))
+            packed += 1
+    hits = [0] * packed
+    missed = packed
+    chosen = set()
+    disjoint = chosen.isdisjoint
+    path = []
+    start = 0
+    while True:
+        j = -1
+        if missed <= k - len(path):
+            for i in range(start, len(sets)):
+                if disjoint(sets[i]):
+                    break
+            else:
+                return frozenset(chosen)
+            if len(path) < k and sets[i]:
+                j = 0
+        if j < 0:
+            while path:
+                i, j = path.pop()
+                e = sets[i][j]
+                chosen.remove(e)
+                p = owner.get(e)
+                if p is not None:
+                    hits[p] -= 1
+                    if not hits[p]:
+                        missed += 1
+                j += 1
+                if j < len(sets[i]):
+                    break
+            else:
+                return None
+        e = sets[i][j]
+        chosen.add(e)
+        p = owner.get(e)
+        if p is not None:
+            hits[p] += 1
+            if hits[p] == 1:
+                missed -= 1
+        path.append((i, j))
+        start = i + 1
+
+
+def horn_order(sets):
+    """Singletons first, then the other sets, each group in name order."""
+    return sorted(sets, key=lambda s: (len(s) != 1, s))
+
+
+def bipartite_with_triangles(left, right, triangles):
+    """K_{left,right} plus vertex-disjoint triangles on shuffled names, as
+    a conflict graph with name-sorted edges in sorted order."""
+    names = [f"v{i:04d}" for i in range(left + right + 3 * triangles)]
+    random.Random(0).shuffle(names)
+    lhs, rhs = names[:left], names[left:left + right]
+    tri = names[left + right:]
+    edges = {tuple(sorted((u, v))) for u in lhs for v in rhs}
+    for t in range(0, len(tri), 3):
+        a, b, c = tri[t:t + 3]
+        edges |= {tuple(sorted(e)) for e in ((a, b), (b, c), (a, c))}
+    return ConflictGraph(frozenset(names), tuple(sorted(edges)))
+
+
+def centres_with_pairs(centres, pairs, wide):
+    """A 3-set {centre, a, b} for every centre and every one of the
+    disjoint pairs, plus every 3-subset of each 5-variable wide clause, on
+    shuffled names."""
+    names = [f"v{i:04d}" for i in range(centres + 2 * pairs + 5 * wide)]
+    random.Random(0).shuffle(names)
+    cs, rest = names[:centres], names[centres:]
+    sets = {tuple(sorted((c, rest[2 * j], rest[2 * j + 1])))
+            for c in cs for j in range(pairs)}
+    for w in range(2 * pairs, len(rest), 5):
+        sets |= {tuple(sorted(t))
+                 for t in itertools.combinations(rest[w:w + 5], 3)}
+    return HittingFamily(frozenset(names), tuple(sorted(sets)))
+
+
+class TestExclusion:
+    def test_same_set_as_the_packed_search_on_random_families(self):
+        rng = random.Random(24)
+        pairs = found = 0
+        for _ in range(1500):
+            names = [f"v{i}" for i in range(rng.randint(1, 9))]
+            sizes = [rng.randint(0, min(3, len(names)))
+                     for _ in range(rng.randint(0, 12))]
+            family = [tuple(sorted(rng.sample(names, size)))
+                      for size in sizes]
+            for sets in (horn_order(family), sorted(family)):
+                for k in range(7):
+                    got = _first_hitting_set(sets, k)
+                    assert got == packed_first_hitting_set(sets, k), (sets, k)
+                    pairs += 1
+                    found += got is not None
+        assert pairs >= 20000
+        assert 0.2 < found / pairs < 0.8
+
+    def test_same_set_as_the_packed_search_on_random_formulas(self):
+        rng = random.Random(25)
+        op_sets = [set(ops) for size in range(4)
+                   for ops in itertools.combinations(
+                       (Mod.STAR, Mod.FUT, Mod.PAST), size)]
+        assert len(op_sets) == 8
+        pairs = found = 0
+        for i in range(1600):
+            phi = random_formula(rng, rng.randint(1, 8), rng.randint(1, 10),
+                                 5, op_sets[i % len(op_sets)])
+            core = remove_tautologies(phi)
+            for sets in (build_horn_conflict_graph(core).edges,
+                         build_krom_hitting_family(core).sets):
+                for k in range(7):
+                    got = _first_hitting_set(sets, k)
+                    assert got == packed_first_hitting_set(sets, k), (phi, k)
+                    pairs += 1
+                    found += got is not None
+        assert pairs >= 20000
+        assert 0.2 < found / pairs < 0.8
+
+    def test_bipartite_cover_is_fast(self):
+        # the minimum cover is the 14 left vertices plus two per triangle;
+        # without exclusion the search re-proves every left vertex's subtree
+        g = bipartite_with_triangles(14, 120, 6)
+        t0 = time.perf_counter()
+        assert vertex_cover(g, 25) is None
+        t1 = time.perf_counter()
+        got = vertex_cover(g, 26)
+        t2 = time.perf_counter()
+        assert got is not None and len(got) == 26 and covers(g, got)
+        assert t1 - t0 < 1.0 and t2 - t1 < 1.0
+
+    def test_centre_hitting_set_is_fast(self):
+        # the six centres, plus three variables of each wide clause
+        fam = centres_with_pairs(6, 40, 2)
+        t0 = time.perf_counter()
+        assert hitting_set_3(fam, 11) is None
+        t1 = time.perf_counter()
+        got = hitting_set_3(fam, 12)
+        t2 = time.perf_counter()
+        assert got is not None and len(got) == 12 and hits(fam, got)
+        assert t1 - t0 < 1.0 and t2 - t1 < 1.0
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=400)
+    @given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=3)
+                    .map(tuple), max_size=10),
+           st.integers(0, 5))
+    def test_first_hitting_set_by_definition(self, sets, k):
+        assert _first_hitting_set(sets, k) == \
+            first_hitting_set_by_definition(sets, k)
 
 
 def frozenset_path_edges(core):

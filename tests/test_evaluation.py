@@ -95,6 +95,30 @@ class TestRelabelCopy:
         with pytest.raises(ValueError):
             relabel_copy(PropCnf(), ["v"], 0, "t")
 
+    def test_equals_the_normalised_relabelling(self):
+        rng = random.Random(12)
+        pool = [plain_atom("v"), plain_atom("w"), global_atom("v"),
+                global_atom("w"), copy_atom("v", 2, "t"),
+                copy_atom("w", 1, "t")]
+        copied = 0
+        for i in range(400):
+            # every other input holds no copy atom, the rest may hold some
+            atoms = pool[:4] if i % 2 else pool
+            cnf = PropCnf([[(rng.choice(atoms), rng.random() < 0.5)
+                            for _ in range(rng.randint(0, 4))]
+                           for _ in range(rng.randint(0, 4))])
+            copied += any(a.kind == "copy" for c in cnf.clauses for a, _ in c)
+            want = PropCnf([[(copy_atom(a.var, 2, "t")
+                              if a.kind == "plain" and a.var == "v" else a,
+                              pos) for a, pos in c] for c in cnf.clauses])
+            assert relabel_copy(cnf, ["v"], 2, "t") == want, cnf
+        assert copied > 100
+        # a copy atom meets its plain atom's image: the pair merges
+        cnf = PropCnf([[(plain_atom("v"), True),
+                        (copy_atom("v", 2, "t"), True)]])
+        assert relabel_copy(cnf, ["v"], 2, "t").clauses == (
+            ((copy_atom("v", 2, "t"), True),),)
+
 
 class TestCandidateOrder:
     def test_assignments_lexicographic(self):
