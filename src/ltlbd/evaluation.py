@@ -9,18 +9,28 @@ and ties the two together with consistency clauses (``¬g ∨ c`` for every
 copy c of g's variable, ``g ∨ ¬c…`` over those copies), so its models are
 exactly the bounded assignment sets witnessing satisfiability.
 
-Two copies per block decide a candidate.  The designated member's initial
-facts are units on its copy 1; nothing else tells copies apart.  Permuting
-copies 2..r+1 of one block therefore maps the clause set onto itself and
-fixes every unit, and the least model of a Horn formula is unique, so it is
-constant on those copies.  Merging them into one copy gives a quotient
-encoding on two copies per block (with r = 0 both are empty, and the full
-encoding's one copy is too).  A model of the quotient, read back
-on every merged copy, is a model of the full encoding, and the least model of
-the full encoding projects to a model of the quotient; so the quotient is
-satisfiable exactly when the full encoding is, and its least model is the
-projection of the full one.  Evaluation solves the quotient: its size is
-linear in r, where the full encoding's is quadratic.
+One copy per member, plus the designated member's copy 1, decide a
+candidate.  The designated member's initial facts are units on its copy 1;
+nothing else tells copies apart.  Permuting its copies 2..r+1, or all copies
+of another member, therefore maps the clause set onto itself and fixes every
+unit, and the least model of a Horn formula is unique, so it is constant on
+those copies.  Merging them gives the quotient: each member's block on one
+copy, plus one more instance of the designated member's block, its copy 1,
+carrying the units (with r = 0 every copy is empty).  A model of the
+quotient, read back on every merged copy, is a model of the full encoding,
+and the least model of the full encoding projects to a model of the
+quotient; so the quotient is satisfiable exactly when the full encoding is,
+and its least model is the projection of the full one.  Its size is linear
+in r, where the full encoding's is quadratic.
+
+Lemma: in the quotient's least model, copy 1 holds every atom true on the
+designated member's own copy.  By induction on forward chaining: both
+copies have the same block clauses over the same globals and the same ties
+``¬g ∨ c``, so a clause that makes an own-copy atom true has its copy-1
+twin's body true too.  Hence the closure a member set's candidates share,
+without copy 1, may fire ``g ∨ ¬c…`` over the other copies alone (each step
+holds in every candidate's least model), and a candidate may start its copy
+1 from the designated member's copy in that closure.
 
 It is built on integers, not on :class:`~ltlbd.propsat.Atom`:
 
@@ -32,36 +42,33 @@ It is built on integers, not on :class:`~ltlbd.propsat.Atom`:
   satisfies goes, the others keep their ``rest`` literals.  No
   :func:`~ltlbd.formula.reduct` runs and no :class:`Clause` is built.
 * Blocks indexed once.  Each (member, mask) block is indexed once per call
-  on local atoms (the r globals, then its 2r copies) with its own closure,
-  no global true.  If that closure derives falsum, every set holding the
+  on 2r local atoms (the r globals, then its copy) with its own closure, no
+  global true.  If that closure derives falsum, every set holding the
   block is unsatisfiable: Horn closure is monotone in the clauses.
-* Chaining across blocks.  The quotient of a member set is its blocks,
-  which share only the globals, plus the ties ``¬g ∨ c`` and ``g ∨ ¬c…``.
-  Its least model is reached from the blocks' own closures, each contained
-  in it, by forward chaining (Dowling and Gallier, 1984) where each block
-  fires its own clauses and the ties act between blocks: a global that
-  becomes true in one block is a fact in every block, with all its copies
-  (``¬g ∨ c``), and a global whose copies are all true over the set becomes
-  true (``g ∨ ¬c…``).  Every step derives an atom of the least model by
-  one of the quotient's clauses, and at the end every clause whose body
-  holds has its head true, so the values are that least model: the
-  verdicts and certificates cannot change.  A block's values and counts
-  are copied the first time the chaining changes them, so the cached
-  blocks are never written.
-* Factoring.  The candidates of one member set share everything but their
-  initial-fact units U, on copy 1 of the designated member.  Each variant
-  extends a copy of the set's closure by U, through the same chaining, so
-  the units reach the other blocks through the globals.  If the set's
-  closure derives falsum, so does every variant; a variant whose designated
-  member falsifies a backdoor initial fact (a dead candidate, holding an
-  empty clause) needs no solve, and a set whose variants are all dead
-  indexes no block.
+* Chaining across blocks.  A candidate's quotient is its block instances,
+  sharing only the globals, and the ties.  Its least model is reached from
+  the blocks' own closures, each contained in it, by forward chaining
+  (Dowling and Gallier, 1984): each instance fires its own clauses, a
+  global true in one instance is a fact in all, with its copy
+  (``¬g ∨ c``), and a global whose copies are all true becomes true
+  (``g ∨ ¬c…``).  Every step derives an atom of the least model by one of
+  the quotient's clauses, and at the end every clause whose body holds has
+  its head true, so the values are that least model.  A block's values and
+  counts are copied the first time the chaining changes them, so the
+  cached blocks are never written.
+* Factoring.  The candidates of one member set share everything but the
+  designated copy 1 and its initial-fact units U.  Each variant forks the
+  set's closure with that copy 1 (the lemma) and extends it by U through
+  the same chaining.  If the set's closure derives falsum, so does every
+  variant; a variant whose designated member falsifies a backdoor initial
+  fact (a dead candidate, holding an empty clause) needs no solve, and a
+  set whose variants are all dead indexes no block.
 * One Horn kernel.  Every closure and extension runs
   :func:`ltlbd._kernels.horn_forward`, the same propagator behind
   :func:`~ltlbd.propsat.horn_sat`.
 
-On SAT the certificate is the quotient's rows, copies 1 and 2 of each
-member: the distinct rows of the full encoding's least model.
+On SAT the certificate is the quotient's rows, each member's copy and the
+designated copy 1: the distinct rows of the full encoding's least model.
 
 The full (r+1)-copy encoding is built only when asked for, for
 ``on_candidate`` and :func:`build_horn_encoding`, as a :class:`PropCnf` from
@@ -131,8 +138,9 @@ class EvalResult:
     * ``verdict``: "SAT" or "UNSAT"; the other fields are None on UNSAT.
     * ``theta_set``: the first satisfied candidate.
     * ``assignment_set``: its certificate, the distinct rows of the least
-      model of its encoding (each member's copies of the quotient, members
-      in order), with copy 1 of the designated member as the initial row.
+      model of its encoding (each member's copy of the quotient, members in
+      order, the designated member's copy 1 just before its own copy), with
+      that copy 1 as the initial row.
     * ``interpretation``: that set laid out by
       :func:`~ltlbd.interp.from_assignment_set`; it models the formula.
 
@@ -240,14 +248,13 @@ def _member_sets(n: int) -> Iterator[tuple[int, ...]]:
 
 
 class _Block:
-    """One member's block for one unanimity mask, indexed once on local
-    atoms: the global of ``rest[j]`` is ``j`` and its copy ``i`` (1, 2) is
-    ``i * r + j``.  ``heads``, ``counts`` and ``occ`` are the
-    :func:`~ltlbd._kernels.horn_index` of its clauses on every copy;
-    ``values`` and ``counts`` are its closure with no global true.  Bit j of
-    ``derived`` says that closure makes global j true, and bit j of ``tied``
-    that it makes every copy of ``rest[j]`` true.  Never changed once
-    built."""
+    """One member's block for one unanimity mask, indexed once on 2r local
+    atoms: the global of ``rest[j]`` is ``j`` and its copy is ``r + j``.
+    ``heads``, ``counts`` and ``occ`` are the
+    :func:`~ltlbd._kernels.horn_index` of its clauses; ``values`` and
+    ``counts`` are its closure with no global true.  Bit j of ``derived``
+    says that closure makes global j true, and bit j of ``tied`` that it
+    makes the copy of ``rest[j]`` true.  Never changed once built."""
 
     __slots__ = ("heads", "counts", "occ", "values", "derived", "tied")
 
@@ -261,12 +268,13 @@ class _Block:
 
 
 class _Chain:
-    """Forward chaining over the quotient of one member set, block by block.
+    """Forward chaining over a quotient, block instance by instance.
 
-    Per block in set order it holds ``values`` and ``counts``, shared with
-    the cached :class:`_Block` (or the state it was copied from) until it
-    first changes them (``owned``); ``gvals`` are the global atoms.  The
-    copies of ``rest[j]`` are ``j + r`` and ``j + 2 * r``."""
+    Per instance (one per member in set order, then the designated copy 1
+    once forked) it holds ``values`` and ``counts``, shared with the cached
+    :class:`_Block` (or the state it was forked from) until it first changes
+    them (``owned``); ``gvals`` are the global atoms.  The copy of
+    ``rest[j]`` is ``j + r`` in every instance."""
 
     __slots__ = ("blocks", "values", "counts", "owned", "gvals", "r")
 
@@ -277,20 +285,22 @@ class _Chain:
         self.owned = [False] * len(blocks)
         self.gvals = [0] * r
 
-    def copy(self) -> "_Chain":
+    def fork(self, b: int) -> "_Chain":
+        """A copy of this chain with one more instance of block ``b``,
+        starting from instance b's current values."""
         new = object.__new__(_Chain)
-        new.blocks, new.r = self.blocks, self.r
-        new.values = self.values[:]
-        new.counts = self.counts[:]
-        new.owned = [False] * len(self.blocks)
+        new.blocks, new.r = self.blocks + [self.blocks[b]], self.r
+        new.values = self.values + [self.values[b]]
+        new.counts = self.counts + [self.counts[b]]
+        new.owned = [False] * len(new.blocks)
         new.gvals = self.gvals[:]
         return new
 
     def extend(self, b: int, facts, pending: list) -> bool:
-        """Chain ``facts`` (local atoms) in block ``b``; False on falsum.
-        A global it makes true goes to ``pending``, and so does the global
-        of a copy it makes true once every copy of that variable over the
-        set is true (``g ∨ ¬c…``)."""
+        """Chain ``facts`` (local atoms) in instance ``b``; False on
+        falsum.  A global it makes true goes to ``pending``, and so does the
+        global of a copy it makes true once that variable's copy is true in
+        every instance (``g ∨ ¬c…``)."""
         values = self.values[b]
         facts = [a for a in facts if not values[a]]
         if not facts:
@@ -307,22 +317,20 @@ class _Chain:
         r, gvals, all_values = self.r, self.gvals, self.values
         for a in trail:
             j = a % r
-            if not gvals[j] and (a < r or all(v[j + r] and v[j + 2 * r]
-                                              for v in all_values)):
+            if not gvals[j] and (a < r or all(v[j + r] for v in all_values)):
                 pending.append(j)
         return True
 
     def settle(self, pending: list) -> bool:
-        """Make each pending global true: a fact in every block, with all
-        its copies (``¬g ∨ c``), until nothing is pending; False on
-        falsum."""
+        """Make each pending global true: a fact in every instance, with
+        its copy (``¬g ∨ c``), until nothing is pending; False on falsum."""
         r, gvals = self.r, self.gvals
         while pending:
             j = pending.pop()
             if gvals[j]:
                 continue
             gvals[j] = 1
-            facts = (j, j + r, j + 2 * r)
+            facts = (j, j + r)
             for b in range(len(self.blocks)):
                 if not self.extend(b, facts, pending):
                     return False
@@ -331,8 +339,7 @@ class _Chain:
 
 class _Encoding:
     """The candidate encodings of one formula and backdoor, solved as the
-    quotient on two world copies per block (module docstring), on
-    integers.
+    quotient (module docstring) on integers.
 
     Each clause of the core is coded once: its backdoor literals as four
     bit masks over pool positions (plain positive, plain negative, always
@@ -340,9 +347,7 @@ class _Encoding:
     ``(slot, plain)`` pairs, and its negative ones as the slots of the
     always-literals and of the plain ones.  Member ``p``'s block for a set
     of unanimity ``mask`` keeps the clauses that no backdoor literal
-    satisfies, on local atoms (:class:`_Block`).  Copy 1 carries the designated member's
-    initial facts; copy 2 stands for copies 2..r+1 of the full encoding, so
-    the rows of copies 1 and 2 are the certificate (:meth:`certificate`).
+    satisfies, on local atoms (:class:`_Block`).
     """
 
     def __init__(self, phi: SnfFormula, backdoor: tuple[str, ...]):
@@ -370,7 +375,7 @@ class _Encoding:
         # (member, unanimity mask) -> its _Block, or None when its closure
         # alone derives falsum; each key is indexed once
         self.blocks: dict = {}
-        # per member: is it dead, and its initial facts as local copy-1 atoms
+        # per member: is it dead, and its initial facts as local copy atoms
         self.dead = [any(v in theta and not theta[v] for v in phi.initial)
                      for theta in self.pool]
         self.units = [[r + slot[v] for v in phi.initial if v not in theta]
@@ -378,14 +383,12 @@ class _Encoding:
 
     def _index(self, p: int, mask: int) -> Optional[_Block]:
         """The reduct of the core under :func:`global_assignment` (plain
-        backdoor atoms read ``p``, always-atoms ``mask``), indexed on every
-        copy.  A clause with no plain literal over ``rest`` is the same on
-        every copy, so it is indexed once."""
+        backdoor atoms read ``p``, always-atoms ``mask``), indexed on the
+        block's local atoms."""
         r = len(self.rest)
-        n_local = 3 * r
         not_p, not_mask = ~p, ~mask
         heads, counts, facts = [], [], []
-        occ = [[] for _ in range(n_local)]
+        occ = [[] for _ in range(2 * r)]
         for (pos_plain, neg_plain, pos_star, neg_star, head_lits, star_body,
              plain_body) in self.codes:
             if (p & pos_plain or not_p & neg_plain or mask & pos_star
@@ -395,18 +398,17 @@ class _Encoding:
                 raise AssertionError(
                     "encoding of a verified backdoor must be Horn")
             head, head_plain = head_lits[0] if head_lits else (-1, False)
+            ci = len(heads)
+            for a in star_body:
+                occ[a].append(ci)
+            for j in plain_body:
+                occ[r + j].append(ci)
+            heads.append(r + head if head_plain else head)
             body = len(star_body) + len(plain_body)
-            for off in (r, 2 * r) if plain_body or head_plain else (0,):
-                ci = len(heads)
-                for a in star_body:
-                    occ[a].append(ci)
-                for j in plain_body:
-                    occ[off + j].append(ci)
-                heads.append(off + head if head_plain else head)
-                counts.append(body)
-                if not body:
-                    facts.append(heads[ci])
-        values = [0] * n_local
+            counts.append(body)
+            if not body:
+                facts.append(heads[ci])
+        values = [0] * (2 * r)
         trail = []
         if not _kernels.horn_forward(heads, counts, occ, values, facts, trail):
             return None
@@ -414,8 +416,8 @@ class _Encoding:
         for a in trail:
             if a < r:
                 derived |= 1 << a
-            elif values[a % r + r] and values[a % r + 2 * r]:
-                tied |= 1 << a % r
+            else:
+                tied |= 1 << a - r
         return _Block(heads, counts, occ, values, derived, tied)
 
     def closure(self, combo: tuple[int, ...]) -> Optional[_Chain]:
@@ -446,12 +448,12 @@ class _Encoding:
 
     def variant(self, shared: _Chain, combo: tuple[int, ...],
                 d: int) -> Optional[_Chain]:
-        """Minimal model of designated member ``d``'s candidate: a copy of
-        the set's closure, extended by ``d``'s units and chained through the
-        globals into every block; None when it is unsatisfiable."""
-        state = shared.copy()
+        """Minimal model of designated member ``d``'s candidate: the set's
+        closure forked with ``d``'s copy 1, extended by ``d``'s units; None
+        when it is unsatisfiable."""
+        state = shared.fork(combo.index(d))
         pending = []
-        if not (state.extend(combo.index(d), self.units[d], pending)
+        if not (state.extend(len(combo), self.units[d], pending)
                 and state.settle(pending)):
             return None
         return state
@@ -459,17 +461,18 @@ class _Encoding:
     def certificate(self, combo: tuple[int, ...], d: int,
                     state: _Chain) -> AssignmentSet:
         """The certificate of a satisfied candidate, from the least model
-        ``state`` of its quotient: copies 1 and 2 of each member in
-        ``combo`` order, with copy 1 of ``d`` as the initial row.  With
-        r = 0 the two rows of a member are equal, and the set keeps one."""
+        ``state`` of its quotient: each member's copy in ``combo`` order,
+        with copy 1 of ``d`` just before ``d``'s own copy as the initial
+        row.  Where those two rows are equal, the set keeps one."""
         r = len(self.rest)
+        copy1 = state.values[-1]
         rows = []
         for p, values in zip(combo, state.values):
-            for lo in (r, 2 * r):
+            for copy in (copy1, values) if p == d else (values,):
                 row = dict(self.pool[p])
-                row.update(zip(self.rest, map(bool, values[lo:lo + r])))
+                row.update(zip(self.rest, map(bool, copy[r:])))
                 rows.append(row)
-        return AssignmentSet(tuple(rows), rows[combo.index(d) * 2])
+        return AssignmentSet(tuple(rows), rows[combo.index(d)])
 
 
 def _unanimity(combo: tuple[int, ...], n_pool: int) -> int:

@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked three-vertex example and its model tables.
+"""Shared fixtures: the worked three-vertex example and its model tables,
+and the record of an evaluation result in ``data/eval_corpus.txt``.
 
 The tables transcribe the known models for the proper colouring (1, 2, 3).
 Cells the constructions leave free are 0, except the colour variables on the
@@ -8,6 +9,7 @@ one colour (colour 1 by convention).
 
 import itertools
 
+from ltlbd.fileio import format_model_table
 from ltlbd.reductions import Graph
 
 TRIANGLE = Graph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
@@ -32,3 +34,23 @@ world 2: 0 1 0 1 0 1 0 0 1 0 0 0 1 0 0 0 1
 world 3: 0 0 1 1 1 0 1 0 1 0 0 0 1 0 0 0 1
 right: 1 0 0 1 1 1 0 0 1 0 0 0 1 0 0 0 1
 """
+
+
+def _bits(row: dict) -> str:
+    return "".join("1" if row[v] else "0" for v in sorted(row))
+
+
+def describe(result) -> dict:
+    """The verdict, the theta set (members and designated as bit strings
+    over the sorted backdoor), the assignment set's rows in order and its
+    initial row (bit strings over the sorted variables) and the model
+    table text of an :class:`~ltlbd.evaluation.EvalResult`."""
+    if not result.satisfiable:
+        return {"verdict": result.verdict}
+    ts, aset = result.theta_set, result.assignment_set
+    return {"verdict": result.verdict,
+            "theta": [_bits(m) for m in ts.members],
+            "designated": _bits(ts.designated),
+            "rows": [_bits(m) for m in aset.members],
+            "initial": _bits(aset.initial),
+            "table": format_model_table(result.interpretation)}

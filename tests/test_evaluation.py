@@ -1,11 +1,13 @@
 import copy
 import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,18 +15,21 @@ from hypothesis import given, settings, strategies as st
 import ltlbd
 
 from ltlbd import _kernels, evaluation
-from ltlbd.detection import HORN, verify_backdoor
+from ltlbd.detection import HORN, detect_horn_backdoor, verify_backdoor
 from ltlbd.evaluation import (EvalResult, ThetaSet, assignments_over,
                               build_horn_encoding, candidate_theta_sets,
                               encoding_size_bound, evaluate_horn_star,
                               global_assignment, propositionalize,
                               relabel_copy)
+from ltlbd.fileio import parse_snf
 from ltlbd.formula import (Clause, Lit, Mod, SnfFormula, reduct,
                            remove_tautologies)
 from ltlbd.gen import planted_instance, random_formula
 from ltlbd.interp import AssignmentSet, from_assignment_set, models
 from ltlbd.oracle import star_sat_oracle
 from ltlbd.propsat import PropCnf, copy_atom, global_atom, horn_sat, plain_atom
+
+from tables import describe
 
 
 def formula(clauses, initial=()):
@@ -241,8 +246,8 @@ class TestAgainstOracle:
             result = evaluate_horn_star(phi, backdoor)
             if not result.satisfiable:
                 continue
-            # the quotient's two copies per block give at most one row per
-            # member plus one for the designated member's copy 1
+            # the quotient's one copy per member gives one row per member
+            # plus one for the designated member's copy 1
             ts, aset = result.theta_set, result.assignment_set
             assert len(aset.members) <= len(ts.members) + 1
             for theta in ts.members:
@@ -288,7 +293,7 @@ def _rows_of(horn_model, phi, backdoor, ts):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(always_only_formulas())
 def test_every_candidate_matches_a_from_scratch_solve(phi):
-    # the factored, incremental two-copy evaluation must answer exactly what
+    # the factored, incremental quotient evaluation must answer exactly what
     # solving each dumped (r+1)-copy encoding on its own answers, in
     # candidate order, down to the certificate's rows; the dumps are built
     # from the encoding's definition and share no code with the solve
@@ -320,6 +325,60 @@ def test_every_candidate_matches_a_from_scratch_solve(phi):
                 assert len(solved) == len(list(candidate_theta_sets(chosen)))
 
 
+def test_committed_certificates_replay():
+    # data/eval_corpus.txt, written by data/make_eval_corpus.py, holds the
+    # verdict, theta set, rows in order and model table of the benchmark's
+    # seed-7 evaluate-star formulas and 300 random formulas, so a change to
+    # any certificate shows here
+    corpus = Path(__file__).parent / "data" / "eval_corpus.txt"
+    entries = [json.loads(line) for line in corpus.read_text().splitlines()]
+    assert len(entries) == 440
+    for entry in entries:
+        name, text, backdoor = (entry.pop(key)
+                                for key in ("name", "formula", "backdoor"))
+        result = evaluate_horn_star(parse_snf(text), backdoor)
+        assert describe(result) == entry, name
+
+
+@st.composite
+def wide_backdoor_formulas(draw):
+    """9-12 variables, a drawn set of 1-4 of them, and clauses with 1-2
+    literals over that set, at most two negative literals over the others
+    and at most one positive: so the set is a strong Horn backdoor."""
+    names = [f"x{i + 1}" for i in range(draw(st.integers(9, 12)))]
+    back = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4,
+                         unique=True))
+    rest = [v for v in names if v not in back]
+    mods = st.sampled_from([Mod.NONE, Mod.STAR])
+
+    def lits(pool, sign, min_size, max_size):
+        return st.lists(st.builds(Lit, st.sampled_from(pool), mods, sign),
+                        min_size=min_size, max_size=max_size)
+
+    clause = st.builds(lambda b, n, p: Clause(b + n + p),
+                       lits(back, st.booleans(), 1, 2),
+                       lits(rest, st.just(False), 0, 2),
+                       lits(rest, st.just(True), 0, 1))
+    clauses = draw(st.lists(clause, min_size=1, max_size=2 * len(names)))
+    initial = draw(st.lists(st.sampled_from(names), min_size=1, max_size=5,
+                            unique=True))
+    return SnfFormula(frozenset({Mod.STAR}), tuple(initial), tuple(clauses),
+                      tuple(names))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(wide_backdoor_formulas())
+def test_wide_formulas_match_the_star_oracle(phi):
+    # variable counts past the exhaustive differentials' 1-8, through the
+    # smallest detected backdoor (size 0-4)
+    backdoor = next(found for k in range(5)
+                    if (found := detect_horn_backdoor(phi, k)) is not None)
+    result = evaluate_horn_star(phi, backdoor)
+    assert result.satisfiable == (star_sat_oracle(phi) is not None)
+    if result.satisfiable:
+        assert models(result.interpretation, phi)
+
+
 def test_failed_designated_variant_leaves_the_shared_closure_intact():
     # init x, ~x | b, ~[*]b with backdoor {b}: b false at the start fails
     # through the initial fact, both singletons fail, and the pair succeeds
@@ -339,10 +398,41 @@ def test_failed_designated_variant_leaves_the_shared_closure_intact():
     assert models(result.interpretation, phi)
 
 
-@pytest.mark.parametrize("make", [lambda: _unsat_gadget(0, 8, 14, 3),
-                                  lambda: planted_instance(
-                                      1, 10, 20, HORN, 2, [Mod.STAR])],
-                         ids=["k3-gadget", "planted-k2"])
+_BLOCK_INSTANCES = pytest.mark.parametrize(
+    "make", [lambda: _unsat_gadget(0, 8, 14, 3),
+             lambda: planted_instance(1, 10, 20, HORN, 2, [Mod.STAR])],
+    ids=["k3-gadget", "planted-k2"])
+
+
+@_BLOCK_INSTANCES
+def test_each_block_holds_one_copy_and_each_kept_clause_once(make):
+    # a (member, mask) block lays out the globals and one copy, 2r local
+    # atoms, and indexes once every clause of the core that no backdoor
+    # literal satisfies under that member and the set's unanimity
+    phi, back = make()
+    core = remove_tautologies(phi)
+    enc = evaluation._Encoding(core, back)
+    r = len(enc.rest)
+    n_blocks = 0
+    for combo in evaluation._member_sets(len(enc.pool)):
+        members = [enc.pool[p] for p in combo]
+        mask = evaluation._unanimity(combo, len(enc.pool))
+        for p in combo:
+            block = enc._index(p, mask)
+            if block is None:
+                continue
+            glob = global_assignment(members, back, enc.pool[p])
+            kept = sum(not any(lit.var in back
+                               and glob.get(lit.var, lit.mod) == lit.positive
+                               for lit in clause)
+                       for clause in core.clauses)
+            assert len(block.values) == 2 * r
+            assert len(block.heads) == kept
+            n_blocks += 1
+    assert n_blocks
+
+
+@_BLOCK_INSTANCES
 def test_chaining_leaves_the_cached_blocks_alone(make):
     # member sets share cached blocks (same member and unanimity mask) and
     # variants share their set's closure; chaining copies a block's counts
@@ -592,7 +682,7 @@ def test_k3_unsat_gadget_tries_every_candidate(seed):
 
 
 def test_k2_unsat_gadget_at_detection_scale():
-    # the k=2 gadget at n = 1000: two copies per block keep each member
+    # the k=2 gadget at n = 1000: one copy per member keeps each member
     # set's encoding linear in n, where r+1 copies made it quadratic
     phi, backdoor = _unsat_gadget(0, 1000, 2000, 2)
     t0 = time.perf_counter()
@@ -626,7 +716,7 @@ def test_k4_unsat_gadget_tries_every_set_in_seconds():
 
 def test_sat_chain_at_detection_scale():
     # init x1, x_i -> x_{i+1} and b1 | b2 | ~x1000: the certificate is read
-    # off the two-copy quotient, so a SAT verdict stays linear in n, like
+    # off the quotient's copies, so a SAT verdict stays linear in n, like
     # the solve
     n = 1000
     chain = [Clause([Lit(f"x{i}", positive=False), Lit(f"x{i + 1}")])
