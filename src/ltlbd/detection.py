@@ -51,11 +51,10 @@ KROM = "krom"
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Undirected graph over the formula variables.  Edges are in search
-    order: self-loops ``(v,)``, which force v into every cover, then pairs
-    ``(u, v)`` with u < v, each group in name order."""
+    """Undirected graph over the formula variables, kept as its edges in
+    search order: self-loops ``(v,)``, which force v into every cover, then
+    pairs ``(u, v)`` with u < v, each group in name order."""
 
-    vertices: frozenset[str]
     edges: tuple[tuple[str, ...], ...]
 
 
@@ -64,7 +63,6 @@ class HittingFamily:
     """Variable sets (size 1..3) of all 3-literal selections from clauses,
     each a name-sorted tuple, without repeats and in name order."""
 
-    universe: frozenset[str]
     sets: tuple[tuple[str, ...], ...]
 
 
@@ -80,8 +78,7 @@ def build_horn_conflict_graph(phi: SnfFormula) -> ConflictGraph:
         pos = [var for var, _, positive in c.literals if positive]
         for a, b in itertools.combinations(pos, 2):
             edges.add((a,) if a == b else (a, b))
-    return ConflictGraph(frozenset(phi.variables),
-                         tuple(sorted(sorted(edges), key=len)))
+    return ConflictGraph(tuple(sorted(sorted(edges), key=len)))
 
 
 def build_krom_hitting_family(phi: SnfFormula) -> HittingFamily:
@@ -91,7 +88,7 @@ def build_krom_hitting_family(phi: SnfFormula) -> HittingFamily:
     """
     sets = {tuple(sorted({a.var, b.var, d.var})) for c in phi.clauses
             for a, b, d in itertools.combinations(c.literals, 3)}
-    return HittingFamily(frozenset(phi.variables), tuple(sorted(sets)))
+    return HittingFamily(tuple(sorted(sets)))
 
 
 def _first_hitting_set(sets: Sequence[tuple[str, ...]],

@@ -36,14 +36,15 @@ It is built on integers, not on :class:`~ltlbd.propsat.Atom`:
 
 * Clause codes.  Each clause of the core is coded once per call: its
   backdoor literals as bit masks over pool positions, its other literals as
-  slots of ``rest``.  A block's reduct depends only on its member θ and the
+  one list of kernel literals over a block's 2r local atoms (the r globals,
+  then its copy).  A block's reduct depends only on its member θ and the
   set's unanimity mask (the always-copies in :func:`global_assignment`), so
   it is a filter over those codes: a clause that some backdoor literal
-  satisfies goes, the others keep their ``rest`` literals.  No
+  satisfies goes, the others keep their literal lists.  No
   :func:`~ltlbd.formula.reduct` runs and no :class:`Clause` is built.
-* Blocks indexed once.  Each (member, mask) block is indexed once per call
-  on 2r local atoms (the r globals, then its copy) with its own closure, no
-  global true.  If that closure derives falsum, every set holding the
+* Blocks indexed once.  Each (member, mask) block's kept lists are indexed
+  once per call by :func:`ltlbd._kernels.horn_index`, with its own closure,
+  no global true.  If that closure derives falsum, every set holding the
   block is unsatisfiable: Horn closure is monotone in the clauses.
 * Chaining across blocks.  A candidate's quotient is its block instances,
   sharing only the globals, and the ties.  Its least model is reached from
@@ -63,8 +64,9 @@ It is built on integers, not on :class:`~ltlbd.propsat.Atom`:
   variant; a variant whose designated member falsifies a backdoor initial
   fact (a dead candidate, holding an empty clause) needs no solve, and a
   set whose variants are all dead indexes no block.
-* One Horn kernel.  Every closure and extension runs
-  :func:`ltlbd._kernels.horn_forward`, the same propagator behind
+* One Horn kernel.  Every block is indexed by
+  :func:`ltlbd._kernels.horn_index` and every closure and extension runs
+  :func:`ltlbd._kernels.horn_forward`, the same index and propagator behind
   :func:`~ltlbd.propsat.horn_sat`.
 
 On SAT the certificate is the quotient's rows, each member's copy and the
@@ -343,11 +345,12 @@ class _Encoding:
 
     Each clause of the core is coded once: its backdoor literals as four
     bit masks over pool positions (plain positive, plain negative, always
-    positive, always negative), its positive literals over ``rest`` as
-    ``(slot, plain)`` pairs, and its negative ones as the slots of the
-    always-literals and of the plain ones.  Member ``p``'s block for a set
-    of unanimity ``mask`` keeps the clauses that no backdoor literal
-    satisfies, on local atoms (:class:`_Block`).
+    positive, always negative), and its literals over ``rest`` as one list
+    of :func:`~ltlbd._kernels.horn_index` literals on local atoms: the
+    always-literal of ``rest[j]`` is ±(j+1), its plain literal ±(r+j+1).
+    That map is injective on (variable, modality, sign), so each list holds
+    distinct literals.  Member ``p``'s block for a set of unanimity ``mask``
+    keeps the clauses that no backdoor literal satisfies (:class:`_Block`).
     """
 
     def __init__(self, phi: SnfFormula, backdoor: tuple[str, ...]):
@@ -360,18 +363,15 @@ class _Encoding:
         self.codes = []
         for clause in phi.clauses:
             masks = [0, 0, 0, 0]
-            heads, star_body, plain_body = [], [], []
+            lits = []
             for var, mod, positive in clause:
                 if var in bit:
                     # admitted input holds no [P] or [F] literal
                     masks[(mod is not _NONE) * 2 + (not positive)] |= bit[var]
-                elif positive:
-                    heads.append((slot[var], mod is _NONE))
-                elif mod is _NONE:
-                    plain_body.append(slot[var])
                 else:
-                    star_body.append(slot[var])
-            self.codes.append((*masks, heads, star_body, plain_body))
+                    atom = slot[var] + (r if mod is _NONE else 0) + 1
+                    lits.append(atom if positive else -atom)
+            self.codes.append((*masks, lits))
         # (member, unanimity mask) -> its _Block, or None when its closure
         # alone derives falsum; each key is indexed once
         self.blocks: dict = {}
@@ -387,27 +387,15 @@ class _Encoding:
         block's local atoms."""
         r = len(self.rest)
         not_p, not_mask = ~p, ~mask
-        heads, counts, facts = [], [], []
-        occ = [[] for _ in range(2 * r)]
-        for (pos_plain, neg_plain, pos_star, neg_star, head_lits, star_body,
-             plain_body) in self.codes:
-            if (p & pos_plain or not_p & neg_plain or mask & pos_star
-                    or not_mask & neg_star):
-                continue
-            if len(head_lits) > 1:
-                raise AssertionError(
-                    "encoding of a verified backdoor must be Horn")
-            head, head_plain = head_lits[0] if head_lits else (-1, False)
-            ci = len(heads)
-            for a in star_body:
-                occ[a].append(ci)
-            for j in plain_body:
-                occ[r + j].append(ci)
-            heads.append(r + head if head_plain else head)
-            body = len(star_body) + len(plain_body)
-            counts.append(body)
-            if not body:
-                facts.append(heads[ci])
+        kept = [lits for pos_plain, neg_plain, pos_star, neg_star, lits
+                in self.codes
+                if not (p & pos_plain or not_p & neg_plain or mask & pos_star
+                        or not_mask & neg_star)]
+        try:
+            heads, counts, occ, facts = _kernels.horn_index(2 * r, kept)
+        except ValueError:
+            raise AssertionError(
+                "encoding of a verified backdoor must be Horn") from None
         values = [0] * (2 * r)
         trail = []
         if not _kernels.horn_forward(heads, counts, occ, values, facts, trail):

@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from ltlbd.detection import (HORN, KROM, ConflictGraph, HittingFamily,
                              detect_krom_backdoor, hitting_set_3,
                              minimal_backdoor_bruteforce, verify_backdoor,
                              verify_backdoor_reference, vertex_cover)
+from ltlbd.fileio import parse_snf
 from ltlbd.formula import (Clause, Lit, Mod, SnfFormula, _local_choices,
                            assignment_modalities, remove_tautologies)
 from ltlbd.gen import random_formula
@@ -73,8 +76,7 @@ class TestHittingFamily:
 
 
 class TestCoverAndHitting:
-    triangle = ConflictGraph(frozenset("abc"),
-                             (("a", "b"), ("a", "c"), ("b", "c")))
+    triangle = ConflictGraph((("a", "b"), ("a", "c"), ("b", "c")))
 
     def test_triangle_bounds(self):
         assert vertex_cover(self.triangle, 1) is None
@@ -82,36 +84,35 @@ class TestCoverAndHitting:
         assert got is not None and len(got) <= 2 and covers(self.triangle, got)
 
     def test_self_loop_forced(self):
-        g = ConflictGraph(frozenset("ab"), (("a",), ("a", "b")))
+        g = ConflictGraph((("a",), ("a", "b")))
         assert vertex_cover(g, 1) == frozenset({"a"})
 
     def test_hitting_simple(self):
-        fam = HittingFamily(frozenset("abcde"),
-                            (("a", "b", "c"), ("a", "d", "e")))
+        fam = HittingFamily((("a", "b", "c"), ("a", "d", "e")))
         assert hitting_set_3(fam, 1) == frozenset({"a"})
 
     def test_hitting_two_disjoint_units(self):
-        fam = HittingFamily(frozenset("ab"), (("a",), ("b",)))
+        fam = HittingFamily((("a",), ("b",)))
         assert hitting_set_3(fam, 1) is None
 
     def test_forced_vertices_over_budget(self):
-        g = ConflictGraph(frozenset("ab"), (("a",), ("b",)))
+        g = ConflictGraph((("a",), ("b",)))
         assert vertex_cover(g, 1) is None
         assert vertex_cover(g, 2) == frozenset("ab")
 
     def test_empty_set_is_never_hit(self):
-        fam = HittingFamily(frozenset("ab"), ((), ("a",)))
+        fam = HittingFamily(((), ("a",)))
         for k in range(3):
             assert hitting_set_3(fam, k) is None
 
     def test_deep_hitting_set_does_not_recurse(self):
-        fam = HittingFamily(frozenset(), tuple(sorted(
+        fam = HittingFamily(tuple(sorted(
             (f"a{i}", f"b{i}", f"c{i}") for i in range(3000))))
         got = hitting_set_3(fam, 3000)
         assert got is not None and len(got) == 3000 and hits(fam, got)
 
     def test_deep_vertex_cover_does_not_recurse(self):
-        g = ConflictGraph(frozenset(), tuple(sorted(
+        g = ConflictGraph(tuple(sorted(
             (f"a{i}", f"b{i}") for i in range(3000))))
         got = vertex_cover(g, 3000)
         assert got is not None and len(got) == 3000 and covers(g, got)
@@ -124,7 +125,7 @@ class TestCoverAndHitting:
             for _ in range(rng.randint(1, 10)):
                 pair = rng.sample(names, 2)
                 edges.add(tuple(sorted(pair)))
-            g = ConflictGraph(frozenset(names), tuple(sorted(edges)))
+            g = ConflictGraph(tuple(sorted(edges)))
             best = next(size for size in range(len(names) + 1)
                         for combo in [None]
                         if any(covers(g, c)
@@ -141,7 +142,7 @@ class TestCoverAndHitting:
             names = [f"v{i}" for i in range(rng.randint(3, 7))]
             sets = {tuple(sorted(rng.sample(names, rng.randint(1, 3))))
                     for _ in range(rng.randint(1, 8))}
-            fam = HittingFamily(frozenset(names), tuple(sorted(sets)))
+            fam = HittingFamily(tuple(sorted(sets)))
             best = next(size for size in range(len(names) + 1)
                         if any(hits(fam, c)
                                for c in itertools.combinations(names, size)))
@@ -256,7 +257,7 @@ def bipartite_with_triangles(left, right, triangles):
     for t in range(0, len(tri), 3):
         a, b, c = tri[t:t + 3]
         edges |= {tuple(sorted(e)) for e in ((a, b), (b, c), (a, c))}
-    return ConflictGraph(frozenset(names), tuple(sorted(edges)))
+    return ConflictGraph(tuple(sorted(edges)))
 
 
 def centres_with_pairs(centres, pairs, wide):
@@ -271,7 +272,7 @@ def centres_with_pairs(centres, pairs, wide):
     for w in range(2 * pairs, len(rest), 5):
         sets |= {tuple(sorted(t))
                  for t in itertools.combinations(rest[w:w + 5], 3)}
-    return HittingFamily(frozenset(names), tuple(sorted(sets)))
+    return HittingFamily(tuple(sorted(sets)))
 
 
 class TestExclusion:
@@ -575,3 +576,21 @@ class TestMinimalBruteforce:
                     best = len(minimal_backdoor_bruteforce(core, target))
                     for k in range(0, best + 2):
                         assert (detect(phi, k) is not None) == (k >= best)
+
+
+def test_committed_answers_replay():
+    # data/detect_corpus.txt, written by data/make_detect_corpus.py, holds
+    # the set or NONE each detector returns at k = min - 1 and k = min on
+    # 300 random formulas under all eight operator sets, so a change to any
+    # returned set shows here
+    corpus = Path(__file__).parent / "data" / "detect_corpus.txt"
+    entries = [json.loads(line) for line in corpus.read_text().splitlines()]
+    assert len(entries) == 300
+    for entry in entries:
+        phi = parse_snf(entry["formula"])
+        for target, detect in ((HORN, detect_horn_backdoor),
+                               (KROM, detect_krom_backdoor)):
+            for k, want in entry[target]:
+                found = detect(phi, k)
+                assert (None if found is None else sorted(found)) == want, (
+                    entry["name"], target, k)

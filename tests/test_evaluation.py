@@ -408,11 +408,18 @@ _BLOCK_INSTANCES = pytest.mark.parametrize(
 def test_each_block_holds_one_copy_and_each_kept_clause_once(make):
     # a (member, mask) block lays out the globals and one copy, 2r local
     # atoms, and indexes once every clause of the core that no backdoor
-    # literal satisfies under that member and the set's unanimity
+    # literal satisfies under that member and the set's unanimity: read back
+    # from its heads and occurrence lists, its clauses are the reduct of the
+    # core's clauses under global_assignment, in order, with the global of
+    # rest[j] at j and its copy at r + j
     phi, back = make()
     core = remove_tautologies(phi)
+    clauses_only = SnfFormula(core.operators, (), core.clauses,
+                              core.variables)
     enc = evaluation._Encoding(core, back)
     r = len(enc.rest)
+    local = {(v, mod): j + (r if mod is Mod.NONE else 0)
+             for j, v in enumerate(enc.rest) for mod in (Mod.STAR, Mod.NONE)}
     n_blocks = 0
     for combo in evaluation._member_sets(len(enc.pool)):
         members = [enc.pool[p] for p in combo]
@@ -428,6 +435,14 @@ def test_each_block_holds_one_copy_and_each_kept_clause_once(make):
                        for clause in core.clauses)
             assert len(block.values) == 2 * r
             assert len(block.heads) == kept
+            indexed = [{(a, False) for a in range(2 * r) if ci in block.occ[a]}
+                       | ({(head, True)} if head >= 0 else set())
+                       for ci, head in enumerate(block.heads)]
+            reduced = reduct(clauses_only, glob)
+            assert not reduced.is_false
+            assert indexed == [{(local[lit.var, lit.mod], lit.positive)
+                                for lit in clause}
+                               for clause in reduced.clauses]
             n_blocks += 1
     assert n_blocks
 
