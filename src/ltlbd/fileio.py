@@ -246,7 +246,7 @@ def parse_model_table(text: str) -> FiniteWindowInterpretation:
     if order is None or not worlds or not {"left", "right"} <= once.keys():
         raise ParseError("model table needs vars, left, worlds, and right")
     lo, hi = min(worlds), max(worlds)
-    if set(worlds) != set(range(lo, hi + 1)):
+    if hi - lo + 1 != len(worlds):  # the keys are distinct ints
         raise ParseError("window worlds must be contiguous")
     start = once.get("start", 0 if lo <= 0 <= hi else lo)
     return FiniteWindowInterpretation(
@@ -268,6 +268,7 @@ def parse_dimacs_col(text: str) -> Graph:
             if n is not None:
                 raise ParseError("duplicate problem line", ln)
             n = _int(parts[2], ln)
+            _int(parts[3], ln)  # the edge count, not checked against the e lines
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", ln)

@@ -2,15 +2,15 @@
 
 Atoms are structural: a plain stand-in for a variable, a global stand-in for
 its always-literal, or a labelled world copy.  Solvers: linear Horn-SAT with
-minimal models, implication-graph 2-SAT, an exhaustive scanner used as a test
-oracle, and a complete clause search that returns the lexicographically
-first model in canonical atom order.  Every solver and
+minimal models, an exhaustive scanner used as a test oracle, and a complete
+clause search that returns the lexicographically first model in canonical
+atom order; 2-SAT is that search behind a Krom check.  Every solver and
 :func:`to_dimacs` number the atoms in one place (``_numbered``), which turns
 each clause into a list of integer literals ±(atom+1), the one clause form
 of :mod:`ltlbd._kernels`; Horn-SAT, the scanner and the search run a kernel
-on those lists, and 2-SAT and :func:`to_dimacs` read them directly.  The
-oracles of :mod:`ltlbd.oracle` build integer clauses themselves and call the
-kernels directly, without atoms.
+on those lists, and :func:`to_dimacs` reads them directly.  The oracles of
+:mod:`ltlbd.oracle` build integer clauses themselves and call the kernels
+directly, without atoms.
 """
 
 from __future__ import annotations
@@ -130,87 +130,12 @@ def horn_sat(cnf: PropCnf) -> Model:
 
 
 def two_sat(cnf: PropCnf) -> Model:
-    """2-SAT via strongly connected components of the implication graph.
-
-    Unsatisfiable iff some atom shares a component with its negation; the
-    model sets an atom true iff its node's component is found before the
-    negation's (components complete in reverse topological order).
-    """
+    """2-SAT: :func:`solve_cnf` on a Krom formula, so the model is the
+    lexicographically first one in canonical atom order.  Raises
+    ValueError on a clause of three or more literals."""
     if not cnf.is_krom:
         raise ValueError("two_sat requires a Krom formula")
-    atoms, clauses = _numbered(cnf)
-
-    def node(lit):  # 2i for literal i+1, 2i+1 for its negation
-        return 2 * lit - 2 if lit > 0 else -2 * lit - 1
-
-    adj: list[list[int]] = [[] for _ in range(2 * len(atoms))]
-    for c in clauses:
-        if len(c) == 0:
-            return None
-        if len(c) == 1:
-            adj[node(-c[0])].append(node(c[0]))
-        else:
-            a, b = c
-            adj[node(-a)].append(node(b))
-            adj[node(-b)].append(node(a))
-
-    comp = _tarjan_scc(adj)
-    model = {}
-    for i, a in enumerate(atoms):
-        cp, cn = comp[2 * i], comp[2 * i + 1]
-        if cp == cn:
-            return None
-        model[a] = cp < cn
-    return model
-
-
-def _tarjan_scc(adj: list[list[int]]) -> list[int]:
-    """Component ids in completion order, iteratively (no recursion)."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
-    stack: list[int] = []
-    counter = 0
-    n_comp = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ei < len(adj[v]):
-                w = adj[v][ei]
-                ei += 1
-                if index[w] == -1:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comp
-                    if w == v:
-                        break
-                n_comp += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comp
+    return solve_cnf(cnf)
 
 
 def solve_cnf(cnf: PropCnf) -> Model:

@@ -534,7 +534,9 @@ class TestGen:
     @pytest.mark.parametrize("size", [
         ["--vars", "3", "--clauses", "-2", "--backdoor-size", "1"],
         ["--vars", "0", "--clauses", "3", "--backdoor-size", "0"],
-    ], ids=["negative-clauses", "clauses-without-variables"])
+        ["--vars", "3", "--clauses", "3", "--backdoor-size", "4"],
+    ], ids=["negative-clauses", "clauses-without-variables",
+            "backdoor-over-variables"])
     def test_bad_size_is_an_input_error(self, tmp_path, capsys, size):
         out = tmp_path / "bad.snf"
         assert main(["gen", *size, "--plant", "horn", "--ops", "*",
@@ -556,3 +558,75 @@ class TestGen:
         assert capsys.readouterr().err == (
             f"error: at most {GEN_SIZE_LIMIT} variables and clauses\n")
         assert not out.exists()
+
+    def test_ops_separators_are_skipped(self, tmp_path, capsys):
+        out = str(tmp_path / "ops.snf")
+        assert main(["gen", "--vars", "4", "--clauses", "5", "--plant", "horn",
+                     "--backdoor-size", "1", "--ops", " F, P ", "--seed", "1",
+                     "--out", out]) == 0
+        assert parse_snf(Path(out).read_text()).operators == {Mod.FUT,
+                                                              Mod.PAST}
+        capsys.readouterr()
+
+    def test_unknown_ops_character_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "ops.snf"
+        assert main(["gen", "--vars", "4", "--clauses", "5", "--plant", "horn",
+                     "--backdoor-size", "1", "--ops", "F;P", "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown operator character ';'\n")
+        assert not out.exists()
+
+
+def assert_one_error_line(capsys) -> None:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("table", [
+        "vars: x\nleft: 0\nworld 0: 1\nworld 1000000000000: 1\nright: 0\n",
+        "vars: x\nleft 0\n",
+        "vars: x\nvars: x\n",
+        "left: 0\nvars: x\n",
+        "vars: x\nworld 1: 0\nworld 1: 1\n",
+        "vars: x\nmiddle: 0\n",
+        "vars: x\nworld one: 0\n",
+    ], ids=["distant-worlds", "no-colon", "second-vars", "row-before-vars",
+            "repeated-world", "unknown-row", "world-not-integer"])
+    def test_model_table_is_an_input_error(self, simple, tmp_path, capsys,
+                                           table):
+        model = write(tmp_path, "bad.model", table)
+        t0 = time.perf_counter()
+        assert main(["check-model", simple, model]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("graph", [
+        "p edge 3 0\np edge 3 0\n", "p edge 3 1\ne 1\n",
+        "p edge 3 1\nx 1 2\n", "c no problem line\n", "p edge 3 x\n",
+    ], ids=["second-p", "short-e", "unknown-line", "no-p", "m-not-integer"])
+    def test_graph_is_an_input_error(self, tmp_path, capsys, graph):
+        col = write(tmp_path, "bad.col", graph)
+        out = tmp_path / "bad.snf"
+        assert main(["reduce", col, "--target", "star-krom",
+                     "--out", str(out)]) == 2
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
+
+def test_package_import_loads_no_cli_module():
+    # a fresh `import ltlbd` is the whole setup of the reduce-3col and
+    # gen-large benchmark workloads, so the command-line and file modules
+    # load only on demand
+    src = Path(ltlbd.__file__).parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, ltlbd; print(*sorted(sys.modules))"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "ltlbd.propsat" in loaded
+    assert not loaded & {"ltlbd.cli", "ltlbd.fileio", "ltlbd.gen", "argparse"}

@@ -1,6 +1,7 @@
 import random
 import re
 import string
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -394,6 +395,33 @@ class TestModelTable:
             parse_model_table("vars: x x\nleft: 0 0\nworld 0: 1 1\n"
                               "right: 0 0\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("vars: x\nleft 0\n", "expected 'row: ...' (line 2, col 1)"),
+        ("vars: x\nvars: x\n", "duplicate vars line (line 2)"),
+        ("left: 0\nvars: x\n", "vars line must come first (line 1)"),
+        ("vars: x\nworld 1: 0\nworld 1: 1\n", "duplicate world 1 (line 3)"),
+        ("vars: x\nmiddle: 0\n", "unknown row 'middle' (line 2, col 1)"),
+        ("vars: x\nstart: one\n",
+         "expected an integer, got 'one' (line 2)"),
+        ("vars: x\nworld one: 0\n",
+         "expected an integer, got 'one' (line 2)"),
+    ], ids=["no-colon", "second-vars", "row-before-vars", "repeated-world",
+            "unknown-row", "start-not-integer", "world-not-integer"])
+    def test_malformed_line_is_refused(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_model_table(text)
+        assert str(err.value) == message
+
+    def test_distant_worlds_are_refused_at_once(self):
+        # the contiguity check counts the worlds: it builds nothing over the
+        # span between them, which here is 10^12 worlds wide
+        text = ("vars: x\nleft: 0\nworld 0: 1\nworld 1000000000000: 1\n"
+                "right: 0\n")
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match="window worlds must be contiguous"):
+            parse_model_table(text)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_repeated_rows_are_rejected(self):
         rows = ["vars: x", "start: 0", "left: 0", "world 0: 1", "right: 1"]
         for i in (1, 2, 4):
@@ -421,3 +449,23 @@ class TestDimacsCol:
             parse_dimacs_col("p edge 3 1\ne 1 9\n")
         with pytest.raises(ParseError):
             parse_dimacs_col("p graph 3 1\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("p edge 3 0\np edge 3 0\n", "duplicate problem line (line 2)"),
+        ("p edge 3 1\ne 1\n", "malformed edge line 'e 1' (line 2)"),
+        ("p edge 3 1\ne 1 two\n", "expected an integer, got 'two' (line 2)"),
+        ("p edge 3 1\nx 1 2\n", "unknown line 'x 1 2' (line 2, col 1)"),
+        ("c no problem line\n", "missing problem line"),
+        ("p edge three 0\n", "expected an integer, got 'three' (line 1)"),
+        # the edge count is read, though not checked against the e lines
+        ("p edge 3 x\n", "expected an integer, got 'x' (line 1)"),
+    ], ids=["second-p", "short-e", "e-not-integer", "unknown-line",
+            "no-p", "n-not-integer", "m-not-integer"])
+    def test_malformed_line_is_refused(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_dimacs_col(text)
+        assert str(err.value) == message
+
+    def test_edge_count_need_not_match_the_edges(self):
+        g = parse_dimacs_col("p edge 3 5\ne 1 2\n")
+        assert g.n == 3 and g.sorted_edges() == [(1, 2)]

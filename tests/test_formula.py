@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -295,3 +296,14 @@ class TestValidate:
                          (Clause([lit("x")]),))
         issues = validate_normal_form(phi)
         assert [v.kind for v in issues] == ["initial-not-in-clauses"]
+
+
+@pytest.mark.parametrize("ops,initial,clauses,message", [
+    ({Mod.STAR}, ("1x",), (), "invalid variable name: '1x'"),
+    ({Mod.STAR}, (), (Clause([lit("a-b", Mod.STAR)]),),
+     "invalid variable name: 'a-b'"),
+    ({Mod.NONE}, (), (), "operator set may only contain"),
+], ids=["initial-name", "clause-name", "plain-operator"])
+def test_invalid_formula_is_refused(ops, initial, clauses, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SnfFormula(frozenset(ops), initial, clauses)

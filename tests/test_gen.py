@@ -69,3 +69,13 @@ def test_size_over_the_limit_is_refused_before_generating(n_vars, n_clauses):
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+@pytest.mark.parametrize("target,size,message", [
+    ("cnf", 0, "unknown target class: cnf"),
+    (HORN, -1, "backdoor size must be between 0 and the variable count"),
+    (KROM, 4, "backdoor size must be between 0 and the variable count"),
+], ids=["unknown-target", "negative-size", "size-over-vars"])
+def test_bad_planting_is_refused(target, size, message):
+    with pytest.raises(ValueError, match=message):
+        planted_instance(0, 3, 3, target, size, {Mod.STAR})

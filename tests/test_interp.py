@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -33,6 +34,42 @@ def reference_holds(m, world, lit):
     else:
         value = all(col[z] for z in span if z < world)
     return value if lit.positive else not value
+
+
+@pytest.mark.parametrize("window,lo,start,right,message", [
+    ((), 0, 0, {"p": True}, "window must contain at least one world"),
+    (({"p": True},), 0, 1, {"p": True},
+     "start world must lie inside the window"),
+    (({"p": True}, {"q": True}), 0, 0, {"p": True},
+     "all worlds must assign the same variables"),
+    (({"p": True},), 0, 0, {"q": True},
+     "all worlds must assign the same variables"),
+], ids=["empty-window", "start-outside", "window-rows-differ",
+        "right-row-differs"])
+def test_malformed_interpretation_is_refused(window, lo, start, right,
+                                             message):
+    with pytest.raises(ValueError, match=message):
+        FiniteWindowInterpretation({"p": False}, window, lo, right, start)
+
+
+def test_unknown_variable_is_refused():
+    m = interp({"p": (1, [1], 1)})
+    with pytest.raises(ValueError, match="unknown variable 'q'"):
+        holds_literal(m, 0, Lit("q"))
+    phi = SnfFormula(frozenset({Mod.STAR}), (), (Clause([Lit("p"), Lit("q")]),))
+    with pytest.raises(ValueError,
+                       match=re.escape("interpretation lacks variables: ['q']")):
+        models(m, phi)
+
+
+@pytest.mark.parametrize("members,initial,message", [
+    ((), {}, "assignment set must be nonempty"),
+    (({"p": True},), {"p": False},
+     "designated assignment must belong to the set"),
+], ids=["empty", "designated-outside"])
+def test_malformed_assignment_set_is_refused(members, initial, message):
+    with pytest.raises(ValueError, match=message):
+        AssignmentSet(members, initial)
 
 
 def test_plain_always_future_past_basics():

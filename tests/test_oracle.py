@@ -1,16 +1,21 @@
 import itertools
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ltlbd.fileio import format_model_table, parse_dimacs_col, parse_snf
 from ltlbd.formula import Clause, Lit, Mod, SnfFormula, remove_tautologies
 from ltlbd.gen import random_formula
 from ltlbd.interp import (AssignmentSet, FiniteWindowInterpretation,
                           from_assignment_set, models)
 from ltlbd.oracle import (SCAN_VAR_LIMIT, _star_by_encoding, _star_by_scan,
                           star_sat_oracle, window_sat_oracle)
+from ltlbd.reductions import (STAR_KROM, coloring_from_model,
+                              threecol_to_fp_horn, threecol_to_star_krom)
 
 
 @st.composite
@@ -283,3 +288,41 @@ class TestWindowOracle:
         phi = formula([Clause([Lit("x")])], ops={Mod.FUT})
         with pytest.raises(ValueError):
             window_sat_oracle(phi, -1)
+
+
+def test_committed_witnesses_replay():
+    # data/oracle_corpus.txt, written by data/make_oracle_corpus.py, holds
+    # the model table or null that the star oracle (both strategies) and
+    # the window oracle at widths 0-3 return on 540 formulas, and the
+    # witness and read-back colouring of the benchmark's 48 seed-7
+    # reduce-3col graphs, so a change to any witness shows here
+    corpus = Path(__file__).parent / "data" / "oracle_corpus.txt"
+    entries = [json.loads(line) for line in corpus.read_text().splitlines()]
+    assert len(entries) == 588
+    star = {"star": star_sat_oracle, "scan": _star_by_scan,
+            "encoding": _star_by_encoding}
+
+    def table(witness):
+        return None if witness is None else format_model_table(witness)
+
+    for entry in entries:
+        name = entry["name"]
+        if "formula" in entry:
+            phi = parse_snf(entry["formula"])
+            for call, want in entry["answers"].items():
+                witness = (window_sat_oracle(phi, int(call[len("window "):]))
+                           if call.startswith("window ") else star[call](phi))
+                assert table(witness) == want, (name, call)
+            continue
+        graph, target = parse_dimacs_col(entry["graph"]), entry["target"]
+        if target == STAR_KROM:
+            witness = star_sat_oracle(threecol_to_star_krom(graph)[0])
+        else:
+            witness = window_sat_oracle(threecol_to_fp_horn(graph)[0],
+                                        graph.n + 2)
+        assert table(witness) == entry["table"], name
+        colouring = (None if witness is None
+                     else coloring_from_model(graph, witness, target))
+        assert (None if colouring is None else
+                [colouring[i] for i in range(1, graph.n + 1)]) == (
+                    entry["colouring"]), name

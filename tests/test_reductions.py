@@ -33,6 +33,14 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(3, frozenset({(1, 4)}))
 
+    def test_graph_without_vertices_rejected(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            Graph(0, frozenset())
+
+    def test_brute_3col_refuses_over_10_vertices(self):
+        with pytest.raises(ValueError, match="limited to 10 vertices"):
+            brute_3col(Graph(11, frozenset()))
+
     def test_brute_3col(self):
         assert brute_3col(TRIANGLE) == {1: 1, 2: 2, 3: 3}
         assert brute_3col(K4) is None
@@ -178,6 +186,14 @@ class TestRoundTrips:
     def test_improper_colouring_rejected(self):
         with pytest.raises(ValueError):
             model_from_coloring(TRIANGLE, {1: 1, 2: 1, 3: 2}, STAR_KROM)
+
+    def test_unknown_target_rejected(self):
+        colouring = {1: 1, 2: 2, 3: 3}
+        with pytest.raises(ValueError, match="unknown reduction target: x"):
+            model_from_coloring(TRIANGLE, colouring, "x")
+        m = model_from_coloring(TRIANGLE, colouring, STAR_KROM)
+        with pytest.raises(ValueError, match="unknown reduction target: x"):
+            coloring_from_model(TRIANGLE, m, "x")
 
     def test_non_model_rejected(self):
         # corrupting the vertex-1 column leaves no world where it is false
