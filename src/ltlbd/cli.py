@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from .detection import HORN, KROM, detect_horn_backdoor, detect_krom_backdoor
-from .evaluation import BackdoorError, evaluate_horn_star
+from .evaluation import BackdoorError, candidate_encodings, evaluate_horn_star
 from .fileio import (_OP_TOKEN, ParseError, format_model_table, format_snf,
                      parse_dimacs_col, parse_model_table, parse_snf)
 from .formula import VAR_NAME_RE, Mod, validate_normal_form
@@ -96,19 +96,15 @@ def cmd_evaluate(args) -> int:
         if not VAR_NAME_RE.match(name):
             raise ParseError(f"invalid variable name {name!r}")
     backdoor = tuple(dict.fromkeys(names))
-    dumps = []
-    on_candidate = None
+    result = evaluate_horn_star(phi, backdoor)
     if args.dump_cnf:
-        def on_candidate(ts, cnf):
-            idx = len(dumps)
-            text, names = to_dimacs(cnf)
+        stream = candidate_encodings(phi, backdoor)
+        for idx, (_, cnf) in zip(range(result.tried), stream):
+            text, atoms = to_dimacs(cnf)
             Path(f"{args.dump_cnf}.{idx}.cnf").write_text(
                 text, encoding="utf-8")
             Path(f"{args.dump_cnf}.{idx}.names").write_text(
-                "\n".join(names) + "\n", encoding="utf-8")
-            dumps.append(idx)
-
-    result = evaluate_horn_star(phi, backdoor, on_candidate=on_candidate)
+                "\n".join(atoms) + "\n", encoding="utf-8")
     stats = dict(file=args.file, backdoor=",".join(backdoor) or "(empty)",
                  vars=len(phi.variables), clauses=len(phi.clauses),
                  backdoor_size=len(backdoor))
@@ -228,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated variable names (empty for none)")
     p.add_argument("--model-out")
     p.add_argument("--dump-cnf", metavar="PREFIX",
-                   help="dump every candidate encoding as DIMACS + name table")
+                   help="dump each tried candidate's encoding as DIMACS + names")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("solve", help="run a brute-force oracle")

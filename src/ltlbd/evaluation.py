@@ -72,14 +72,12 @@ It is built on integers, not on :class:`~ltlbd.propsat.Atom`:
 On SAT the certificate is the quotient's rows, each member's copy and the
 designated copy 1: the distinct rows of the full encoding's least model.
 
-The full (r+1)-copy encoding is built only when asked for, for
-``on_candidate`` and :func:`build_horn_encoding`, as a :class:`PropCnf` from
-its definition: per member, :func:`~ltlbd.formula.reduct` →
+:func:`candidate_encodings` yields each candidate's full (r+1)-copy
+encoding, built from its definition: per member, :func:`reduct` →
 :func:`propositionalize` → :func:`relabel_copy` for copies 1..r+1, then the
-designated member's initial facts (``()`` for each falsified backdoor fact),
-then the consistency clauses.  It shares no integer code with the solve, so
-its minimal model's rows are the certificate, a cross-check of the quotient
-and its layout.
+designated member's initial facts (``()`` if falsified), then the
+consistency clauses.  It shares no integer code with the solve, so its
+minimal model's rows are the certificate, a cross-check of the quotient.
 """
 
 from __future__ import annotations
@@ -109,13 +107,22 @@ class BackdoorError(ValueError):
     :func:`~ltlbd.detection.verify_backdoor` for the Horn class."""
 
 
-def _check_backdoor(phi: SnfFormula, back: tuple[str, ...]) -> None:
-    unknown = sorted(set(back) - set(phi.variables))
+def _admit(phi: SnfFormula, backdoor: Iterable[str]) -> tuple:
+    """The tautology-free core and the sorted backdoor, once admitted."""
+    check_operators(phi, (Mod.STAR,))
+    core = remove_tautologies(phi)
+    back = tuple(sorted(set(backdoor)))
+    unknown = sorted(set(back) - set(core.variables))
     if unknown:
         raise BackdoorError("supplied set names variables the formula "
                             "lacks: " + ", ".join(unknown))
-    if not verify_backdoor(phi, back, HORN):
+    if not verify_backdoor(core, back, HORN):
         raise BackdoorError("supplied set is not a strong Horn backdoor")
+    if len(back) > EVAL_BACKDOOR_LIMIT:
+        raise ValueError(f"backdoor evaluation limited to "
+                         f"{EVAL_BACKDOOR_LIMIT} backdoor variables, "
+                         f"got {len(back)}")
+    return core, back
 
 
 @dataclass(frozen=True)
@@ -145,16 +152,16 @@ class EvalResult:
       that copy 1 as the initial row.
     * ``interpretation``: that set laid out by
       :func:`~ltlbd.interp.from_assignment_set`; it models the formula.
-
-    The least model of the candidate's full (r+1)-copy encoding is one call
-    away: ``horn_sat(build_horn_encoding(remove_tautologies(phi), backdoor,
-    result.theta_set))``.
+    * ``tried``: how many candidates were tried, in order, up to and
+      including the satisfied one (all on UNSAT).  The satisfied one's full
+      encoding is the ``tried``-th item of :func:`candidate_encodings`.
     """
 
     verdict: str
     theta_set: Optional[ThetaSet] = None
     assignment_set: Optional[AssignmentSet] = None
     interpretation: Optional[FiniteWindowInterpretation] = None
+    tried: int = 0
 
     @property
     def satisfiable(self) -> bool:
@@ -502,33 +509,25 @@ def _full_encoding(phi: SnfFormula, back: tuple[str, ...],
     return tuple(blocks), tuple(ties)
 
 
-def _with_facts(shared: tuple, initial: tuple[str, ...],
-                designated: dict) -> PropCnf:
-    """One candidate's (r+1)-copy encoding: the blocks, then the designated
-    member's initial facts, then the ties.  A fact the member's backdoor
-    value falsifies is an empty clause (a dead candidate), any other a unit
-    on copy 1 of its block."""
-    blocks, ties = shared
-    label = _theta_label(designated)
-    facts = tuple(() if v in designated else ((copy_atom(v, 1, label), True),)
-                  for v in initial if not designated.get(v))
-    return PropCnf.from_normal(blocks + facts + ties)
+def _encodings(core: SnfFormula, back: tuple[str, ...]) -> Iterator[tuple]:
+    for ts in candidate_theta_sets(back):
+        theta = ts.designated
+        if theta is ts.members[0]:  # the first candidate of a member set
+            blocks, ties = _full_encoding(core, back, ts.members)
+        label = _theta_label(theta)
+        # a fact the member's backdoor value falsifies is an empty clause
+        facts = tuple(() if v in theta else ((copy_atom(v, 1, label), True),)
+                      for v in core.initial if not theta.get(v))
+        yield ts, PropCnf.from_normal(blocks + facts + ties)
 
 
-def build_horn_encoding(phi: SnfFormula, backdoor: Iterable[str],
-                        ts: ThetaSet) -> PropCnf:
-    """The Horn formula whose satisfiability decides one candidate: the
-    (r+1)-copy encoding, built from its definition and sharing no integer
-    code with the solve of :func:`evaluate_horn_star`.
-
-    Requires the always-only fragment (ValueError otherwise) and a strong
-    Horn backdoor of ``phi`` (:class:`BackdoorError`); the result is Horn.
-    """
-    check_operators(phi, (Mod.STAR,))
-    back = tuple(sorted(set(backdoor)))
-    _check_backdoor(phi, back)
-    return _with_facts(_full_encoding(phi, back, ts.members), phi.initial,
-                       ts.designated)
+def candidate_encodings(phi: SnfFormula, backdoor: Iterable[str]
+                        ) -> Iterator[tuple[ThetaSet, PropCnf]]:
+    """``(ThetaSet, PropCnf)`` per candidate of :func:`evaluate_horn_star`,
+    in its order: the full encoding of the tautology-free core, built from
+    its definition.  Before the first item it raises what
+    :func:`evaluate_horn_star` raises."""
+    yield from _encodings(*_admit(phi, backdoor))
 
 
 def encoding_size_bound(phi: SnfFormula, backdoor: Iterable[str]) -> int:
@@ -548,32 +547,30 @@ def evaluate_horn_star(phi: SnfFormula, backdoor: Iterable[str],
     Candidates are tried in the order of :func:`candidate_theta_sets` with a
     short-circuit on the first satisfiable encoding, so the certificate is
     reproducible.  On SAT the certificate is re-checked against the original
-    formula.  ``on_candidate(ts, cnf)`` is invoked for every candidate tried,
-    e.g. to dump its encoding.  Before any candidate, in this order, it
-    raises ValueError for a formula outside the always-only fragment,
-    :class:`BackdoorError` unless ``backdoor`` is a strong Horn backdoor of
-    the core, and ValueError for more than :data:`EVAL_BACKDOOR_LIMIT`.
-    """
-    check_operators(phi, (Mod.STAR,))
-    core = remove_tautologies(phi)
-    back = tuple(sorted(set(backdoor)))
-    _check_backdoor(core, back)
-    if len(back) > EVAL_BACKDOOR_LIMIT:
-        raise ValueError(f"backdoor evaluation limited to "
-                         f"{EVAL_BACKDOOR_LIMIT} backdoor variables, "
-                         f"got {len(back)}")
-    enc = _Encoding(core, back)
-    pool = enc.pool
+    formula.  Before any candidate, in this order, it raises ValueError for
+    a formula outside the always-only fragment, :class:`BackdoorError`
+    unless ``backdoor`` is a strong Horn backdoor of the core, and
+    ValueError for more than :data:`EVAL_BACKDOOR_LIMIT`.
 
-    for combo in _member_sets(len(pool)):
-        if on_candidate is not None:
-            members = tuple(pool[p] for p in combo)
-            full = _full_encoding(core, back, members)
+    ``on_candidate(ts, cnf)`` is replayed after the solve over the first
+    ``result.tried`` items of :func:`candidate_encodings`, only for the
+    counters of ``perfbench/spans.py`` until they read ``tried`` (ROADMAP
+    item 1).
+    """
+    core, back = _admit(phi, backdoor)
+    result = _solve(phi, core, back)
+    if on_candidate is not None:
+        for ts, cnf in itertools.islice(_encodings(core, back), result.tried):
+            on_candidate(ts, cnf)
+    return result
+
+
+def _solve(phi: SnfFormula, core: SnfFormula, back: tuple) -> EvalResult:
+    enc, tried = _Encoding(core, back), 0
+    for combo in _member_sets(len(enc.pool)):
         shared = False  # not built yet; None once found unsatisfiable
         for d in combo:
-            if on_candidate is not None:
-                on_candidate(ThetaSet(members, pool[d]),
-                             _with_facts(full, core.initial, pool[d]))
+            tried += 1
             if enc.dead[d]:
                 continue
             if shared is False:
@@ -587,6 +584,7 @@ def evaluate_horn_star(phi: SnfFormula, backdoor: Iterable[str],
             interp = from_assignment_set(aset)
             if not models(interp, phi):
                 raise AssertionError("certificate failed the model check")
-            return EvalResult("SAT", ThetaSet(tuple(pool[p] for p in combo),
-                                              pool[d]), aset, interp)
-    return EvalResult("UNSAT")
+            members = tuple(enc.pool[p] for p in combo)
+            return EvalResult("SAT", ThetaSet(members, enc.pool[d]), aset,
+                              interp, tried)
+    return EvalResult("UNSAT", tried=tried)

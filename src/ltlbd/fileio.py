@@ -268,7 +268,8 @@ def parse_dimacs_col(text: str) -> Graph:
             if n is not None:
                 raise ParseError("duplicate problem line", ln)
             n = _int(parts[2], ln)
-            _int(parts[3], ln)  # the edge count, not checked against the e lines
+            if _int(parts[3], ln) < 0:  # else unchecked against the e lines
+                raise ParseError(f"negative edge count {parts[3]}", ln)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", ln)

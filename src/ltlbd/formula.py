@@ -148,9 +148,9 @@ class SnfFormula:
         occurring = set(init)
         for c in self.clauses:
             occurring.update(c.vars())
-        for v in occurring:
+        universe = occurring.union(self.variables)
+        for v in universe:
             _check_name(v)
-        universe = set(self.variables) | occurring if self.variables else occurring
         object.__setattr__(self, "variables", tuple(sorted(universe)))
 
     @property

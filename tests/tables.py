@@ -41,14 +41,14 @@ def _bits(row: dict) -> str:
 
 
 def describe(result) -> dict:
-    """The verdict, the theta set (members and designated as bit strings
-    over the sorted backdoor), the assignment set's rows in order and its
-    initial row (bit strings over the sorted variables) and the model
-    table text of an :class:`~ltlbd.evaluation.EvalResult`."""
+    """The verdict, the candidates tried, the theta set (members and
+    designated as bits over the sorted backdoor), the assignment set's rows
+    in order and its initial row (bits over the sorted variables) and the
+    model table of an :class:`~ltlbd.evaluation.EvalResult`."""
     if not result.satisfiable:
-        return {"verdict": result.verdict}
+        return {"verdict": result.verdict, "tried": result.tried}
     ts, aset = result.theta_set, result.assignment_set
-    return {"verdict": result.verdict,
+    return {"verdict": result.verdict, "tried": result.tried,
             "theta": [_bits(m) for m in ts.members],
             "designated": _bits(ts.designated),
             "rows": [_bits(m) for m in aset.members],

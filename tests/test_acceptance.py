@@ -14,7 +14,8 @@ from ltlbd.detection import (HORN, KROM, build_horn_conflict_graph,
                              build_krom_hitting_family, detect_horn_backdoor,
                              detect_krom_backdoor,
                              minimal_backdoor_bruteforce, verify_backdoor)
-from ltlbd.evaluation import encoding_size_bound, evaluate_horn_star
+from ltlbd.evaluation import (candidate_encodings, encoding_size_bound,
+                              evaluate_horn_star)
 from ltlbd.fileio import format_model_table, format_snf, parse_model_table
 from ltlbd.formula import (Clause, Lit, Mod, SnfFormula,
                            consistent_assignments, remove_tautologies)
@@ -159,11 +160,10 @@ def test_criterion_3_evaluation_matches_oracle(tmp_path, capsys):
                 rng.randint(0, 2), {Mod.STAR})
             core = remove_tautologies(phi)
             bound = encoding_size_bound(core, backdoor)
-            sizes = []
-            result = evaluate_horn_star(
-                phi, backdoor,
-                on_candidate=lambda ts, cnf: sizes.append(len(cnf.clauses)))
-            assert max(sizes) <= bound
+            result = evaluate_horn_star(phi, backdoor)
+            tried = itertools.islice(candidate_encodings(phi, backdoor),
+                                     result.tried)
+            assert max(len(cnf.clauses) for _, cnf in tried) <= bound
             expected = star_sat_oracle(phi) is not None
             assert result.satisfiable == expected
             if result.satisfiable:

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, note, settings, strategies as st
 
 from ltlbd.detection import detect_horn_backdoor, detect_krom_backdoor
-from ltlbd.evaluation import (build_horn_encoding, candidate_theta_sets,
-                              evaluate_horn_star)
+from ltlbd.evaluation import candidate_encodings, evaluate_horn_star
 from ltlbd.fileio import parse_snf
 from ltlbd.formula import (TEMPORAL_MODS, Clause, Lit, Mod, SnfFormula,
                            check_operators, validate_normal_form)
@@ -20,14 +19,6 @@ UNDECLARED_FILE = ("operators: *\ninit: b\n"
                    "clause: [F]x | b\nclause: ~x | b\n")
 
 
-def _never_called(ts, cnf):
-    raise AssertionError("on_candidate called on a refused formula")
-
-
-def _first_candidate(backdoor):
-    return next(candidate_theta_sets(backdoor))
-
-
 #: name -> (call on a formula, fragment it handles)
 ENTRY_POINTS = {
     "detect_horn_backdoor": (lambda phi: detect_horn_backdoor(phi, 2),
@@ -39,13 +30,8 @@ ENTRY_POINTS = {
     "star_sat_oracle": (star_sat_oracle, (Mod.STAR,)),
     "evaluate_horn_star": (
         lambda phi: evaluate_horn_star(phi, phi.variables), (Mod.STAR,)),
-    "evaluate_horn_star/on_candidate": (
-        lambda phi: evaluate_horn_star(phi, phi.variables,
-                                       on_candidate=lambda ts, cnf: None),
-        (Mod.STAR,)),
-    "build_horn_encoding": (
-        lambda phi: build_horn_encoding(
-            phi, phi.variables, _first_candidate(phi.variables)),
+    "candidate_encodings": (
+        lambda phi: next(candidate_encodings(phi, phi.variables)),
         (Mod.STAR,)),
 }
 
@@ -61,14 +47,23 @@ class TestUndeclaredFile:
         lambda phi: window_sat_oracle(phi, 1),
         star_sat_oracle,
         lambda phi: evaluate_horn_star(phi, ["b"]),
-        lambda phi: evaluate_horn_star(phi, ["b"],
-                                       on_candidate=_never_called),
-        lambda phi: build_horn_encoding(phi, ["b"], _first_candidate(["b"])),
+        lambda phi: next(candidate_encodings(phi, ["b"])),
     ], ids=["detect-horn", "detect-krom", "window", "star", "evaluate",
-            "evaluate-hook", "build-encoding"])
+            "encodings"])
     def test_every_entry_point_refuses_it(self, phi, call):
         with pytest.raises(ValueError, match=UNDECLARED):
             call(phi)
+
+
+@pytest.mark.parametrize("backdoor", [[], ["x", "q"], list("abcdexy")],
+                         ids=["not-a-backdoor", "unknown-name", "over-limit"])
+def test_candidate_encodings_refuse_what_evaluation_refuses(backdoor):
+    phi = parse_snf("operators: *\nclause: x | y | a | b | c | d | e\n")
+    with pytest.raises(ValueError) as want:
+        evaluate_horn_star(phi, backdoor)
+    with pytest.raises(type(want.value)) as got:
+        next(candidate_encodings(phi, backdoor))
+    assert str(got.value) == str(want.value)
 
 
 class TestCheckOperators:

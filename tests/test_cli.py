@@ -491,6 +491,13 @@ class TestReduce:
         col = write(tmp_path, "bad.col", "p edge 2 1\ne 1 1\n")
         assert main(["reduce", col, "--target", "star-krom"]) == 2
 
+    def test_negative_edge_count_is_input_error(self, tmp_path, capsys):
+        col = write(tmp_path, "bad.col", "p edge 3 -5\n")
+        assert main(["reduce", col, "--target", "star-krom"]) == 2
+        assert capsys.readouterr().err == (
+            "error: negative edge count -5 (line 1)\n")
+        assert not (tmp_path / "bad.snf").exists()
+
     @pytest.mark.parametrize("target", ["star-krom", "fp-horn"])
     def test_graph_over_the_vertex_limit_is_an_input_error(self, tmp_path,
                                                            capsys, target):

@@ -1,5 +1,4 @@
 import copy
-import hashlib
 import itertools
 import json
 import os
@@ -17,7 +16,7 @@ import ltlbd
 from ltlbd import _kernels, evaluation
 from ltlbd.detection import HORN, detect_horn_backdoor, verify_backdoor
 from ltlbd.evaluation import (EvalResult, ThetaSet, assignments_over,
-                              build_horn_encoding, candidate_theta_sets,
+                              candidate_encodings, candidate_theta_sets,
                               encoding_size_bound, evaluate_horn_star,
                               global_assignment, propositionalize,
                               relabel_copy)
@@ -154,8 +153,7 @@ class TestEncoding:
         # one initial-fact unit, and the sharing constraints
         phi = formula([Clause([Lit("x", Mod.STAR, False),
                                Lit("x", positive=False)])], initial=["x"])
-        ts = next(candidate_theta_sets(()))
-        cnf = build_horn_encoding(phi, (), ts)
+        _, cnf = next(candidate_encodings(phi, ()))
         assert cnf.is_horn
         r = 2  # one non-backdoor variable plus one
         clause_copies = [c for c in cnf.clauses if len(c) == 2
@@ -203,13 +201,9 @@ class TestEncoding:
                                              rng.randint(1, 6), HORN,
                                              rng.randint(0, min(2, n_vars)),
                                              {Mod.STAR})
-            core = remove_tautologies(phi)
-            bound = encoding_size_bound(core, backdoor)
-            sizes = []
-            evaluate_horn_star(
-                phi, backdoor,
-                on_candidate=lambda ts, cnf: sizes.append(len(cnf.clauses)))
-            assert sizes and max(sizes) <= bound
+            bound = encoding_size_bound(remove_tautologies(phi), backdoor)
+            assert max(len(cnf.clauses) for _, cnf
+                       in candidate_encodings(phi, backdoor)) <= bound
 
 
 class TestAgainstOracle:
@@ -304,17 +298,14 @@ def test_every_candidate_matches_a_from_scratch_solve(phi):
         for chosen in itertools.combinations(names, size):
             if not verify_backdoor(core, chosen, HORN):
                 continue
-            tried = []
-            result = evaluate_horn_star(
-                phi, chosen,
-                on_candidate=lambda ts, cnf: tried.append((ts, cnf)))
+            result = evaluate_horn_star(phi, chosen)
             assert result.satisfiable == expected
-            # a fresh build per candidate shares no cached block
-            assert all(cnf == build_horn_encoding(core, chosen, ts)
-                       for ts, cnf in tried)
+            tried = list(itertools.islice(candidate_encodings(phi, chosen),
+                                          result.tried))
             solved = [horn_sat(cnf) for _, cnf in tried]
             if result.satisfiable:
                 assert models(result.interpretation, phi)
+                assert tried[-1][0] == result.theta_set
                 assert all(m is None for m in solved[:-1])
                 members, designated = _rows_of(solved[-1], core, chosen,
                                                result.theta_set)
@@ -322,7 +313,7 @@ def test_every_candidate_matches_a_from_scratch_solve(phi):
                 assert result.assignment_set.initial == designated
             else:
                 assert all(m is None for m in solved)
-                assert len(solved) == len(list(candidate_theta_sets(chosen)))
+                assert result.tried == len(list(candidate_theta_sets(chosen)))
 
 
 def test_committed_certificates_replay():
@@ -385,13 +376,12 @@ def test_failed_designated_variant_leaves_the_shared_closure_intact():
     # only with b true at the start, right after its failed variant
     phi = formula([Clause([Lit("x", positive=False), Lit("b")]),
                    Clause([Lit("b", Mod.STAR, False)])], initial=["x"])
-    tried = []
-    result = evaluate_horn_star(
-        phi, ("b",), on_candidate=lambda ts, cnf: tried.append(cnf))
+    result = evaluate_horn_star(phi, ("b",))
     assert result.satisfiable
-    assert len(tried) == 4 and len(result.theta_set.members) == 2
+    assert result.tried == 4 and len(result.theta_set.members) == 2
     assert result.theta_set.designated == {"b": True}
-    members, designated = _rows_of(horn_sat(tried[-1]), phi, ("b",),
+    _, cnf = list(candidate_encodings(phi, ("b",)))[3]
+    members, designated = _rows_of(horn_sat(cnf), phi, ("b",),
                                    result.theta_set)
     assert list(result.assignment_set.members) == members
     assert result.assignment_set.initial == designated
@@ -484,8 +474,8 @@ def test_chaining_leaves_the_cached_blocks_alone(make):
 
 def test_each_block_is_indexed_once_and_nothing_is_reduced(monkeypatch):
     # the clauses are coded once per formula, so a call indexes each
-    # (member, unanimity mask) block at most once and, with no hook asking
-    # for the reference encoding, computes no reduct at all
+    # (member, unanimity mask) block at most once and computes no reduct;
+    # only the stream of encodings does
     keys = []
     index = evaluation._Encoding._index
 
@@ -504,12 +494,12 @@ def test_each_block_is_indexed_once_and_nothing_is_reduced(monkeypatch):
         evaluate_horn_star(phi, back)
         assert keys and len(keys) == len(set(keys))
     with pytest.raises(AssertionError, match="computed a reduct"):
-        evaluate_horn_star(phi, back, on_candidate=lambda ts, cnf: None)
+        next(candidate_encodings(phi, back))
 
 
 def test_reference_encoding_shares_no_code_with_the_solve(monkeypatch):
-    # build_horn_encoding builds the (r+1)-copy encoding from its definition,
-    # so it is unchanged with the integer solve's encoder replaced
+    # candidate_encodings builds each encoding from its definition, so it
+    # is unchanged with the integer solve's encoder replaced
     class Refused:
         def __init__(self, *args):
             raise AssertionError("the reference encoding used _Encoding")
@@ -520,10 +510,11 @@ def test_reference_encoding_shares_no_code_with_the_solve(monkeypatch):
     phi = formula([Clause([Lit("x", positive=False), Lit("b")]),
                    Clause([Lit("b", Mod.STAR, False), Lit("x", Mod.STAR)])],
                   initial=["x"])
-    ts = ThetaSet(({"b": False}, {"b": True}), {"b": True})
+    ts, cnf = list(candidate_encodings(phi, ("b",)))[3]
+    assert ts == ThetaSet(({"b": False}, {"b": True}), {"b": True})
     g = global_atom("x")
     copies = [copy_atom("x", i, label) for label in "01" for i in (1, 2)]
-    assert build_horn_encoding(phi, ("b",), ts).clauses == (
+    assert cnf.clauses == (
         ((copies[0], False),), ((copies[1], False),),
         ((copies[2], True),),
         *(((g, False), (c, True)) for c in copies),
@@ -545,7 +536,7 @@ def _unsat_gadget(seed, n_vars, n_clauses, k):
                       phi.clauses + gadget), backdoor
 
 
-def _reference_evaluate(phi, backdoor, on_candidate=None):
+def _reference_evaluate(phi, backdoor):
     """The solve path that evaluation replaced, kept here as a differential
     reference: per (member, unanimity mask) the :func:`reduct` of the core,
     coded on the member's copies of one global layout, and per member set
@@ -580,20 +571,16 @@ def _reference_evaluate(phi, backdoor, on_candidate=None):
             blocks[p, mask] = coded
         return blocks[p, mask]
 
+    tried = 0
     for size in range(1, len(pool) + 1):
         for combo in itertools.combinations(range(len(pool)), size):
             members = tuple(pool[p] for p in combo)
-            if on_candidate is not None:
-                full = evaluation._full_encoding(core, back, members)
             mask = len(pool) - 1
             for p in combo:
                 mask &= p
             shared = False
             for d in combo:
-                if on_candidate is not None:
-                    on_candidate(ThetaSet(members, pool[d]),
-                                 evaluation._with_facts(full, core.initial,
-                                                        pool[d]))
+                tried += 1
                 if dead[d]:
                     continue
                 if shared is False:
@@ -630,17 +617,14 @@ def _reference_evaluate(phi, backdoor, on_candidate=None):
                 aset = AssignmentSet(tuple(rows),
                                      rows[combo.index(d) * c])
                 return EvalResult("SAT", ThetaSet(members, pool[d]), aset,
-                                  from_assignment_set(aset))
-    return EvalResult("UNSAT")
+                                  from_assignment_set(aset), tried)
+    return EvalResult("UNSAT", tried=tried)
 
 
 def _differential_pairs():
-    """Seeded (formula, backdoor, hooked) triples: every verified backdoor
-    of size <= 2 of random formulas, planted instances at k = 0..3 and UNSAT
-    gadgets at k = 2..4 on small n.  ``hooked`` says whether to pass an
-    ``on_candidate`` hook: for all but four in five planted k = 3 instances
-    and the k = 4 gadget (2^19 candidates), whose hooks build thousands of
-    reference encodings."""
+    """Seeded (formula, backdoor) pairs: every verified backdoor of size
+    <= 2 of random formulas, planted instances at k = 0..3 and UNSAT
+    gadgets at k = 2..4 on small n."""
     rng = random.Random(21)
     for _ in range(400):
         phi = random_formula(rng, rng.randint(1, 5), rng.randint(1, 6), 3,
@@ -650,35 +634,27 @@ def _differential_pairs():
         for size in range(min(2, len(names)) + 1):
             for chosen in itertools.combinations(names, size):
                 if verify_backdoor(core, chosen, HORN):
-                    yield phi, chosen, True
+                    yield phi, chosen
     for seed in range(400):
         n_vars = 3 + seed % 6
-        phi, back = planted_instance(seed, n_vars, rng.randint(1, 2 * n_vars),
-                                     HORN, seed % 4, {Mod.STAR})
-        yield phi, back, seed % 4 < 3 or seed % 20 == 3
+        yield planted_instance(seed, n_vars, rng.randint(1, 2 * n_vars), HORN,
+                               seed % 4, {Mod.STAR})
     for seed in range(40):
-        yield (*_unsat_gadget(seed, 4 + seed % 4, 6, 2 + (seed % 10 == 9)),
-               True)
-    yield (*_unsat_gadget(0, 4, 3, 4), False)
+        yield _unsat_gadget(seed, 4 + seed % 4, 6, 2 + (seed % 10 == 9))
+    yield _unsat_gadget(0, 4, 3, 4)
 
 
 def test_solve_matches_the_replaced_reduct_path():
     # the per-block index and the chaining across blocks close the same
     # quotient as one horn_index over each set's concatenated blocks, so
-    # the verdict, the certificate and every candidate tried are unchanged
+    # the verdict, the certificate and the candidates tried are unchanged;
+    # on UNSAT all n * 2^(n-1) candidates over n = 2^k members are tried
     n_pairs = n_sat = 0
-    for phi, back, hooked in _differential_pairs():
-        seen = [hashlib.sha256(), hashlib.sha256()]
-        hooks = [None, None]
-        if hooked:
-            hooks = [lambda ts, cnf, h=h: h.update(
-                         repr(ts).encode()
-                         + hash(cnf.clauses).to_bytes(8, "big", signed=True))
-                     for h in seen]
-        got = evaluate_horn_star(phi, back, on_candidate=hooks[0])
-        want = _reference_evaluate(phi, back, on_candidate=hooks[1])
-        assert got == want, (phi, back)
-        assert seen[0].digest() == seen[1].digest(), (phi, back)
+    for phi, back in _differential_pairs():
+        got = evaluate_horn_star(phi, back)
+        assert got == _reference_evaluate(phi, back), (phi, back)
+        n = 1 << len(back)
+        assert got.satisfiable or got.tried == n << n - 1
         n_pairs += 1
         n_sat += got.satisfiable
     assert n_pairs >= 2000 and 0.2 * n_pairs <= n_sat <= 0.9 * n_pairs
@@ -688,12 +664,24 @@ def test_solve_matches_the_replaced_reduct_path():
 def test_k3_unsat_gadget_tries_every_candidate(seed):
     # no candidate can succeed, so all 2^3 * 2^(2^3 - 1) are tried
     phi, backdoor = _unsat_gadget(seed, 8, 14, 3)
-    seen = []
-    result = evaluate_horn_star(phi, backdoor,
-                                on_candidate=lambda ts, cnf: seen.append(ts))
+    result = evaluate_horn_star(phi, backdoor)
     assert not result.satisfiable
     assert star_sat_oracle(phi) is None
-    assert len(seen) == 1024
+    assert result.tried == 1024
+
+
+def test_on_candidate_replays_the_first_tried_encodings():
+    # the benchmark's counters read the hook (UNSAT; SAT on the 4th
+    # candidate, after three dead ones; SAT on the 1st)
+    for phi, back in (_unsat_gadget(0, 5, 6, 2),
+                      planted_instance(14, 6, 8, HORN, 2, {Mod.STAR}),
+                      planted_instance(2, 5, 6, HORN, 1, {Mod.STAR})):
+        seen = []
+        result = evaluate_horn_star(
+            phi, back, on_candidate=lambda ts, cnf: seen.append((ts, cnf)))
+        assert result == evaluate_horn_star(phi, back)
+        assert seen == list(itertools.islice(candidate_encodings(phi, back),
+                                             result.tried))
 
 
 def test_k2_unsat_gadget_at_detection_scale():
@@ -761,9 +749,8 @@ except AssertionError:
     print("planted raised")
 ltlbd.evaluation.verify_backdoor = lambda *args: True
 phi = SnfFormula(frozenset({Mod.STAR}), (), (Clause([Lit("x"), Lit("y")]),))
-ts = next(ltlbd.evaluation.candidate_theta_sets(()))
 try:
-    ltlbd.evaluation.build_horn_encoding(phi, (), ts)
+    next(ltlbd.evaluation.candidate_encodings(phi, ()))
 except AssertionError:
     print("encoding raised")
 try:

@@ -459,8 +459,9 @@ class TestDimacsCol:
         ("p edge three 0\n", "expected an integer, got 'three' (line 1)"),
         # the edge count is read, though not checked against the e lines
         ("p edge 3 x\n", "expected an integer, got 'x' (line 1)"),
+        ("c\np edge 3 -5\n", "negative edge count -5 (line 2)"),
     ], ids=["second-p", "short-e", "e-not-integer", "unknown-line",
-            "no-p", "n-not-integer", "m-not-integer"])
+            "no-p", "n-not-integer", "m-not-integer", "m-negative"])
     def test_malformed_line_is_refused(self, text, message):
         with pytest.raises(ParseError) as err:
             parse_dimacs_col(text)

@@ -298,12 +298,15 @@ class TestValidate:
         assert [v.kind for v in issues] == ["initial-not-in-clauses"]
 
 
-@pytest.mark.parametrize("ops,initial,clauses,message", [
-    ({Mod.STAR}, ("1x",), (), "invalid variable name: '1x'"),
-    ({Mod.STAR}, (), (Clause([lit("a-b", Mod.STAR)]),),
+@pytest.mark.parametrize("ops,initial,clauses,variables,message", [
+    ({Mod.STAR}, ("1x",), (), (), "invalid variable name: '1x'"),
+    ({Mod.STAR}, (), (Clause([lit("a-b", Mod.STAR)]),), (),
      "invalid variable name: 'a-b'"),
-    ({Mod.NONE}, (), (), "operator set may only contain"),
-], ids=["initial-name", "clause-name", "plain-operator"])
-def test_invalid_formula_is_refused(ops, initial, clauses, message):
+    # a declared name that occurs nowhere
+    ({Mod.STAR}, (), (), ("1 x",), "invalid variable name: '1 x'"),
+    ({Mod.NONE}, (), (), (), "operator set may only contain"),
+], ids=["initial-name", "clause-name", "universe-name", "plain-operator"])
+def test_invalid_formula_is_refused(ops, initial, clauses, variables,
+                                    message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        SnfFormula(frozenset(ops), initial, clauses)
+        SnfFormula(frozenset(ops), initial, clauses, variables)
