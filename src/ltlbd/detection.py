@@ -40,10 +40,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .formula import (Clause, SnfFormula, assignment_modalities,
-                      check_operators, _local_choices, clause_is_horn,
-                      clause_is_krom, consistent_assignments,
-                      remove_tautologies)
+from .formula import (SnfFormula, assignment_modalities, check_operators,
+                      _local_choices, remove_tautologies)
 
 HORN = "horn"
 KROM = "krom"
@@ -205,11 +203,6 @@ def detect_krom_backdoor(phi: SnfFormula, k: int) -> Optional[frozenset[str]]:
     return hitting_set_3(build_krom_hitting_family(core), k)
 
 
-def _check_target(target: str) -> None:
-    if target not in (HORN, KROM):
-        raise ValueError(f"unknown target class: {target}")
-
-
 def verify_backdoor(phi: SnfFormula, backdoor: Iterable[str],
                     target: str) -> bool:
     """True iff every consistent assignment over the backdoor (and its modal
@@ -230,7 +223,8 @@ def verify_backdoor(phi: SnfFormula, backdoor: Iterable[str],
     depends only on their (modality, sign) pairs, so it is decided once per
     distinct pattern.
     """
-    _check_target(target)
+    if target not in (HORN, KROM):
+        raise ValueError(f"unknown target class: {target}")
     horn = target == HORN
     back = set(backdoor)
     extra = back - set(phi.variables)
@@ -266,34 +260,6 @@ def verify_backdoor(phi: SnfFormula, backdoor: Iterable[str],
                 break
         else:
             if (rest_pos > 1 if horn else rest_total > 2):
-                return False
-    return True
-
-
-def verify_backdoor_reference(phi: SnfFormula, backdoor: Iterable[str],
-                              target: str) -> bool:
-    """Direct restatement of the definition: enumerate every consistent
-    assignment, reduce each clause, and classify the survivors.  Exponential;
-    used to cross-check :func:`verify_backdoor`.
-
-    Clause reducts are classified individually, without the formula-level
-    collapse to the FALSE marker: a surviving over-wide clause disqualifies
-    the assignment even when another clause was emptied alongside it.
-    """
-    _check_target(target)
-    check = clause_is_horn if target == HORN else clause_is_krom
-    for theta in consistent_assignments(backdoor, phi.operators):
-        for c in phi.clauses:
-            kept = []
-            satisfied = False
-            for lit in c:
-                val = theta.values.get((lit.var, lit.mod))
-                if val is None:
-                    kept.append(lit)
-                elif val == lit.positive:
-                    satisfied = True
-                    break
-            if not satisfied and not check(Clause(kept)):
                 return False
     return True
 

@@ -12,10 +12,12 @@ from ltlbd.detection import (HORN, KROM, ConflictGraph, HittingFamily,
                              build_krom_hitting_family, detect_horn_backdoor,
                              detect_krom_backdoor, hitting_set_3,
                              minimal_backdoor_bruteforce, verify_backdoor,
-                             verify_backdoor_reference, vertex_cover)
+                             vertex_cover)
 from ltlbd.fileio import parse_snf
 from ltlbd.formula import (Clause, Lit, Mod, SnfFormula, _local_choices,
-                           assignment_modalities, remove_tautologies)
+                           assignment_modalities, clause_is_horn,
+                           clause_is_krom, consistent_assignments,
+                           remove_tautologies)
 from ltlbd.gen import random_formula
 
 
@@ -414,6 +416,34 @@ class TestSetForm:
         # tautologies were removed, and both answers are common
         assert dropped > 100
         assert 0.2 < found / (2 * pairs) < 0.8
+
+
+def verify_backdoor_reference(phi, backdoor, target):
+    """Direct restatement of the definition: enumerate every consistent
+    assignment, reduce each clause, and classify the survivors.  Exponential;
+    used to cross-check ``verify_backdoor``.
+
+    Clause reducts are classified individually, without the formula-level
+    collapse to the FALSE marker: a surviving over-wide clause disqualifies
+    the assignment even when another clause was emptied alongside it.
+    """
+    if target not in (HORN, KROM):
+        raise ValueError(f"unknown target class: {target}")
+    check = clause_is_horn if target == HORN else clause_is_krom
+    for theta in consistent_assignments(backdoor, phi.operators):
+        for c in phi.clauses:
+            kept = []
+            satisfied = False
+            for lit in c:
+                val = theta.values.get((lit.var, lit.mod))
+                if val is None:
+                    kept.append(lit)
+                elif val == lit.positive:
+                    satisfied = True
+                    break
+            if not satisfied and not check(Clause(kept)):
+                return False
+    return True
 
 
 def verify_every_clause(phi, backdoor, target):
