@@ -12,9 +12,8 @@ from .evaluation import (EvalResult, ThetaSet, candidate_encodings,
 from .formula import (Clause, ConsistentAssignment, Lit, Mod, SnfFormula,
                       clause_is_horn, clause_is_krom, consistent_assignments,
                       reduct, remove_tautologies, validate_normal_form)
-from .interp import (AssignmentSet, FiniteWindowInterpretation, assign,
-                     from_assignment_set, holds_literal, models, project,
-                     worlds)
+from .interp import (AssignmentSet, FiniteWindowInterpretation,
+                     from_assignment_set, holds_literal, models)
 from .oracle import star_sat_oracle, window_sat_oracle
 from .propsat import (Atom, PropCnf, brute_sat, copy_atom, global_atom,
                       horn_sat, plain_atom, solve_cnf, to_dimacs, two_sat)

@@ -18,9 +18,10 @@ from pathlib import Path
 
 from .detection import HORN, KROM, detect_horn_backdoor, detect_krom_backdoor
 from .evaluation import BackdoorError, candidate_encodings, evaluate_horn_star
-from .fileio import (_OP_TOKEN, ParseError, format_model_table, format_snf,
+from .fileio import (ParseError, format_model_table, format_snf,
                      parse_dimacs_col, parse_model_table, parse_snf)
-from .formula import VAR_NAME_RE, Mod, validate_normal_form
+from .formula import (OPERATOR_LETTERS, VAR_NAME_RE, Mod, operator_set,
+                      validate_normal_form)
 from .gen import planted_instance
 from .interp import models
 from .oracle import star_sat_oracle, window_sat_oracle
@@ -41,14 +42,16 @@ def _read(path: str) -> str:
 
 
 def _ops_from_string(text: str) -> frozenset[Mod]:
+    """The ``--ops`` operators: letters of an ``operators:`` line, spaces
+    and commas skipped."""
     ops = set()
     for ch in text:
         if ch in " ,":
             continue
-        if ch not in _OP_TOKEN:
+        if ch not in OPERATOR_LETTERS:
             raise ParseError(f"unknown operator character {ch!r}")
-        ops.add(_OP_TOKEN[ch])
-    return frozenset(ops)
+        ops.add(OPERATOR_LETTERS[ch])
+    return operator_set(ops)
 
 
 def cmd_validate(args) -> int:
@@ -121,16 +124,12 @@ def cmd_solve(args) -> int:
     phi = parse_snf(_read(args.file))
     if args.oracle == "star":
         if args.window is not None:
-            print("error: --window applies only to the window oracle",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--window applies only to the window oracle")
         witness = star_sat_oracle(phi)
         negative = "UNSAT"
     else:
         if args.window is None:
-            print("error: --window is required for the window oracle",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--window is required for the window oracle")
         witness = window_sat_oracle(phi, args.window)
         negative = "NO_MODEL_WITHIN_WINDOW"
     stats = dict(file=args.file, oracle=args.oracle,
@@ -175,9 +174,7 @@ def cmd_check_model(args) -> int:
     phi = parse_snf(_read(args.formula))
     interp = parse_model_table(_read(args.model))
     if set(interp.left) != set(phi.variables):
-        print("error: model variable set does not match the formula",
-              file=sys.stderr)
-        return 2
+        raise ValueError("model variable set does not match the formula")
     ok = models(interp, phi)
     _print_report("check-model", "VALID" if ok else "INVALID", t0,
                   formula=args.formula, model=args.model,
@@ -262,12 +259,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BackdoorError as exc:
+    except (OSError, ValueError) as exc:  # ParseError and BackdoorError too
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ValueError) as exc:  # ParseError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BackdoorError) else 2
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)

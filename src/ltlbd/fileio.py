@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import re
 
-from .formula import (Clause, Lit, Mod, SnfFormula, VAR_NAME, VAR_NAME_RE,
-                      _trusted)
+from .formula import (OPERATOR_LETTERS, Clause, Lit, Mod, SnfFormula,
+                      VAR_NAME, VAR_NAME_RE, _trusted)
 from .interp import FiniteWindowInterpretation
 from .reductions import Graph
 
@@ -37,14 +37,11 @@ class ParseError(ValueError):
 
 
 # a literal token: its sign-and-tag prefix, then its name
-_LIT_RE = re.compile(rf"(~?(?:\[[FP*]\])?)({VAR_NAME})\Z")
+_LETTERS = re.escape("".join(OPERATOR_LETTERS))
+_LIT_RE = re.compile(rf"(~?(?:\[[{_LETTERS}]\])?)({VAR_NAME})\Z")
 # prefix -> (modality, positive), the tail of the token's Lit
-_PREFIX = {sign + tag: (mod, not sign) for sign in ("", "~")
-           for tag, mod in (("", Mod.NONE), ("[F]", Mod.FUT),
-                            ("[P]", Mod.PAST), ("[*]", Mod.STAR))}
+_PREFIX = {s + m.token: (m, not s) for s in ("", "~") for m in Mod}
 _tuple_new = tuple.__new__  # builds a Lit without its Python-level __new__
-_OP_TOKEN = {"F": Mod.FUT, "P": Mod.PAST, "*": Mod.STAR}
-_MOD_OP_TOKEN = {m: t for t, m in _OP_TOKEN.items()}
 
 
 # characters that str.splitlines() breaks at besides \n and \r
@@ -122,10 +119,10 @@ def parse_snf(text: str) -> SnfFormula:
             operators = set()
             for m in re.finditer(r"\S+", body):
                 tok = m.group()
-                if tok not in _OP_TOKEN:
+                if tok not in OPERATOR_LETTERS:
                     raise ParseError(f"unknown operator token {tok!r}", ln,
                                      line.index(":") + m.start() + 2)
-                operators.add(_OP_TOKEN[tok])
+                operators.add(OPERATOR_LETTERS[tok])
         elif key == "init":
             if operators is None:
                 raise ParseError("operators line must come first", ln)
@@ -172,8 +169,8 @@ def _read_new(memo: dict[str, Lit], toks: list[str], lits: list,
 def format_snf(phi: SnfFormula) -> str:
     """Canonical text: operators in F P * order, initial facts sorted,
     clauses in formula order with literals already canonical."""
-    ops = " ".join(_MOD_OP_TOKEN[m]
-                   for m in (Mod.FUT, Mod.PAST, Mod.STAR) if m in phi.operators)
+    ops = " ".join(t for t, m in OPERATOR_LETTERS.items()
+                   if m in phi.operators)
     lines = [f"operators: {ops}".rstrip()]
     if phi.initial:
         lines.append("init: " + ", ".join(phi.initial))

@@ -39,10 +39,24 @@ class Mod(IntEnum):
         return _MOD_TOKEN[self]
 
 
-_MOD_TOKEN = {Mod.NONE: "", Mod.PAST: "[P]", Mod.FUT: "[F]", Mod.STAR: "[*]"}
+#: Each temporal operator's letter, in the F P * order of an ``operators:``
+#: line; a literal's tag is its operator's letter in brackets.
+OPERATOR_LETTERS = {"F": Mod.FUT, "P": Mod.PAST, "*": Mod.STAR}
+
+_MOD_TOKEN = {Mod.NONE: "",
+              **{m: f"[{t}]" for t, m in OPERATOR_LETTERS.items()}}
 
 #: Modalities that may appear in a formula's declared operator set.
 TEMPORAL_MODS = (Mod.PAST, Mod.FUT, Mod.STAR)
+
+
+def operator_set(operators: Iterable[Mod]) -> frozenset[Mod]:
+    """The operators as a frozenset; ValueError unless each is one of
+    ``TEMPORAL_MODS`` (a ``Mod``, not an int equal to one)."""
+    ops = frozenset(operators)
+    if not all(isinstance(m, Mod) and m in TEMPORAL_MODS for m in ops):
+        raise ValueError(f"operator set may only contain {TEMPORAL_MODS}")
+    return ops
 
 
 class Lit(NamedTuple):
@@ -86,9 +100,6 @@ class Clause:
 
     def __len__(self) -> int:
         return len(self.literals)
-
-    def __str__(self) -> str:
-        return " | ".join(str(l) for l in self.literals)
 
     @property
     def positive_count(self) -> int:
@@ -136,10 +147,7 @@ class SnfFormula:
     variables: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        ops = frozenset(self.operators)
-        if not ops <= set(TEMPORAL_MODS):
-            raise ValueError(f"operator set may only contain {TEMPORAL_MODS}")
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", operator_set(self.operators))
         init = tuple(sorted(set(self.initial)))
         for v in init:
             _check_name(v)
@@ -160,13 +168,6 @@ class SnfFormula:
     @property
     def is_true(self) -> bool:
         return not self.clauses and not self.initial
-
-    def __str__(self) -> str:
-        parts = []
-        if self.initial:
-            parts.append("init " + ", ".join(self.initial))
-        parts.extend(f"({c})" for c in self.clauses)
-        return " & ".join(parts) if parts else "TRUE"
 
 
 def _trusted(operators: frozenset[Mod], initial: tuple[str, ...],

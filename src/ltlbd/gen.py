@@ -26,7 +26,7 @@ from math import ceil, log
 from typing import Iterable
 
 from .detection import HORN, KROM, verify_backdoor
-from .formula import TEMPORAL_MODS, Clause, Lit, Mod, SnfFormula, _trusted
+from .formula import Clause, Lit, Mod, SnfFormula, _trusted, operator_set
 
 #: At most this many variables and clauses: generation is linear in both.
 GEN_SIZE_LIMIT = 100_000
@@ -90,15 +90,6 @@ def _pick_slots(rng: random.Random, pool: list, mods: list, count: int) -> list:
             for i in _sample(rng.getrandbits, size, min(count, size))]
 
 
-def _operator_list(operators: Iterable[Mod]) -> list[Mod]:
-    """The distinct operators in modality order; ValueError unless each is
-    one of ``TEMPORAL_MODS``."""
-    ops = set(operators)
-    if not all(isinstance(m, Mod) and m in TEMPORAL_MODS for m in ops):
-        raise ValueError(f"operator set may only contain {TEMPORAL_MODS}")
-    return sorted(ops)
-
-
 def planted_instance(seed: int, n_vars: int, n_clauses: int, target: str,
                      backdoor_size: int,
                      operators: Iterable[Mod]) -> tuple[SnfFormula, tuple[str, ...]]:
@@ -112,17 +103,19 @@ def planted_instance(seed: int, n_vars: int, n_clauses: int, target: str,
         raise ValueError(f"at most {GEN_SIZE_LIMIT} variables and clauses")
     if target not in (HORN, KROM):
         raise ValueError(f"unknown target class: {target}")
+    if n_vars < 0:
+        raise ValueError("variable count must not be negative")
     if not 0 <= backdoor_size <= n_vars:
         raise ValueError("backdoor size must be between 0 and the variable count")
     if n_clauses < 0:
         raise ValueError("clause count must not be negative")
     if n_clauses and not n_vars:
         raise ValueError("clauses need at least one variable")
-    ops = _operator_list(operators)
+    ops = operator_set(operators)
     rng = random.Random(seed)
     bits = rng.getrandbits
     rand = rng.random
-    mods = [Mod.NONE] + ops
+    mods = [Mod.NONE, *sorted(ops)]
     width = len(mods)
     variables = [f"x{i + 1}" for i in range(n_vars)]
     backdoor = sorted(rng.sample(variables, backdoor_size))
@@ -172,7 +165,7 @@ def planted_instance(seed: int, n_vars: int, n_clauses: int, target: str,
 
     occurring = sorted(used)
     initial = tuple(v for v in occurring if rand() < 0.3)
-    phi = _trusted(frozenset(ops), initial, tuple(clauses), tuple(occurring))
+    phi = _trusted(ops, initial, tuple(clauses), tuple(occurring))
     if not verify_backdoor(phi, backdoor, target):
         raise AssertionError("planted backdoor does not verify")
     return phi, tuple(backdoor)
@@ -180,7 +173,6 @@ def planted_instance(seed: int, n_vars: int, n_clauses: int, target: str,
 
 def random_formula(rng: random.Random, n_vars: int, n_clauses: int,
                    max_lits: int, operators: Iterable[Mod],
-                   with_initial: bool = True,
                    seed_tautologies: bool = False) -> SnfFormula:
     """A generic random formula.
 
@@ -189,22 +181,24 @@ def random_formula(rng: random.Random, n_vars: int, n_clauses: int,
     ``seed_tautologies`` some clauses receive a negated always-literal next
     to a positive plain literal over the same variable.
     """
-    ops = _operator_list(operators)
+    ops = operator_set(operators)
     if max_lits < 1:
         raise ValueError(f"max_lits must be at least 1, got {max_lits}")
-    mods = [Mod.NONE] + ops
+    seeding = seed_tautologies and Mod.STAR in ops
+    if seeding and n_vars < 1:
+        raise ValueError("seeding tautologies needs at least one variable")
+    mods = [Mod.NONE, *sorted(ops)]
     variables = [f"x{i + 1}" for i in range(n_vars)]
     clauses = []
     for _ in range(max(n_clauses, 1)):
         count = 1 + _below(rng.getrandbits, max_lits)  # randint(1, max_lits)
         picked = _pick_slots(rng, variables, mods, count)
         lits = [Lit(v, m, rng.random() < 0.5) for v, m in picked]
-        if seed_tautologies and Mod.STAR in ops and rng.random() < 0.5:
+        if seeding and rng.random() < 0.5:
             v = rng.choice(variables)
             lits = [l for l in lits if l.var != v]
             lits += [Lit(v, Mod.STAR, False), Lit(v, Mod.NONE, True)]
         clauses.append(Clause(lits))
     occurring = sorted(set().union(*[c.vars() for c in clauses]))
-    initial = tuple(v for v in occurring
-                    if with_initial and rng.random() < 0.25)
-    return SnfFormula(frozenset(ops), initial, tuple(clauses))
+    initial = tuple(v for v in occurring if rng.random() < 0.25)
+    return SnfFormula(ops, initial, tuple(clauses))

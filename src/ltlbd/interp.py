@@ -15,7 +15,6 @@ a clause holds iff the OR of its literals' masks is full.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .formula import Lit, Mod, SnfFormula
 
@@ -23,6 +22,18 @@ from .formula import Lit, Mod, SnfFormula
 _NONE, _FUT, _STAR = Mod.NONE, Mod.FUT, Mod.STAR
 
 WorldAssignment = dict  # Mapping[str, bool], total on the variable set in use
+
+
+def _cells(row) -> WorldAssignment:
+    """A copy of ``row`` with bool cells; ValueError on a cell other than
+    0, 1, False or True."""
+    out = dict(row)
+    if not {*map(type, out.values())} <= {bool}:  # else already all bools
+        for v, b in out.items():
+            if type(b) not in (bool, int) or b not in (0, 1):
+                raise ValueError(f"cell {v!r} must be 0 or 1, got {b!r}")
+            out[v] = bool(b)
+    return out
 
 
 @dataclass(frozen=True)
@@ -42,9 +53,9 @@ class FiniteWindowInterpretation:
     start: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "window", tuple(dict(r) for r in self.window))
-        object.__setattr__(self, "left", dict(self.left))
-        object.__setattr__(self, "right", dict(self.right))
+        object.__setattr__(self, "window", tuple(map(_cells, self.window)))
+        object.__setattr__(self, "left", _cells(self.left))
+        object.__setattr__(self, "right", _cells(self.right))
         if not self.window:
             raise ValueError("window must contain at least one world")
         if not self.lo <= self.start <= self.hi:
@@ -67,12 +78,6 @@ class FiniteWindowInterpretation:
         if world > self.hi:
             return self.right
         return self.window[world - self.lo]
-
-
-def assign(m: FiniteWindowInterpretation, world: int) -> WorldAssignment:
-    """The assignment holding at ``world`` (within the sentinel range)."""
-    _check_world(m, world)
-    return dict(m.row(world))
 
 
 def _check_world(m: FiniteWindowInterpretation, world: int) -> None:
@@ -155,23 +160,6 @@ def models(m: FiniteWindowInterpretation, phi: SnfFormula) -> bool:
     return True
 
 
-def worlds(m: FiniteWindowInterpretation, theta: Mapping) -> set[int]:
-    """Worlds whose assignment agrees with ``theta``, clipped to the two
-    sentinel indices that stand for the frozen regions."""
-    def agrees(row):
-        return all(row.get(v) == b for v, b in theta.items())
-
-    out = set()
-    if agrees(m.left):
-        out.add(m.lo - 1)
-    for i, row in enumerate(m.window):
-        if agrees(row):
-            out.add(m.lo + i)
-    if agrees(m.right):
-        out.add(m.hi + 1)
-    return out
-
-
 @dataclass(frozen=True)
 class AssignmentSet:
     """A nonempty set of world assignments with a designated initial one."""
@@ -210,11 +198,3 @@ def from_assignment_set(aset: AssignmentSet) -> FiniteWindowInterpretation:
     rows = [a0] + rest
     return FiniteWindowInterpretation(
         left=a0, window=tuple(rows), lo=0, right=rows[-1], start=0)
-
-
-def project(aset: AssignmentSet, variables: Iterable[str]) -> AssignmentSet:
-    """Restrict every member (and the designated one) to ``variables``."""
-    vs = set(variables)
-    members = tuple({v: a[v] for v in vs} for a in aset.members)
-    initial = {v: aset.initial[v] for v in vs}
-    return AssignmentSet(members, initial)

@@ -385,10 +385,13 @@ class TestEvaluateAndCheckModel:
         assert main(["check-model", path, model]) == 1
         assert "verdict: INVALID" in capsys.readouterr().out
 
-    def test_variable_mismatch_is_an_input_error(self, simple, tmp_path):
+    def test_variable_mismatch_is_an_input_error(self, simple, tmp_path,
+                                                 capsys):
         bad = write(tmp_path, "bad.model",
                     "vars: y\nleft: 0\nworld 0: 0\nright: 0\n")
         assert main(["check-model", simple, bad]) == 2
+        assert capsys.readouterr() == (
+            "", "error: model variable set does not match the formula\n")
 
 
 class TestSolve:
@@ -454,6 +457,8 @@ class TestSolve:
 
     def test_window_requires_width(self, simple, capsys):
         assert main(["solve", simple, "--oracle", "window"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --window is required for the window oracle\n")
 
     def test_star_refuses_a_window(self, simple, tmp_path, capsys):
         # the star oracle is exact and reads no window width
@@ -542,8 +547,9 @@ class TestGen:
         ["--vars", "3", "--clauses", "-2", "--backdoor-size", "1"],
         ["--vars", "0", "--clauses", "3", "--backdoor-size", "0"],
         ["--vars", "3", "--clauses", "3", "--backdoor-size", "4"],
+        ["--vars", "-3", "--clauses", "0", "--backdoor-size", "0"],
     ], ids=["negative-clauses", "clauses-without-variables",
-            "backdoor-over-variables"])
+            "backdoor-over-variables", "negative-variables"])
     def test_bad_size_is_an_input_error(self, tmp_path, capsys, size):
         out = tmp_path / "bad.snf"
         assert main(["gen", *size, "--plant", "horn", "--ops", "*",

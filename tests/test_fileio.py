@@ -6,11 +6,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltlbd.fileio import (_OP_TOKEN, ParseError, format_dimacs_col,
-                          format_model_table, format_snf, parse_dimacs_col,
-                          parse_model_table, parse_snf)
-from ltlbd.formula import (TEMPORAL_MODS, VAR_NAME, VAR_NAME_RE, Clause, Lit,
-                           Mod, SnfFormula)
+from ltlbd.fileio import (ParseError, format_dimacs_col, format_model_table,
+                          format_snf, parse_dimacs_col, parse_model_table,
+                          parse_snf)
+from ltlbd.formula import (OPERATOR_LETTERS, TEMPORAL_MODS, VAR_NAME,
+                           VAR_NAME_RE, Clause, Lit, Mod, SnfFormula)
 from ltlbd.gen import planted_instance, random_formula
 from ltlbd.interp import FiniteWindowInterpretation
 from ltlbd.reductions import Graph, threecol_to_fp_horn, threecol_to_star_krom
@@ -171,10 +171,10 @@ def old_parse_snf(text):
             operators = set()
             for m in re.finditer(r"\S+", body):
                 tok = m.group()
-                if tok not in _OP_TOKEN:
+                if tok not in OPERATOR_LETTERS:
                     raise ParseError(f"unknown operator token {tok!r}", ln,
                                      start + m.start() + 1)
-                operators.add(_OP_TOKEN[tok])
+                operators.add(OPERATOR_LETTERS[tok])
         elif key == "init":
             if operators is None:
                 raise ParseError("operators line must come first", ln)

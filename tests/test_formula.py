@@ -254,7 +254,6 @@ class TestDerivedCopies:
         for ops in OPERATOR_SETS * 20:
             yield rng, random_formula(rng, rng.randint(1, 5),
                                       rng.randint(1, 6), 4, ops,
-                                      with_initial=True,
                                       seed_tautologies=True)
 
     def test_reduct(self):
@@ -305,7 +304,11 @@ class TestValidate:
     # a declared name that occurs nowhere
     ({Mod.STAR}, (), (), ("1 x",), "invalid variable name: '1 x'"),
     ({Mod.NONE}, (), (), (), "operator set may only contain"),
-], ids=["initial-name", "clause-name", "universe-name", "plain-operator"])
+    # ints equal to a temporal Mod are not operators
+    ({3}, (), (), (), "operator set may only contain"),
+    ({True}, (), (), (), "operator set may only contain"),
+], ids=["initial-name", "clause-name", "universe-name", "plain-operator",
+        "int-operator", "bool-operator"])
 def test_invalid_formula_is_refused(ops, initial, clauses, variables,
                                     message):
     with pytest.raises(ValueError, match=re.escape(message)):

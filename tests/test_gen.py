@@ -114,16 +114,16 @@ def test_planted_instances_are_pinned(args, digest):
 
 
 # sha256 of format_snf as above, and the generator's next random() after the
-# call; (seed, n_vars, n_clauses, max_lits, operators, with_initial,
-# seed_tautologies)
+# call; (seed, n_vars, n_clauses, max_lits, operators, seed_tautologies)
 RANDOM_DIGESTS = [
-    ((31, 5, 8, 3, {Mod.STAR}, True, False),
+    ((31, 5, 8, 3, {Mod.STAR}, False),
      "b329eb33abc2fe2f", 0.376412071513904),
-    ((37, 30, 20, 12, {Mod.FUT, Mod.PAST, Mod.STAR}, True, True),
+    ((37, 30, 20, 12, {Mod.FUT, Mod.PAST, Mod.STAR}, True),
      "115c6f9a8bf07feb", 0.4495227359293833),
-    ((41, 2, 6, 9, {Mod.PAST}, False, False),
-     "fff980efd344a201", 0.6888515122296454),
-    ((43, 400, 50, 40, set(), True, False),
+    # draws no initial fact: its two draws both miss
+    ((41, 2, 6, 9, {Mod.PAST}, False),
+     "fff980efd344a201", 0.05352953274966665),
+    ((43, 400, 50, 40, set(), False),
      "1162f15b68b8a982", 0.9853833871358847),
 ]
 
@@ -166,20 +166,21 @@ def test_size_over_the_limit_is_refused_before_generating(n_vars, n_clauses):
 BAD_OPS = "operator set may only contain"
 
 
-@pytest.mark.parametrize("target,size,ops,message", [
-    ("cnf", 0, {Mod.STAR}, "unknown target class: cnf"),
-    (HORN, -1, {Mod.STAR},
+@pytest.mark.parametrize("n_vars,target,size,ops,message", [
+    (3, "cnf", 0, {Mod.STAR}, "unknown target class: cnf"),
+    (3, HORN, -1, {Mod.STAR},
      "backdoor size must be between 0 and the variable count"),
-    (KROM, 4, {Mod.STAR},
+    (3, KROM, 4, {Mod.STAR},
      "backdoor size must be between 0 and the variable count"),
-    (HORN, 1, {"F"}, BAD_OPS),
-    (HORN, 1, {Mod.NONE}, BAD_OPS),
-    (KROM, 1, {Mod.STAR, 2}, BAD_OPS),
-], ids=["unknown-target", "negative-size", "size-over-vars", "op-string",
-        "op-none", "op-int"])
-def test_bad_planting_is_refused(target, size, ops, message):
+    (-3, HORN, 0, {Mod.STAR}, "variable count must not be negative"),
+    (3, HORN, 1, {"F"}, BAD_OPS),
+    (3, HORN, 1, {Mod.NONE}, BAD_OPS),
+    (3, KROM, 1, {Mod.STAR, 2}, BAD_OPS),
+], ids=["unknown-target", "negative-size", "size-over-vars", "negative-vars",
+        "op-string", "op-none", "op-int"])
+def test_bad_planting_is_refused(n_vars, target, size, ops, message):
     with pytest.raises(ValueError, match=message):
-        planted_instance(0, 3, 3, target, size, ops)
+        planted_instance(0, n_vars, 3, target, size, ops)
 
 
 @pytest.mark.parametrize("ops", [{"F"}, {Mod.NONE, Mod.STAR}],
@@ -209,3 +210,15 @@ def test_random_formula_needs_a_literal(max_lits):
                        match=f"max_lits must be at least 1, got {max_lits}"):
         random_formula(rng, 5, 5, max_lits, {Mod.STAR})
     assert rng.getstate() == state
+
+
+def test_tautologies_need_a_variable():
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="seeding tautologies needs at least "
+                                         "one variable"):
+        random_formula(rng, 0, 5, 3, {Mod.STAR}, seed_tautologies=True)
+    assert rng.getstate() == state
+    # without an always operator nothing is seeded, and no variable is needed
+    phi = random_formula(rng, 0, 5, 3, {Mod.FUT}, seed_tautologies=True)
+    assert phi.variables == ()

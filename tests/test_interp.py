@@ -4,9 +4,8 @@ import re
 import pytest
 
 from ltlbd.formula import EMPTY_CLAUSE, Clause, Lit, Mod, SnfFormula
-from ltlbd.interp import (AssignmentSet, FiniteWindowInterpretation, assign,
-                          from_assignment_set, holds_literal, models, project,
-                          worlds)
+from ltlbd.interp import (AssignmentSet, FiniteWindowInterpretation,
+                          from_assignment_set, holds_literal, models)
 
 
 def interp(cols, lo=0, start=0):
@@ -44,12 +43,25 @@ def reference_holds(m, world, lit):
      "all worlds must assign the same variables"),
     (({"p": True},), 0, 0, {"q": True},
      "all worlds must assign the same variables"),
+    (({"p": 2},), 0, 0, {"p": True}, "cell 'p' must be 0 or 1, got 2"),
+    (({"p": True},), 0, 0, {"p": 1.0}, "cell 'p' must be 0 or 1, got 1.0"),
 ], ids=["empty-window", "start-outside", "window-rows-differ",
-        "right-row-differs"])
+        "right-row-differs", "int-cell", "float-cell"])
 def test_malformed_interpretation_is_refused(window, lo, start, right,
                                              message):
     with pytest.raises(ValueError, match=message):
         FiniteWindowInterpretation({"p": False}, window, lo, right, start)
+
+
+def test_int_cells_are_stored_as_bools():
+    m = FiniteWindowInterpretation({"x": 1}, ({"x": 0}, {"x": True}), 0,
+                                   {"x": 1})
+    assert [r["x"] for r in (m.left, *m.window, m.right)] == [
+        True, False, True, True]
+    assert all(type(r["x"]) is bool for r in (m.left, *m.window, m.right))
+    phi = SnfFormula(frozenset({Mod.FUT}), (), (Clause([Lit("x", Mod.FUT)]),))
+    assert holds_literal(m, 0, Lit("x", Mod.FUT))
+    assert not models(m, phi)  # [F]x fails at world -1
 
 
 def test_unknown_variable_is_refused():
@@ -96,7 +108,7 @@ def test_world_outside_sentinel_range_rejected():
     with pytest.raises(ValueError):
         holds_literal(m, 3, Lit("p"))
     with pytest.raises(ValueError):
-        assign(m, -3)
+        holds_literal(m, -3, Lit("p"))
 
 
 def test_holds_matches_wide_window_reference():
@@ -246,15 +258,6 @@ def test_stabilization_under_window_extension():
                     assert holds_literal(padded, m.hi + k, l) == base
 
 
-def test_assign_and_worlds():
-    m = interp({"p": (1, [0, 1], 0), "q": (0, [1, 1], 1)})
-    assert assign(m, 0) == {"p": False, "q": True}
-    assert assign(m, -2) == {"p": True, "q": False}
-    # only the frozen right region matches
-    assert worlds(m, {"p": False, "q": True}) == {0, m.hi + 1}
-    assert worlds(m, {"p": True, "q": False}) == {m.lo - 1}
-
-
 def test_from_assignment_set_layout():
     a0 = {"x": True, "y": False}
     a1 = {"x": False, "y": False}
@@ -282,14 +285,3 @@ def test_from_assignment_set_star_falsified_by_second_member():
                      (Clause([Lit("x", Mod.STAR, False)]),))
     assert not holds_literal(m, 0, Lit("x", Mod.STAR))
     assert models(m, phi)
-
-
-def test_project():
-    a0 = {"x": True, "y": False}
-    a1 = {"x": True, "y": True}
-    aset = AssignmentSet((a0, a1), a0)
-    p = project(aset, ["x"])
-    assert p.members == ({"x": True},)   # members collapse after projection
-    assert p.initial == {"x": True}
-    empty = project(aset, [])
-    assert empty.members == ({},)
