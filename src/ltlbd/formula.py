@@ -67,7 +67,7 @@ class Lit(NamedTuple):
     positive: bool = True
 
     def negated(self) -> "Lit":
-        return self._replace(positive=not self.positive)
+        return Lit(self.var, self.mod, not self.positive)
 
     def __str__(self) -> str:
         sign = "" if self.positive else "~"

@@ -184,6 +184,10 @@ def random_formula(rng: random.Random, n_vars: int, n_clauses: int,
     ops = operator_set(operators)
     if max_lits < 1:
         raise ValueError(f"max_lits must be at least 1, got {max_lits}")
+    if n_vars < 0:
+        raise ValueError("variable count must not be negative")
+    if n_clauses < 0:
+        raise ValueError("clause count must not be negative")
     seeding = seed_tautologies and Mod.STAR in ops
     if seeding and n_vars < 1:
         raise ValueError("seeding tautologies needs at least one variable")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import Lit, Mod, SnfFormula
+from .formula import Lit, Mod, SnfFormula, _check_name
 
 # bound once for the per-literal checks: class lookups of enum members are slow
 _NONE, _FUT, _STAR = Mod.NONE, Mod.FUT, Mod.STAR
@@ -61,6 +61,8 @@ class FiniteWindowInterpretation:
         if not self.lo <= self.start <= self.hi:
             raise ValueError("start world must lie inside the window")
         keys = set(self.left)
+        for v in keys:
+            _check_name(v)
         for row in self.window:
             if set(row) != keys:
                 raise ValueError("all worlds must assign the same variables")

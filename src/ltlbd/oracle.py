@@ -25,6 +25,21 @@ encoding the cells row by row, then the atoms of its modal literals.  Each
 row is over the sorted variables.  Both encodings count their clauses
 before building any.  This module shares no code with backdoor evaluation,
 which it cross-checks.
+
+The window encoding defines its modal atoms by polarity (Plaisted and
+Greenbaum, "A structure-preserving clause form translation", JSC 1986): an
+atom that occurs positively in the formula implies its meaning, one that
+occurs negatively is implied by it, and one with both signs gets both
+directions.  The witness does not change: every cell atom is numbered before
+every modal atom, so the witness is the lexicographically first cell
+assignment that extends to a model of the encoding, and the pruned and the
+full encoding admit the same such assignments (a model of the full one is a
+model of the pruned one; in a model of the pruned one, setting every modal
+atom to its meaning keeps each clause true, since a positive occurrence can
+only have been true where the meaning is, and a negative one only false
+where it is).  So every witness and every None are those of the full
+definitions.  The star encoding decides its always-atoms first, so its
+witness depends on their values; it keeps the full definitions.
 """
 
 from __future__ import annotations
@@ -44,7 +59,7 @@ STAR_VAR_LIMIT = 64
 #: Window search budget: explicit window cells (rows times variables).
 WINDOW_CELL_LIMIT = 4096
 #: Both encodings refuse a formula whose grounded encoding would exceed
-#: this many clauses; the reduce-3col inputs ground at most 7,520.
+#: this many clauses; the reduce-3col inputs ground at most 6,500.
 ENCODING_CLAUSE_LIMIT = 200_000
 
 
@@ -166,8 +181,9 @@ def window_sat_oracle(phi: SnfFormula,
     Returns the first satisfying interpretation in lexicographic order over
     the cell grid (left edge, then worlds 0..width, then right edge, each
     row over sorted variables, false before true), or None when no model
-    exists within the window.  None is not an unsatisfiability claim.
-    Raises ValueError on a negative width or one over
+    exists within the window.  None is not an unsatisfiability claim.  The
+    encoding defines each modal atom by polarity (see the module
+    docstring).  Raises ValueError on a negative width or one over
     ``WINDOW_CELL_LIMIT`` cells or ``ENCODING_CLAUSE_LIMIT`` clauses.
     """
     check_operators(phi)
@@ -189,15 +205,22 @@ def window_sat_oracle(phi: SnfFormula,
     none, star = Mod.NONE, Mod.STAR  # bound once: enum lookups are slow
 
     # atoms after the cells: one always-atom, or one future/past atom per
-    # evaluation world, for each modal (operator, variable) pair
-    base, n_atoms = {}, n_rows * nv
+    # evaluation world, for each modal (operator, variable) pair; ``signs``
+    # holds 1 if the pair occurs positively, 2 if negatively, 3 if both
+    base, signs, n_atoms = {}, {}, n_rows * nv
     for c in phi.clauses:
         for lit in c:
-            if lit.mod is not none and (lit.mod, lit.var) not in base:
-                base[lit.mod, lit.var] = n_atoms
-                n_atoms += 1 if lit.mod is star else n_worlds
+            if lit.mod is not none:
+                key = lit.mod, lit.var
+                if key not in base:
+                    base[key] = n_atoms
+                    signs[key] = 0
+                    n_atoms += 1 if lit.mod is star else n_worlds
+                signs[key] |= 1 if lit.positive else 2
     _check_clause_budget(len(phi.clauses) * n_worlds + len(phi.initial) + sum(
-        n_rows + 1 if mod is star else 3 * n_worlds - 1 for mod, _ in base))
+        (sign & 1) * (n_rows if mod is star else 2 * n_worlds - 1)
+        + (sign >> 1) * (1 if mod is star else n_worlds)
+        for (mod, _), sign in signs.items()))
 
     def codes(lit) -> list:
         """The literal's signed atom at every evaluation world."""
@@ -215,24 +238,28 @@ def window_sat_oracle(phi: SnfFormula,
     clauses.extend([nv + col[v]] for v in phi.initial)
 
     for (mod, v), a in base.items():
-        i = col[v]
+        i, sign = col[v], signs[mod, v]
         if mod is star:  # always-atom: conjunction of all rows
             cells = range(i, n_rows * nv + 1, nv)
-            clauses.extend([-a - 1, x] for x in cells)
-            clauses.append([a + 1] + [-x for x in cells])
+            if sign & 1:
+                clauses += [[-a - 1, x] for x in cells]
+            if sign & 2:
+                clauses.append([a + 1] + [-x for x in cells])
             continue
         # future (past) atom at w: v holds at every later (earlier) world;
         # beyond the last (first) evaluation world only the frozen edge
         # remains, so that world's atom has no neighbour to chain to
         step = 1 if mod is Mod.FUT else -1
-        cells = [r + i for r in rows_at]  # v's cell at worlds -3..width+3
-        end = a + n_worlds if step > 0 else a + 1
-        for here, nxt in zip(range(a + 1, a + n_worlds + 1), cells[1 + step:]):
-            if here == end:
-                clauses += ([-here, nxt], [here, -nxt])
-            else:
-                clauses += ([-here, nxt], [-here, here + step],
-                            [here, -nxt, -here - step])
+        atoms = range(a + 1, a + n_worlds + 1)
+        nxt = [r + i for r in rows_at[1 + step:len(rows_at) - 1 + step]]
+        end, chained = (-1, slice(-1)) if step > 0 else (0, slice(1, None))
+        if sign & 1:  # here -> next cell, here -> here +- 1
+            clauses += [[-h, x] for h, x in zip(atoms, nxt)]
+            clauses += [[-h, h + step] for h in atoms[chained]]
+        if sign & 2:  # the converse
+            clauses += [[h, -x, -h - step]
+                        for h, x in zip(atoms[chained], nxt[chained])]
+            clauses.append([atoms[end], -nxt[end]])
 
     found, values = _kernels.search_solve(n_atoms, clauses)
     if not found:

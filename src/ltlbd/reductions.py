@@ -89,24 +89,20 @@ def threecol_to_star_krom(graph: Graph) -> tuple[SnfFormula, tuple[str, str]]:
     the higher one.
     """
     _check_size(graph)
-    b1 = Lit("b1")
-    b2 = Lit("b2")
-    clauses = []
-    for i in range(1, graph.n + 1):
-        clauses.append(Clause([Lit(_vertex(i), Mod.STAR, False)]))
+    b1, b2 = Lit("b1"), Lit("b2")
+    nb1, nb2 = b1.negated(), b2.negated()
+    vertices = [_vertex(i) for i in range(1, graph.n + 1)]
+    clauses = [Clause([Lit(v, Mod.STAR, False)]) for v in vertices]
+    at = [None] + [Lit(v) for v in vertices]  # at[i]: vertex i's variable
+    names = ["b1", "b2", *vertices]
     for i, j in graph.sorted_edges():
-        e_bb, e_nb, e_bn = _edge_vars(i, j)
-        vi, vj = Lit(_vertex(i)), Lit(_vertex(j))
-        for ev, lit1, lit2 in ((e_bb, b1, b2),
-                               (e_nb, b1.negated(), b2),
-                               (e_bn, b1, b2.negated())):
-            clauses.append(Clause([vi, Lit(ev, Mod.STAR), lit1, lit2]))
-            clauses.append(Clause([vj, Lit(ev, Mod.STAR, False), lit1, lit2]))
-    clauses.append(Clause([b1.negated(), b2.negated()]))
-    names = ["b1", "b2"]
-    names += map(_vertex, range(1, graph.n + 1))
-    for i, j in graph.sorted_edges():
-        names += _edge_vars(i, j)
+        evs = _edge_vars(i, j)
+        names += evs
+        for ev, lit1, lit2 in zip(evs, (b1, nb1, b1), (b2, b2, nb2)):
+            clauses.append(Clause([at[i], Lit(ev, Mod.STAR), lit1, lit2]))
+            clauses.append(Clause([at[j], Lit(ev, Mod.STAR, False), lit1,
+                                   lit2]))
+    clauses.append(Clause([nb1, nb2]))
     phi = _trusted(frozenset({Mod.STAR}), (), tuple(clauses),
                    tuple(sorted(names)))
     return phi, ("b1", "b2")
@@ -136,50 +132,57 @@ def threecol_to_fp_horn(graph: Graph) -> tuple[SnfFormula, tuple[str, ...]]:
     """
     _check_size(graph)
     n = graph.n
-    cs = [Lit(f"c{j}") for j in (1, 2, 3)]
+    none, fut, past = Mod.NONE, Mod.FUT, Mod.PAST
+    c1, c2, c3 = cs = [Lit(f"c{j}") for j in (1, 2, 3)]
+    nc1, nc2, nc3 = ncs = [c.negated() for c in cs]
     prime = Lit(prime_var(n))
-    s = Lit("s")
+    nprime = prime.negated()
     clauses = [
-        Clause([cs[0], cs[1], cs[2]]),
-        Clause([cs[0].negated(), cs[1].negated(), cs[2].negated()]),
-        Clause([cs[0], cs[1].negated(), cs[2].negated()]),
-        Clause([cs[0].negated(), cs[1].negated(), cs[2]]),
-        Clause([cs[0].negated(), cs[1], cs[2].negated()]),
+        Clause([c1, c2, c3]),
+        Clause([nc1, nc2, nc3]),
+        Clause([c1, nc2, nc3]),
+        Clause([nc1, nc2, c3]),
+        Clause([nc1, c2, nc3]),
     ]
+    # vc[i][c - 1]: vertex i has colour c; off[i][c - 1] its negation
+    vc = [None] + [[_vc(i, c) for c in (1, 2, 3)] for i in range(1, n + 1)]
+    off = [None] + [[Lit(x, none, False) for x in row] for row in vc[1:]]
     for i in range(1, n + 1):
-        for c in (1, 2, 3):
-            vc = _vc(i, c)
-            clauses.append(Clause([Lit(vc, positive=False), Lit(vc, Mod.FUT)]))
-            clauses.append(Clause([Lit(vc, positive=False), Lit(vc, Mod.PAST)]))
+        for x, nx in zip(vc[i], off[i]):
+            clauses.append(Clause([nx, Lit(x, fut)]))
+            clauses.append(Clause([nx, Lit(x, past)]))
+    # each marker's literals, by index i: p_i, ~p_i, [F]p_i, ~[F]p_i,
+    # [P]p_i and ~[P]p_i
     p = [None] + [_marker(i) for i in range(1, n + 1)]
-    clauses.append(Clause([s.negated(), Lit(p[1], positive=False)]))
-    clauses.append(Clause([s.negated(), Lit(p[1], Mod.FUT)]))
-    clauses.append(Clause([s.negated(), Lit(p[1], Mod.PAST)]))
+    at = [None] + [Lit(x) for x in p[1:]]
+    not_at = [None] + [Lit(x, none, False) for x in p[1:]]
+    f = [None] + [Lit(x, fut) for x in p[1:]]
+    not_f = [None] + [Lit(x, fut, False) for x in p[1:]]
+    pa = [None] + [Lit(x, past) for x in p[1:]]
+    not_pa = [None] + [Lit(x, past, False) for x in p[1:]]
+    ns = Lit("s", none, False)
+    clauses.append(Clause([ns, not_at[1]]))
+    clauses.append(Clause([ns, f[1]]))
+    clauses.append(Clause([ns, pa[1]]))
     for i in range(1, n):
-        clauses.append(Clause([Lit(p[i], positive=False),
-                               Lit(p[i], Mod.FUT, False),
-                               Lit(p[i + 1], Mod.FUT)]))
-        clauses.append(Clause([Lit(p[i]), Lit(p[i + 1], Mod.FUT, False)]))
-    clauses.append(Clause([Lit(p[n]), Lit(p[n], Mod.FUT, False), prime]))
-    clauses.append(Clause([Lit(p[n], positive=False), prime.negated()]))
-    clauses.append(Clause([Lit(p[n], Mod.FUT), prime.negated()]))
-    clauses.append(Clause([prime.negated(), Lit(p[n], Mod.PAST)]))
+        clauses.append(Clause([not_at[i], not_f[i], f[i + 1]]))
+        clauses.append(Clause([at[i], not_f[i + 1]]))
+    clauses.append(Clause([at[n], not_f[n], prime]))
+    clauses.append(Clause([not_at[n], nprime]))
+    clauses.append(Clause([f[n], nprime]))
+    clauses.append(Clause([nprime, pa[n]]))
     for i in range(2, n + 1):
-        clauses.append(Clause([Lit(p[i], positive=False),
-                               Lit(p[i], Mod.PAST, False),
-                               Lit(p[i - 1], Mod.PAST)]))
+        clauses.append(Clause([not_at[i], not_pa[i], pa[i - 1]]))
     for i in range(1, n + 1):
-        for j in (1, 2, 3):
-            fp = [Lit(p[i], Mod.FUT, False), Lit(p[i], Mod.PAST, False)]
-            clauses.append(Clause(fp + [Lit(_vc(i, j), positive=False), cs[j - 1]]))
-            clauses.append(Clause(fp + [cs[j - 1].negated(), Lit(_vc(i, j))]))
+        for x, nx, c, nc in zip(vc[i], off[i], cs, ncs):
+            clauses.append(Clause([not_f[i], not_pa[i], nx, c]))
+            clauses.append(Clause([not_f[i], not_pa[i], nc, Lit(x)]))
     for i, j in graph.sorted_edges():
-        for c in (1, 2, 3):
-            clauses.append(Clause([Lit(_vc(i, c), positive=False),
-                                   Lit(_vc(j, c), positive=False)]))
+        for nx, ny in zip(off[i], off[j]):
+            clauses.append(Clause([nx, ny]))
     names = ["c1", "c2", "c3", "s", prime_var(n), *p[1:]]
-    names += (_vc(i, c) for i in range(1, n + 1) for c in (1, 2, 3))
-    phi = _trusted(frozenset({Mod.FUT, Mod.PAST}), ("s",), tuple(clauses),
+    names += (x for row in vc[1:] for x in row)
+    phi = _trusted(frozenset({fut, past}), ("s",), tuple(clauses),
                    tuple(sorted(names)))
     return phi, ("c1", "c2", "c3", prime_var(n))
 

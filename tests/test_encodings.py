@@ -1,7 +1,10 @@
 """Both oracle encodings hand the clause search the same clause lists, in the
 same order, as the reference builders below, which ground every literal
 through per-row and per-cell helpers; and both refuse a formula whose
-encoding would exceed ``ENCODING_CLAUSE_LIMIT`` clauses, counted exactly."""
+encoding would exceed ``ENCODING_CLAUSE_LIMIT`` clauses, counted exactly.
+The window encoding keeps only the directions of each modal atom's
+definition that the atom's signs in the formula need; its witnesses equal
+those of the full definitions."""
 
 import itertools
 import random
@@ -10,8 +13,10 @@ import tracemalloc
 import pytest
 
 from ltlbd import _kernels, oracle
+from ltlbd.fileio import format_model_table
 from ltlbd.formula import Clause, Lit, Mod, SnfFormula
 from ltlbd.gen import random_formula
+from ltlbd.interp import FiniteWindowInterpretation
 from ltlbd.oracle import _star_by_encoding, window_sat_oracle
 from ltlbd.reductions import Graph, threecol_to_fp_horn, threecol_to_star_krom
 
@@ -39,8 +44,14 @@ def reference_star_clauses(phi):
     return n * (n + 2), clauses
 
 
-def reference_window_clauses(phi, width):
-    """The window encoding, one ``row``/``cell`` call per world."""
+def reference_window_clauses(phi, width, full=False):
+    """The window encoding, one ``row``/``cell`` call per world.
+
+    A modal atom that occurs positively implies its meaning, and one that
+    occurs negatively is implied by it: an always-atom implies each row's
+    cell, and the conjunction of the cells implies it; a future (past) atom
+    at world w implies v at w + 1 (w - 1) and the atom there, and those two
+    imply it.  ``full`` keeps both directions for every atom."""
     variables = sorted(phi.variables)
     nv = len(variables)
     n_rows = width + 3
@@ -59,6 +70,9 @@ def reference_window_clauses(phi, width):
             if lit.mod is not Mod.NONE and (lit.mod, lit.var) not in base:
                 base[lit.mod, lit.var] = n_atoms
                 n_atoms += 1 if lit.mod is Mod.STAR else len(worlds)
+    positive = {(l.mod, l.var) for c in phi.clauses for l in c if l.positive}
+    negative = {(l.mod, l.var) for c in phi.clauses for l in c
+                if not l.positive}
 
     def code(lit, w):
         if lit.mod is Mod.NONE:
@@ -74,20 +88,32 @@ def reference_window_clauses(phi, width):
         clauses.extend([code(lit, w) for lit in c] for w in worlds)
     clauses.extend([cell(v, 0) + 1] for v in phi.initial)
     for (mod, v), a in base.items():
+        implies = full or (mod, v) in positive
+        implied = full or (mod, v) in negative
         if mod is Mod.STAR:
             cells = [r * nv + col[v] + 1 for r in range(n_rows)]
-            clauses.extend([-a - 1, x] for x in cells)
-            clauses.append([a + 1] + [-x for x in cells])
+            if implies:
+                clauses.extend([-a - 1, x] for x in cells)
+            if implied:
+                clauses.append([a + 1] + [-x for x in cells])
             continue
         step = 1 if mod is Mod.FUT else -1
-        for w in worlds:
-            here, nxt = a + w + 3, cell(v, w + step) + 1
-            clauses.append([-here, nxt])
-            if w + step in worlds:
-                clauses.append([-here, here + step])
-                clauses.append([here, -nxt, -(here + step)])
-            else:
-                clauses.append([here, -nxt])
+
+        def atom(w):
+            return a + w + 3
+
+        def nxt(w):
+            return cell(v, w + step) + 1
+
+        chained = [w for w in worlds if w + step in worlds]
+        end = width + 2 if step > 0 else -2
+        if implies:
+            clauses.extend([-atom(w), nxt(w)] for w in worlds)
+            clauses.extend([-atom(w), atom(w + step)] for w in chained)
+        if implied:
+            clauses.extend([atom(w), -nxt(w), -atom(w + step)]
+                           for w in chained)
+            clauses.append([atom(end), -nxt(end)])
     return n_atoms, clauses
 
 
@@ -166,6 +192,37 @@ def test_star_encoding_of_always_only_formulas(handed, monkeypatch):
                              variables=names)
             assert_handed(handed, reference_star_clauses(phi),
                           lambda: _star_by_encoding(phi), monkeypatch)
+
+
+def full_window_table(phi, width):
+    """The model table of the first model of the window encoding with the
+    full definition of every modal atom, or None."""
+    n_atoms, clauses = reference_window_clauses(phi, width, full=True)
+    found, values = _kernels.search_solve(n_atoms, clauses)
+    if not found:
+        return None
+    variables = sorted(phi.variables)
+    rows = [{v: bool(values[r * len(variables) + i])
+             for i, v in enumerate(variables)} for r in range(width + 3)]
+    return format_model_table(FiniteWindowInterpretation(
+        rows[0], tuple(rows[1:-1]), 0, rows[-1]))
+
+
+def test_window_witnesses_equal_the_full_definitions():
+    # every cell atom comes before every modal atom, so the witness is the
+    # first cell assignment that extends to a model, with or without the
+    # directions that the atoms' signs do not need
+    rng = random.Random(44)
+    none = 0
+    for k in range(3000):
+        phi = random_formula(rng, rng.randint(1, 4), rng.randint(1, 6), 3,
+                             OPERATOR_SETS[k % 8])
+        for width in (0, 1, 3):
+            got = window_sat_oracle(phi, width)
+            table = None if got is None else format_model_table(got)
+            assert table == full_window_table(phi, width)
+            none += got is None
+    assert 0 < none < 9000
 
 
 def refused_peak(solve):

@@ -212,6 +212,19 @@ def test_random_formula_needs_a_literal(max_lits):
     assert rng.getstate() == state
 
 
+@pytest.mark.parametrize("n_vars,n_clauses,message", [
+    (-2, 3, "variable count must not be negative"),
+    (3, -2, "clause count must not be negative"),
+], ids=["negative-vars", "negative-clauses"])
+def test_random_formula_refuses_negative_counts(n_vars, n_clauses, message):
+    # unchecked, these counts gave three empty clauses, and one clause
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=message):
+        random_formula(rng, n_vars, n_clauses, 2, set())
+    assert rng.getstate() == state
+
+
 def test_tautologies_need_a_variable():
     rng = random.Random(1)
     state = rng.getstate()

@@ -35,22 +35,28 @@ def reference_holds(m, world, lit):
     return value if lit.positive else not value
 
 
-@pytest.mark.parametrize("window,lo,start,right,message", [
-    ((), 0, 0, {"p": True}, "window must contain at least one world"),
-    (({"p": True},), 0, 1, {"p": True},
+@pytest.mark.parametrize("left,window,lo,start,right,message", [
+    ({"p": False}, (), 0, 0, {"p": True},
+     "window must contain at least one world"),
+    ({"p": False}, ({"p": True},), 0, 1, {"p": True},
      "start world must lie inside the window"),
-    (({"p": True}, {"q": True}), 0, 0, {"p": True},
+    ({"p": False}, ({"p": True}, {"q": True}), 0, 0, {"p": True},
      "all worlds must assign the same variables"),
-    (({"p": True},), 0, 0, {"q": True},
+    ({"p": False}, ({"p": True},), 0, 0, {"q": True},
      "all worlds must assign the same variables"),
-    (({"p": 2},), 0, 0, {"p": True}, "cell 'p' must be 0 or 1, got 2"),
-    (({"p": True},), 0, 0, {"p": 1.0}, "cell 'p' must be 0 or 1, got 1.0"),
+    ({"p": False}, ({"p": 2},), 0, 0, {"p": True},
+     "cell 'p' must be 0 or 1, got 2"),
+    ({"p": False}, ({"p": True},), 0, 0, {"p": 1.0},
+     "cell 'p' must be 0 or 1, got 1.0"),
+    # a model table would write this name as two names on its vars: line
+    ({"a b": True}, ({"a b": False},), 0, 0, {"a b": True},
+     "invalid variable name: 'a b'"),
 ], ids=["empty-window", "start-outside", "window-rows-differ",
-        "right-row-differs", "int-cell", "float-cell"])
-def test_malformed_interpretation_is_refused(window, lo, start, right,
+        "right-row-differs", "int-cell", "float-cell", "invalid-name"])
+def test_malformed_interpretation_is_refused(left, window, lo, start, right,
                                              message):
     with pytest.raises(ValueError, match=message):
-        FiniteWindowInterpretation({"p": False}, window, lo, right, start)
+        FiniteWindowInterpretation(left, window, lo, right, start)
 
 
 def test_int_cells_are_stored_as_bools():

@@ -7,7 +7,7 @@ import pytest
 from ltlbd.detection import (HORN, KROM, detect_horn_backdoor,
                              detect_krom_backdoor, verify_backdoor)
 from ltlbd.fileio import parse_model_table
-from ltlbd.formula import SnfFormula
+from ltlbd.formula import Clause, Lit, Mod, SnfFormula
 from ltlbd.interp import models
 from ltlbd.oracle import star_sat_oracle, window_sat_oracle
 from ltlbd.reductions import (FP_HORN, REDUCE_VERTEX_LIMIT, STAR_KROM, Graph,
@@ -74,6 +74,95 @@ def test_reductions_equal_a_validated_build(build):
         phi, _ = build(random_graph(rng, rng.randint(1, 8)))
         again = SnfFormula(phi.operators, phi.initial, phi.clauses)
         assert phi == again and phi.variables == again.variables
+
+
+def star_krom_by_literal(graph):
+    """``threecol_to_star_krom``'s formula, each literal built where used."""
+    def lit(var, mod=Mod.NONE, positive=True):
+        return Lit(var, mod, positive)
+
+    clauses = [Clause([lit(f"v{i}", Mod.STAR, False)])
+               for i in range(1, graph.n + 1)]
+    for i, j in graph.sorted_edges():
+        for suffix, s1, s2 in (("bb", True, True), ("nb", False, True),
+                               ("bn", True, False)):
+            ev = f"e_{i}_{j}_{suffix}"
+            clauses.append(Clause([lit(f"v{i}"), lit(ev, Mod.STAR),
+                                   lit("b1", positive=s1),
+                                   lit("b2", positive=s2)]))
+            clauses.append(Clause([lit(f"v{j}"), lit(ev, Mod.STAR, False),
+                                   lit("b1", positive=s1),
+                                   lit("b2", positive=s2)]))
+    clauses.append(Clause([lit("b1", positive=False),
+                           lit("b2", positive=False)]))
+    return SnfFormula(frozenset({Mod.STAR}), (), tuple(clauses))
+
+
+def fp_horn_by_literal(graph):
+    """``threecol_to_fp_horn``'s formula, each literal built where used."""
+    n = graph.n
+    F, P = Mod.FUT, Mod.PAST
+
+    def lit(var, mod=Mod.NONE, positive=True):
+        return Lit(var, mod, positive)
+
+    def colours(*signs):
+        return Clause([lit(f"c{j}", positive=s)
+                       for j, s in zip((1, 2, 3), signs)])
+
+    prime = f"p{n}_prime"
+    clauses = [colours(True, True, True), colours(False, False, False),
+               colours(True, False, False), colours(False, False, True),
+               colours(False, True, False)]
+    for i in range(1, n + 1):
+        for c in (1, 2, 3):
+            clauses.append(Clause([lit(f"v{i}_{c}", positive=False),
+                                   lit(f"v{i}_{c}", F)]))
+            clauses.append(Clause([lit(f"v{i}_{c}", positive=False),
+                                   lit(f"v{i}_{c}", P)]))
+    clauses.append(Clause([lit("s", positive=False),
+                           lit("p1", positive=False)]))
+    clauses.append(Clause([lit("s", positive=False), lit("p1", F)]))
+    clauses.append(Clause([lit("s", positive=False), lit("p1", P)]))
+    for i in range(1, n):
+        clauses.append(Clause([lit(f"p{i}", positive=False),
+                               lit(f"p{i}", F, False), lit(f"p{i + 1}", F)]))
+        clauses.append(Clause([lit(f"p{i}"), lit(f"p{i + 1}", F, False)]))
+    clauses.append(Clause([lit(f"p{n}"), lit(f"p{n}", F, False),
+                           lit(prime)]))
+    clauses.append(Clause([lit(f"p{n}", positive=False),
+                           lit(prime, positive=False)]))
+    clauses.append(Clause([lit(f"p{n}", F), lit(prime, positive=False)]))
+    clauses.append(Clause([lit(prime, positive=False), lit(f"p{n}", P)]))
+    for i in range(2, n + 1):
+        clauses.append(Clause([lit(f"p{i}", positive=False),
+                               lit(f"p{i}", P, False), lit(f"p{i - 1}", P)]))
+    for i in range(1, n + 1):
+        for j in (1, 2, 3):
+            fp = [lit(f"p{i}", F, False), lit(f"p{i}", P, False)]
+            clauses.append(Clause(fp + [lit(f"v{i}_{j}", positive=False),
+                                        lit(f"c{j}")]))
+            clauses.append(Clause(fp + [lit(f"c{j}", positive=False),
+                                        lit(f"v{i}_{j}")]))
+    for i, j in graph.sorted_edges():
+        for c in (1, 2, 3):
+            clauses.append(Clause([lit(f"v{i}_{c}", positive=False),
+                                   lit(f"v{j}_{c}", positive=False)]))
+    return SnfFormula(frozenset({F, P}), ("s",), tuple(clauses))
+
+
+@pytest.mark.parametrize("build,reference", [
+    (threecol_to_star_krom, star_krom_by_literal),
+    (threecol_to_fp_horn, fp_horn_by_literal)], ids=["star-krom", "fp-horn"])
+def test_reductions_equal_a_literal_by_literal_build(build, reference):
+    # the builders make each repeated literal once; the clauses, their order
+    # and the universe are those of a build that makes every literal anew
+    rng = random.Random(21)
+    for _ in range(300):
+        graph = random_graph(rng, rng.randint(1, 9))
+        phi, _ = build(graph)
+        expected = reference(graph)
+        assert phi == expected and phi.variables == expected.variables
 
 
 class TestKromReduction:
