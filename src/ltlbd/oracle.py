@@ -26,6 +26,19 @@ row is over the sorted variables.  Both encodings count their clauses
 before building any.  This module shares no code with backdoor evaluation,
 which it cross-checks.
 
+The window encoding folds each frozen variable: one whose clauses hold
+``~v | [F]v`` and ``~v | [P]v``, or ``~v | [*]v``.  Every cell is the cell of
+some evaluation world, so in every model such a v holds everywhere or
+nowhere, and each of its modal literals means v.  It gets one atom,
+numbered at its left-edge cell, which every cell and modal literal of it
+reads; its modal pairs get no atoms, its gadgets become valid and are
+dropped, and a clause whose literals all keep their atom across the worlds
+is grounded once.  The models of the two encodings correspond one to one,
+and the witness does not change: the left edge comes first in the cell
+order, so two cell assignments that first differ at a folded cell already
+differ at that variable's left-edge cell, and the folded decision order
+ranks the cell assignments of models as the full one does.
+
 The window encoding defines its modal atoms by polarity (Plaisted and
 Greenbaum, "A structure-preserving clause form translation", JSC 1986): an
 atom that occurs positively in the formula implies its meaning, one that
@@ -44,7 +57,7 @@ witness depends on their values; it keeps the full definitions.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import repeat
 from typing import Optional
 
 from . import _kernels
@@ -59,7 +72,7 @@ STAR_VAR_LIMIT = 64
 #: Window search budget: explicit window cells (rows times variables).
 WINDOW_CELL_LIMIT = 4096
 #: Both encodings refuse a formula whose grounded encoding would exceed
-#: this many clauses; the reduce-3col inputs ground at most 6,500.
+#: this many clauses; the reduce-3col inputs ground at most 2,732.
 ENCODING_CLAUSE_LIMIT = 200_000
 
 
@@ -123,13 +136,11 @@ def _check_clause_budget(n_clauses: int) -> None:
                          f"{ENCODING_CLAUSE_LIMIT}")
 
 
-def _ground(phi: SnfFormula, codes, copies: int) -> list:
-    """Each clause of ``phi`` in each of ``copies`` rows or worlds: per
-    clause, one list of signed atoms per copy.  ``codes(lit)`` gives a
-    literal's atom in every copy, and runs once per distinct literal; a
-    clause without literals yields one empty clause per copy."""
+def _columns(phi: SnfFormula, codes):
+    """Per clause of ``phi``, the list of its literals' ``codes(lit)``, a
+    literal's signed atom in every row or world; ``codes`` runs once per
+    distinct literal.  ``zip(*cols)`` is then the clause in every copy."""
     column = {}
-    grounded = []
     for c in phi.clauses:
         cols = []
         for lit in c:
@@ -137,9 +148,7 @@ def _ground(phi: SnfFormula, codes, copies: int) -> list:
             if codes_at is None:
                 codes_at = column[lit] = codes(lit)
             cols.append(codes_at)
-        grounded.append(list(map(list, zip(*cols))) if cols
-                        else [[] for _ in range(copies)])
-    return grounded
+        yield cols
 
 
 def _star_by_encoding(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
@@ -158,8 +167,11 @@ def _star_by_encoding(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
         a = [r * n + i for r in rows] if lit.mod is none else [i] * (n + 1)
         return a if lit.positive else [-x for x in a]
 
-    # every clause in row 1, then every clause in row 2, and so on
-    clauses = [g for row in zip(*_ground(phi, codes, n + 1)) for g in row]
+    # every clause in row 1, then every clause in row 2, and so on; a clause
+    # without literals is empty in every row
+    copies = [zip(*cols) if cols else repeat((), n + 1)
+              for cols in _columns(phi, codes)]
+    clauses = [list(g) for row in zip(*copies) for g in row]
     clauses.extend([n + col[v]] for v in phi.initial)
     for i in range(n):
         clauses.extend([-i - 1, r * n + i + 1] for r in rows)
@@ -182,8 +194,9 @@ def window_sat_oracle(phi: SnfFormula,
     the cell grid (left edge, then worlds 0..width, then right edge, each
     row over sorted variables, false before true), or None when no model
     exists within the window.  None is not an unsatisfiability claim.  The
-    encoding defines each modal atom by polarity (see the module
-    docstring).  Raises ValueError on a negative width or one over
+    encoding gives a variable that its clauses hold constant across time
+    one atom, and defines every other modal atom by polarity (see the
+    module docstring).  Raises ValueError on a negative width or one over
     ``WINDOW_CELL_LIMIT`` cells or ``ENCODING_CLAUSE_LIMIT`` clauses.
     """
     check_operators(phi)
@@ -197,61 +210,98 @@ def window_sat_oracle(phi: SnfFormula,
             f"window budget exceeded: {n_rows} rows x {nv} "
             f"variables > {WINDOW_CELL_LIMIT} cells")
     n_worlds = width + 5  # the worlds -2..width+2 every clause is grounded at
-    # first cell atom of the row of each world -3..width+3: the edge rows 0
-    # and n_rows-1 hold every world left and right of the window
-    rows_at = ([0] * 3 + [r * nv for r in range(1, n_rows - 1)]
-               + [(n_rows - 1) * nv] * 3)
-    col = {v: i + 1 for i, v in enumerate(variables)}  # signed atom in row 0
     none, star = Mod.NONE, Mod.STAR  # bound once: enum lookups are slow
 
-    # atoms after the cells: one always-atom, or one future/past atom per
-    # evaluation world, for each modal (operator, variable) pair; ``signs``
-    # holds 1 if the pair occurs positively, 2 if negatively, 3 if both
-    base, signs, n_atoms = {}, {}, n_rows * nv
+    # ``signs`` holds, per modal (operator, variable) pair in order of first
+    # occurrence, 1 if it occurs positively, 2 if negatively, 3 if both;
+    # ``halves`` ORs the operators of each variable's clauses ~v | [op]v,
+    # whose canonical order puts ~v first, and Mod.PAST | Mod.FUT is STAR
+    signs, halves = {}, {}
     for c in phi.clauses:
         for lit in c:
             if lit.mod is not none:
                 key = lit.mod, lit.var
-                if key not in base:
-                    base[key] = n_atoms
-                    signs[key] = 0
-                    n_atoms += 1 if lit.mod is star else n_worlds
-                signs[key] |= 1 if lit.positive else 2
-    _check_clause_budget(len(phi.clauses) * n_worlds + len(phi.initial) + sum(
-        (sign & 1) * (n_rows if mod is star else 2 * n_worlds - 1)
-        + (sign >> 1) * (1 if mod is star else n_worlds)
-        for (mod, _), sign in signs.items()))
+                signs[key] = signs.get(key, 0) | (1 if lit.positive else 2)
+        if len(c) == 2:
+            a, b = c.literals
+            if (a.var == b.var and a.mod is none and not a.positive
+                    and b.positive):
+                halves[a.var] = halves.get(a.var, 0) | b.mod
+    frozen = {v for v, h in halves.items() if h == star}
+
+    # atoms: the left edge over every variable, then rows 1..n_rows-1 over
+    # the variables that are not frozen; cells[v][r] is v's atom in row r,
+    # which for a frozen variable is its left-edge atom in every row
+    thawed = [v for v in variables if v not in frozen]
+    nf = len(thawed)
+    cells = {v: [i] * n_rows for i, v in enumerate(variables, 1)}
+    for j, v in enumerate(thawed, nv + 1):
+        cells[v][1:] = range(j, j + (n_rows - 1) * nf, nf)
+    # then one always-atom, or one future/past atom per evaluation world,
+    # for each modal pair of a variable that is not frozen
+    base, n_atoms = {}, nv + (n_rows - 1) * nf
+    for key in signs:
+        if key[1] not in frozen:
+            base[key] = n_atoms
+            n_atoms += 1 if key[0] is star else n_worlds
+    # the row of each world -3..width+3: the edge rows 0 and n_rows-1 hold
+    # every world left and right of the window
+    row_of = [0] * 3 + list(range(1, n_rows - 1)) + [n_rows - 1] * 3
 
     def codes(lit) -> list:
         """The literal's signed atom at every evaluation world."""
-        if lit.mod is none:
-            a = [r + col[lit.var] for r in rows_at[1:-1]]
+        v = lit.var
+        if lit.mod is none or v in frozen:
+            at = cells[v]
+            a = [at[r] for r in row_of[1:-1]]
         elif lit.mod is star:
-            a = [base[star, lit.var] + 1] * n_worlds
+            a = [base[star, v] + 1] * n_worlds
         else:
-            first = base[lit.mod, lit.var] + 1
+            first = base[lit.mod, v] + 1
             a = list(range(first, first + n_worlds))
         return a if lit.positive else [-x for x in a]
 
-    # every clause at every evaluation world, and initial facts at world 0
-    clauses = list(chain.from_iterable(_ground(phi, codes, n_worlds)))
-    clauses.extend([nv + col[v]] for v in phi.initial)
+    # each clause at every evaluation world, unbuilt.  Two literals share an
+    # atom at one world iff they share it at every world, so a clause with
+    # an atom in both signs is valid at every world and dropped; one whose
+    # literals all keep their atom (a frozen variable's or an always-atom)
+    # is grounded once.  Every other literal's first and last atoms differ.
+    grounded, n_clauses = [], len(phi.initial)
+    for cols in _columns(phi, codes):
+        first = [a[0] for a in cols]
+        if any(-x in first for x in first):
+            continue
+        if all(a[0] == a[-1] for a in cols):
+            grounded.append((first,))
+            n_clauses += 1
+        else:
+            grounded.append(zip(*cols))
+            n_clauses += n_worlds
+    _check_clause_budget(n_clauses + sum(
+        (signs[key] & 1) * (n_rows if key[0] is star else 2 * n_worlds - 1)
+        + (signs[key] >> 1) * (1 if key[0] is star else n_worlds)
+        for key in base))
+
+    # the clauses, then the initial facts at world 0, then the definitions
+    clauses = []
+    for g in grounded:
+        clauses += map(list, g)
+    clauses.extend([cells[v][1]] for v in phi.initial)
 
     for (mod, v), a in base.items():
-        i, sign = col[v], signs[mod, v]
+        sign, at = signs[mod, v], cells[v]
         if mod is star:  # always-atom: conjunction of all rows
-            cells = range(i, n_rows * nv + 1, nv)
             if sign & 1:
-                clauses += [[-a - 1, x] for x in cells]
+                clauses += [[-a - 1, x] for x in at]
             if sign & 2:
-                clauses.append([a + 1] + [-x for x in cells])
+                clauses.append([a + 1] + [-x for x in at])
             continue
         # future (past) atom at w: v holds at every later (earlier) world;
         # beyond the last (first) evaluation world only the frozen edge
         # remains, so that world's atom has no neighbour to chain to
         step = 1 if mod is Mod.FUT else -1
         atoms = range(a + 1, a + n_worlds + 1)
-        nxt = [r + i for r in rows_at[1 + step:len(rows_at) - 1 + step]]
+        nxt = [at[r] for r in row_of[1 + step:len(row_of) - 1 + step]]
         end, chained = (-1, slice(-1)) if step > 0 else (0, slice(1, None))
         if sign & 1:  # here -> next cell, here -> here +- 1
             clauses += [[-h, x] for h, x in zip(atoms, nxt)]
@@ -264,7 +314,7 @@ def window_sat_oracle(phi: SnfFormula,
     found, values = _kernels.search_solve(n_atoms, clauses)
     if not found:
         return None
-    rows = [{v: bool(values[r * nv + i]) for i, v in enumerate(variables)}
+    rows = [{v: bool(values[cells[v][r] - 1]) for v in variables}
             for r in range(n_rows)]
     result = FiniteWindowInterpretation(
         left=rows[0], window=tuple(rows[1:-1]), lo=0, right=rows[-1], start=0)

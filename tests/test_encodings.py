@@ -2,9 +2,10 @@
 same order, as the reference builders below, which ground every literal
 through per-row and per-cell helpers; and both refuse a formula whose
 encoding would exceed ``ENCODING_CLAUSE_LIMIT`` clauses, counted exactly.
-The window encoding keeps only the directions of each modal atom's
-definition that the atom's signs in the formula need; its witnesses equal
-those of the full definitions."""
+The window encoding gives each variable that its clauses hold constant
+across time one atom, and keeps only the directions of each other modal
+atom's definition that the atom's signs in the formula need; its witnesses
+equal those of the unfolded full definitions."""
 
 import itertools
 import random
@@ -14,7 +15,7 @@ import pytest
 
 from ltlbd import _kernels, oracle
 from ltlbd.fileio import format_model_table
-from ltlbd.formula import Clause, Lit, Mod, SnfFormula
+from ltlbd.formula import TEMPORAL_MODS, Clause, Lit, Mod, SnfFormula
 from ltlbd.gen import random_formula
 from ltlbd.interp import FiniteWindowInterpretation
 from ltlbd.oracle import _star_by_encoding, window_sat_oracle
@@ -44,38 +45,66 @@ def reference_star_clauses(phi):
     return n * (n + 2), clauses
 
 
+def frozen_variables(phi):
+    """The variables that ``~v | [F]v`` and ``~v | [P]v``, or ``~v | [*]v``,
+    hold constant across every world."""
+    present = set(phi.clauses)
+
+    def gadget(v, mod):
+        return Clause([Lit(v, Mod.NONE, False), Lit(v, mod)]) in present
+
+    return {v for v in phi.variables if gadget(v, Mod.STAR)
+            or (gadget(v, Mod.FUT) and gadget(v, Mod.PAST))}
+
+
 def reference_window_clauses(phi, width, full=False):
     """The window encoding, one ``row``/``cell`` call per world.
 
-    A modal atom that occurs positively implies its meaning, and one that
-    occurs negatively is implied by it: an always-atom implies each row's
-    cell, and the conjunction of the cells implies it; a future (past) atom
-    at world w implies v at w + 1 (w - 1) and the atom there, and those two
-    imply it.  ``full`` keeps both directions for every atom."""
+    Each frozen variable has one atom, its left-edge cell, which each of its
+    cells and modal literals reads, and its modal pairs get no atoms.  The
+    atoms are the left edge over every variable, then rows 1.. over the
+    others, then the modal atoms.  A modal atom that occurs positively
+    implies its meaning, and one that occurs negatively is implied by it:
+    an always-atom implies each row's cell, and the conjunction of the cells
+    implies it; a future (past) atom at world w implies v at w + 1 (w - 1)
+    and the atom there, and those two imply it.  A grounding that holds an
+    atom in both signs is dropped, and a clause whose groundings are all
+    equal is kept once.  ``full`` folds no variable and keeps both
+    directions for every atom."""
     variables = sorted(phi.variables)
     nv = len(variables)
     n_rows = width + 3
+    frozen = set() if full else frozen_variables(phi)
+    thawed = [v for v in variables if v not in frozen]
     col = {v: i for i, v in enumerate(variables)}
+    thawed_col = {v: i for i, v in enumerate(thawed)}
     worlds = range(-2, width + 3)
 
     def row(world):
-        return min(max(world + 1, 0), n_rows - 1) * nv
+        return min(max(world + 1, 0), n_rows - 1)
+
+    def cell_in(v, r):
+        if v in frozen or r == 0:
+            return col[v]
+        return nv + (r - 1) * len(thawed) + thawed_col[v]
 
     def cell(v, world):
-        return row(world) + col[v]
+        return cell_in(v, row(world))
 
-    base, n_atoms = {}, n_rows * nv
+    base, n_atoms = {}, nv + (n_rows - 1) * len(thawed)
     for c in phi.clauses:
         for lit in c:
-            if lit.mod is not Mod.NONE and (lit.mod, lit.var) not in base:
-                base[lit.mod, lit.var] = n_atoms
+            key = lit.mod, lit.var
+            if (lit.mod is not Mod.NONE and lit.var not in frozen
+                    and key not in base):
+                base[key] = n_atoms
                 n_atoms += 1 if lit.mod is Mod.STAR else len(worlds)
     positive = {(l.mod, l.var) for c in phi.clauses for l in c if l.positive}
     negative = {(l.mod, l.var) for c in phi.clauses for l in c
                 if not l.positive}
 
     def code(lit, w):
-        if lit.mod is Mod.NONE:
+        if lit.mod is Mod.NONE or lit.var in frozen:
             a = cell(lit.var, w) + 1
         elif lit.mod is Mod.STAR:
             a = base[Mod.STAR, lit.var] + 1
@@ -85,13 +114,17 @@ def reference_window_clauses(phi, width, full=False):
 
     clauses = []
     for c in phi.clauses:
-        clauses.extend([code(lit, w) for lit in c] for w in worlds)
+        groundings = [g for g in ([code(lit, w) for lit in c] for w in worlds)
+                      if not any(-a in g for a in g)]
+        if groundings and all(g == groundings[0] for g in groundings):
+            groundings = groundings[:1]
+        clauses.extend(groundings)
     clauses.extend([cell(v, 0) + 1] for v in phi.initial)
     for (mod, v), a in base.items():
         implies = full or (mod, v) in positive
         implied = full or (mod, v) in negative
         if mod is Mod.STAR:
-            cells = [r * nv + col[v] + 1 for r in range(n_rows)]
+            cells = [cell_in(v, r) + 1 for r in range(n_rows)]
             if implies:
                 clauses.extend([-a - 1, x] for x in cells)
             if implied:
@@ -164,7 +197,7 @@ def test_reductions_of_random_graphs(handed, monkeypatch):
 
 
 def test_window_encoding_over_every_operator_set(handed, monkeypatch):
-    rng = random.Random(42)
+    rng, planting = random.Random(42), random.Random(45)
     for ops in OPERATOR_SETS:
         for _ in range(12):
             phi = random_formula(rng, rng.randint(1, 4), rng.randint(1, 5),
@@ -172,10 +205,30 @@ def test_window_encoding_over_every_operator_set(handed, monkeypatch):
             if rng.random() < 0.2:  # an empty clause
                 phi = SnfFormula(phi.operators, phi.initial,
                                  phi.clauses + (Clause([]),))
-            for width in range(5):
-                assert_handed(handed, reference_window_clauses(phi, width),
-                              lambda: window_sat_oracle(phi, width),
-                              monkeypatch)
+            for psi in (phi, plant_gadgets(planting, phi)):
+                for width in range(5):
+                    assert_handed(handed, reference_window_clauses(psi, width),
+                                  lambda: window_sat_oracle(psi, width),
+                                  monkeypatch)
+
+
+def test_a_reduce_3col_encoding_folds_the_colour_variables(handed,
+                                                           monkeypatch):
+    # the benchmark's fp-horn graphs have 10 vertices and 16 edges, solved at
+    # width 12, and the encoding's size depends on nothing else: the 30
+    # colour variables v<i>_<c> fold, each clause over them alone is kept
+    # once, and their freezing gadgets are dropped as valid
+    pairs = itertools.combinations(range(1, 11), 2)
+    graph = Graph(10, frozenset(itertools.islice(pairs, 16)))
+    phi, _ = threecol_to_fp_horn(graph)
+    assert frozen_variables(phi) == {f"v{i}_{c}" for i in range(1, 11)
+                                     for c in (1, 2, 3)}
+    expected = reference_window_clauses(phi, 12)
+    assert (expected[0], len(expected[1])) == (595, 2732)
+    assert_handed(handed, expected, lambda: window_sat_oracle(phi, 12),
+                  monkeypatch)
+    got = window_sat_oracle(phi, 12)
+    assert format_model_table(got) == full_window_table(phi, 12)
 
 
 def test_star_encoding_of_always_only_formulas(handed, monkeypatch):
@@ -223,6 +276,69 @@ def test_window_witnesses_equal_the_full_definitions():
             assert table == full_window_table(phi, width)
             none += got is None
     assert 0 < none < 9000
+
+
+def plant_gadgets(rng, phi):
+    """``phi`` with gadgets that freeze some of its variables, as far as its
+    operators allow: ``~v | [F]v`` and ``~v | [P]v``, ``~v | [*]v``, or one
+    half alone, which freezes nothing; some of them also get a clause with
+    ``~[F]v`` or ``~[P]v`` and some an initial fact.  The clauses are
+    shuffled, so the gadgets come before or after the other occurrences."""
+    halves = [m for m in (Mod.FUT, Mod.PAST) if m in phi.operators]
+    forms = [[m] for m in halves]
+    if len(halves) == 2:
+        forms.append(halves)
+    if Mod.STAR in phi.operators:
+        forms.append([Mod.STAR])
+    clauses, initial = list(phi.clauses), set(phi.initial)
+    names = sorted(phi.variables)
+    for v in names:
+        if not forms or rng.random() < 0.4:
+            continue
+        for mod in rng.choice(forms):
+            clauses.append(Clause([Lit(v, Mod.NONE, False), Lit(v, mod)]))
+        if halves and rng.random() < 0.5:
+            clauses.append(Clause([Lit(v, rng.choice(halves), False),
+                                   Lit(rng.choice(names), Mod.NONE,
+                                       rng.random() < 0.5)]))
+        if rng.random() < 0.3:
+            initial.add(v)
+    rng.shuffle(clauses)
+    return SnfFormula(phi.operators, tuple(initial), tuple(clauses))
+
+
+def test_folded_witnesses_equal_the_unfolded_full_definitions():
+    # in every model a frozen variable holds everywhere or nowhere, and two
+    # cell assignments that first differ at a folded cell already differ at
+    # its left-edge cell, so folding keeps every witness and every None
+    rng = random.Random(46)
+    seen = dict.fromkeys(("both halves", "always", "one half", "negated",
+                          "initial", "none"), 0)
+    for k in range(1600):
+        ops = OPERATOR_SETS[k % 8]
+        phi = plant_gadgets(rng, random_formula(
+            rng, rng.randint(1, 4), rng.randint(1, 6), 3, ops))
+        frozen = frozen_variables(phi)
+        gadgets = {(v, m) for v in phi.variables for m in TEMPORAL_MODS
+                   if Clause([Lit(v, Mod.NONE, False), Lit(v, m)])
+                   in phi.clauses}
+        both = {v for v in frozen if (v, Mod.FUT) in gadgets
+                and (v, Mod.PAST) in gadgets}
+        one_half = any(v not in frozen for v, _ in gadgets)
+        negated = any(l.var in frozen and not l.positive
+                      and l.mod in (Mod.FUT, Mod.PAST)
+                      for c in phi.clauses for l in c)
+        for width in (0, 1, 3):
+            got = window_sat_oracle(phi, width)
+            table = None if got is None else format_model_table(got)
+            assert table == full_window_table(phi, width)
+            seen["both halves"] += bool(both)
+            seen["always"] += bool(frozen - both)
+            seen["one half"] += one_half and len(ops) == 1
+            seen["negated"] += negated
+            seen["initial"] += bool(frozen & set(phi.initial))
+            seen["none"] += got is None
+    assert min(seen.values()) >= 100, seen
 
 
 def refused_peak(solve):
