@@ -5,7 +5,7 @@ from .detection import (HORN, KROM, ConflictGraph, HittingFamily,
                         detect_horn_backdoor, detect_krom_backdoor,
                         hitting_set_3, minimal_backdoor_bruteforce,
                         verify_backdoor, vertex_cover)
-from .evaluation import (EvalResult, ThetaSet, candidate_encodings,
+from .evaluation import (EvalResult, candidate_encodings,
                          candidate_theta_sets, encoding_size_bound,
                          evaluate_horn_star, global_assignment,
                          propositionalize, relabel_copy)

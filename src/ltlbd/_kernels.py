@@ -239,7 +239,7 @@ def horn_index(n_atoms, clauses):
     return heads, counts, occ, facts
 
 
-def horn_forward(heads, counts, occ, values, facts, trail=None):
+def horn_forward(heads, counts, occ, values, facts):
     """Linear forward chaining over a :func:`horn_index` (Dowling–Gallier).
 
     Makes each atom of ``facts`` true (-1 is falsum) and fires every clause
@@ -247,15 +247,15 @@ def horn_forward(heads, counts, occ, values, facts, trail=None):
     ``counts`` in place.  The atoms already true in ``values`` must have
     been propagated through ``counts``, as a successful earlier call leaves
     them, so a closure can be copied and extended by further facts.
-    Returns 0 once falsum fires; otherwise 1, and ``values`` is then the
-    minimal model of the clauses, the earlier facts and ``facts``.  On
-    success the atoms the call made true are appended to ``trail``, if
-    given, in the order they were set.
+    Returns None once falsum fires; otherwise the list of atoms the call
+    made true, in the order it set them (empty when it sets none), and
+    ``values`` is then the minimal model of the clauses, the earlier facts
+    and ``facts``.
     """
     queue = []
     for a in facts:
         if a < 0:
-            return 0
+            return None
         if not values[a]:
             values[a] = 1
             queue.append(a)
@@ -267,13 +267,11 @@ def horn_forward(heads, counts, occ, values, facts, trail=None):
             if left == 0:
                 head = heads[ci]
                 if head < 0:
-                    return 0
+                    return None
                 if not values[head]:
                     values[head] = 1
                     queue.append(head)
-    if trail is not None:
-        trail += queue
-    return 1
+    return queue
 
 
 def _columns(n):

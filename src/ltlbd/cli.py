@@ -12,12 +12,13 @@ backdoor (:class:`~ltlbd.evaluation.BackdoorError`), 4 for an internal error
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
 from pathlib import Path
 
 from .detection import HORN, KROM, detect_horn_backdoor, detect_krom_backdoor
-from .evaluation import BackdoorError, candidate_encodings, evaluate_horn_star
+from .evaluation import BackdoorError, evaluate_horn_star
 from .fileio import (ParseError, format_model_table, format_snf,
                      parse_dimacs_col, parse_model_table, parse_snf)
 from .formula import (OPERATOR_LETTERS, VAR_NAME_RE, Mod, operator_set,
@@ -99,15 +100,17 @@ def cmd_evaluate(args) -> int:
         if not VAR_NAME_RE.match(name):
             raise ParseError(f"invalid variable name {name!r}")
     backdoor = tuple(dict.fromkeys(names))
-    result = evaluate_horn_star(phi, backdoor)
+    dump = None
     if args.dump_cnf:
-        stream = candidate_encodings(phi, backdoor)
-        for idx, (_, cnf) in zip(range(result.tried), stream):
+        index = itertools.count()
+
+        def dump(_, cnf):
+            prefix = f"{args.dump_cnf}.{next(index)}"
             text, atoms = to_dimacs(cnf)
-            Path(f"{args.dump_cnf}.{idx}.cnf").write_text(
-                text, encoding="utf-8")
-            Path(f"{args.dump_cnf}.{idx}.names").write_text(
-                "\n".join(atoms) + "\n", encoding="utf-8")
+            Path(prefix + ".cnf").write_text(text, encoding="utf-8")
+            Path(prefix + ".names").write_text("\n".join(atoms) + "\n",
+                                               encoding="utf-8")
+    result = evaluate_horn_star(phi, backdoor, on_candidate=dump)
     stats = dict(file=args.file, backdoor=",".join(backdoor) or "(empty)",
                  vars=len(phi.variables), clauses=len(phi.clauses),
                  backdoor_size=len(backdoor))

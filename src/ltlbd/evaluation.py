@@ -126,26 +126,13 @@ def _admit(phi: SnfFormula, backdoor: Iterable[str]) -> tuple:
 
 
 @dataclass(frozen=True)
-class ThetaSet:
-    """A nonempty set of assignments over the backdoor, with a designated
-    member that must carry the initial facts."""
-
-    members: tuple[dict, ...]
-    designated: dict
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("theta set must be nonempty")
-        if self.designated not in self.members:
-            raise ValueError("designated assignment must belong to the set")
-
-
-@dataclass(frozen=True)
 class EvalResult:
     """The answer of :func:`evaluate_horn_star`.
 
     * ``verdict``: "SAT" or "UNSAT"; the other fields are None on UNSAT.
-    * ``theta_set``: the first satisfied candidate.
+    * ``theta_set``: the first satisfied candidate, an
+      :class:`~ltlbd.interp.AssignmentSet` over the backdoor whose
+      ``initial`` is the designated member.
     * ``assignment_set``: its certificate, the distinct rows of the least
       model of its encoding (each member's copy of the quotient, members in
       order, the designated member's copy 1 just before its own copy), with
@@ -158,7 +145,7 @@ class EvalResult:
     """
 
     verdict: str
-    theta_set: Optional[ThetaSet] = None
+    theta_set: Optional[AssignmentSet] = None
     assignment_set: Optional[AssignmentSet] = None
     interpretation: Optional[FiniteWindowInterpretation] = None
     tried: int = 0
@@ -176,27 +163,27 @@ def assignments_over(variables: Iterable[str]) -> list[dict]:
             for bits in itertools.product((False, True), repeat=len(vs))]
 
 
-def candidate_theta_sets(variables: Iterable[str]) -> Iterator[ThetaSet]:
+def candidate_theta_sets(variables: Iterable[str]) -> Iterator[AssignmentSet]:
     """Candidates in deterministic order: sets by increasing cardinality,
-    then lexicographic member indices; the designated member in set order."""
+    then lexicographic member indices; the designated member, ``initial``,
+    in set order."""
     pool = assignments_over(variables)
     for combo in _member_sets(len(pool)):
         members = tuple(pool[i] for i in combo)
         for designated in members:
-            yield ThetaSet(members, designated)
+            yield AssignmentSet(members, designated)
 
 
 def global_assignment(members: Iterable[dict], variables: Iterable[str],
-                      local: Optional[dict] = None) -> ConsistentAssignment:
+                      local: dict) -> ConsistentAssignment:
     """Unanimity-derived assignment to the always-copies of ``variables``:
-    the always-copy of v is true iff every member sets v true.  With
-    ``local`` given, the plain copies take its values."""
+    the always-copy of v is true iff every member sets v true.  The plain
+    copies take the values of ``local``."""
     members = list(members)
     values = {}
     for v in variables:
         values[(v, Mod.STAR)] = all(m[v] for m in members)
-        if local is not None:
-            values[(v, Mod.NONE)] = bool(local[v])
+        values[(v, Mod.NONE)] = bool(local[v])
     return ConsistentAssignment(values)
 
 
@@ -319,9 +306,9 @@ class _Chain:
             values = self.values[b] = values[:]
             self.counts[b] = self.counts[b][:]
         block = self.blocks[b]
-        trail = []
-        if not _kernels.horn_forward(block.heads, self.counts[b], block.occ,
-                                     values, facts, trail):
+        trail = _kernels.horn_forward(block.heads, self.counts[b], block.occ,
+                                      values, facts)
+        if trail is None:
             return False
         r, gvals, all_values = self.r, self.gvals, self.values
         for a in trail:
@@ -404,8 +391,8 @@ class _Encoding:
             raise AssertionError(
                 "encoding of a verified backdoor must be Horn") from None
         values = [0] * (2 * r)
-        trail = []
-        if not _kernels.horn_forward(heads, counts, occ, values, facts, trail):
+        trail = _kernels.horn_forward(heads, counts, occ, values, facts)
+        if trail is None:
             return None
         derived = tied = 0
         for a in trail:
@@ -511,8 +498,8 @@ def _full_encoding(phi: SnfFormula, back: tuple[str, ...],
 
 def _encodings(core: SnfFormula, back: tuple[str, ...]) -> Iterator[tuple]:
     for ts in candidate_theta_sets(back):
-        theta = ts.designated
-        if theta is ts.members[0]:  # the first candidate of a member set
+        theta = ts.initial
+        if theta == ts.members[0]:  # the first candidate of a member set
             blocks, ties = _full_encoding(core, back, ts.members)
         label = _theta_label(theta)
         # a fact the member's backdoor value falsifies is an empty clause
@@ -522,10 +509,11 @@ def _encodings(core: SnfFormula, back: tuple[str, ...]) -> Iterator[tuple]:
 
 
 def candidate_encodings(phi: SnfFormula, backdoor: Iterable[str]
-                        ) -> Iterator[tuple[ThetaSet, PropCnf]]:
-    """``(ThetaSet, PropCnf)`` per candidate of :func:`evaluate_horn_star`,
-    in its order: the full encoding of the tautology-free core, built from
-    its definition.  Before the first item it raises what
+                        ) -> Iterator[tuple[AssignmentSet, PropCnf]]:
+    """``(theta set, PropCnf)`` per candidate of :func:`evaluate_horn_star`,
+    in its order: the theta set as :func:`candidate_theta_sets` yields it,
+    and the full encoding of the tautology-free core, built from its
+    definition.  Before the first item it raises what
     :func:`evaluate_horn_star` raises."""
     yield from _encodings(*_admit(phi, backdoor))
 
@@ -553,9 +541,9 @@ def evaluate_horn_star(phi: SnfFormula, backdoor: Iterable[str],
     ValueError for more than :data:`EVAL_BACKDOOR_LIMIT`.
 
     ``on_candidate(ts, cnf)`` is replayed after the solve over the first
-    ``result.tried`` items of :func:`candidate_encodings`, only for the
-    counters of ``perfbench/spans.py`` until they read ``tried`` (ROADMAP
-    item 1).
+    ``result.tried`` items of :func:`candidate_encodings`, from the one
+    admission above; ``ltlbd evaluate --dump-cnf`` writes its dumps through
+    it, and the counters of ``perfbench/spans.py`` read it.
     """
     core, back = _admit(phi, backdoor)
     result = _solve(phi, core, back)
@@ -584,7 +572,6 @@ def _solve(phi: SnfFormula, core: SnfFormula, back: tuple) -> EvalResult:
             interp = from_assignment_set(aset)
             if not models(interp, phi):
                 raise AssertionError("certificate failed the model check")
-            members = tuple(enc.pool[p] for p in combo)
-            return EvalResult("SAT", ThetaSet(members, enc.pool[d]), aset,
-                              interp, tried)
+            theta = AssignmentSet([enc.pool[p] for p in combo], enc.pool[d])
+            return EvalResult("SAT", theta, aset, interp, tried)
     return EvalResult("UNSAT", tried=tried)

@@ -262,13 +262,19 @@ def window_sat_oracle(phi: SnfFormula,
         return a if lit.positive else [-x for x in a]
 
     # each clause at every evaluation world, unbuilt.  Two literals share an
-    # atom at one world iff they share it at every world, so a clause with
-    # an atom in both signs is valid at every world and dropped; one whose
-    # literals all keep their atom (a frozen variable's or an always-atom)
-    # is grounded once.  Every other literal's first and last atoms differ.
+    # atom at one world iff they share it at every world, so keying them by
+    # their first atom merges repeated literals (x | [F]x with x frozen is
+    # [a], not [a, a]); a clause with an atom in both signs is valid at
+    # every world and dropped; one whose literals all keep their atom (a
+    # frozen variable's or an always-atom) is grounded once.  Every other
+    # literal's first and last atoms differ.  An atom rarely repeats, so the
+    # keyed copy is built only when one does.
     grounded, n_clauses = [], len(phi.initial)
     for cols in _columns(phi, codes):
         first = [a[0] for a in cols]
+        if len(set(first)) < len(first):
+            cols = list({a[0]: a for a in cols}.values())
+            first = [a[0] for a in cols]
         if any(-x in first for x in first):
             continue
         if all(a[0] == a[-1] for a in cols):

@@ -124,7 +124,7 @@ def horn_sat(cnf: PropCnf) -> Model:
     n = len(atoms)
     heads, counts, occ, facts = _kernels.horn_index(n, clauses)
     values = [0] * n
-    if not _kernels.horn_forward(heads, counts, occ, values, facts):
+    if _kernels.horn_forward(heads, counts, occ, values, facts) is None:
         return None
     return {a: bool(values[i]) for i, a in enumerate(atoms)}
 

@@ -264,6 +264,37 @@ class TestEvaluateAndCheckModel:
         golden = Path(__file__).parent / "data" / "golden_dump.txt"
         assert got == golden.read_text()
 
+    def test_dump_cnf_admits_the_formula_once(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the dumps are written through evaluate_horn_star's on_candidate
+        # replay, so the backdoor is verified once, exactly the tried
+        # candidates are dumped, and a refused backdoor dumps nothing
+        calls = []
+        real = ltlbd.evaluation.verify_backdoor
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ltlbd.evaluation, "verify_backdoor", counted)
+        text = ("operators: *\ninit: b, x\nclause: ~[*]b\n"
+                "clause: ~x | y | b\nclause: x | ~y | ~b\n")
+        path = write(tmp_path, "f.snf", text)
+        tried = ltlbd.evaluate_horn_star(parse_snf(text), ("b",)).tried
+        assert tried == 4
+        for backdoor, code, n_dumps in (("b", 0, tried), ("", 3, 0)):
+            calls.clear()
+            prefix = tmp_path / f"exit{code}" / "dump"
+            prefix.parent.mkdir(exist_ok=True)
+            assert main(["evaluate", path, "--backdoor", backdoor,
+                         "--dump-cnf", str(prefix), "--model-out",
+                         str(tmp_path / "m.model")]) == code
+            assert len(calls) == 1
+            assert sorted(p.name for p in prefix.parent.iterdir()) == sorted(
+                f"dump.{i}.{ext}" for i in range(n_dumps)
+                for ext in ("cnf", "names"))
+        capsys.readouterr()
+
     def test_future_literal_on_a_backdoor_variable(self, tmp_path, capsys):
         # an undeclared [F] on a backdoor variable: an input error, not a
         # lookup failure that would exit 4

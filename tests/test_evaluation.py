@@ -15,7 +15,7 @@ import ltlbd
 
 from ltlbd import _kernels, evaluation
 from ltlbd.detection import HORN, detect_horn_backdoor, verify_backdoor
-from ltlbd.evaluation import (EvalResult, ThetaSet, assignments_over,
+from ltlbd.evaluation import (EvalResult, assignments_over,
                               candidate_encodings, candidate_theta_sets,
                               encoding_size_bound, evaluate_horn_star,
                               global_assignment, propositionalize,
@@ -37,11 +37,12 @@ def formula(clauses, initial=()):
 
 class TestGlobalAssignment:
     def test_unanimous_true(self):
-        g = global_assignment([{"x": True}], ["x"])
+        g = global_assignment([{"x": True}], ["x"], {"x": True})
         assert g.get("x", Mod.STAR) is True
 
     def test_mixed_is_false(self):
-        g = global_assignment([{"x": True}, {"x": False}], ["x"])
+        g = global_assignment([{"x": True}, {"x": False}], ["x"],
+                              {"x": False})
         assert g.get("x", Mod.STAR) is False
 
     def test_local_part_copied(self):
@@ -54,7 +55,7 @@ class TestGlobalAssignment:
         # the worked example's three worlds assign (0,0), (1,0), (0,1)
         rows = [{"b1": False, "b2": False}, {"b1": True, "b2": False},
                 {"b1": False, "b2": True}]
-        g = global_assignment(rows, ["b1", "b2"])
+        g = global_assignment(rows, ["b1", "b2"], rows[0])
         assert g.get("b1", Mod.STAR) is False
         assert g.get("b2", Mod.STAR) is False
 
@@ -132,19 +133,13 @@ class TestCandidateOrder:
 
     def test_sets_by_cardinality_then_designated_in_member_order(self):
         seen = list(candidate_theta_sets(["x"]))
-        shapes = [(len(ts.members), ts.designated["x"]) for ts in seen]
+        shapes = [(len(ts.members), ts.initial["x"]) for ts in seen]
         assert shapes == [(1, False), (1, True), (2, False), (2, True)]
 
     def test_empty_backdoor_single_candidate(self):
         seen = list(candidate_theta_sets([]))
         assert len(seen) == 1
         assert seen[0].members == ({},)
-
-    def test_theta_set_validation(self):
-        with pytest.raises(ValueError):
-            ThetaSet((), {})
-        with pytest.raises(ValueError):
-            ThetaSet(({"x": True},), {"x": False})
 
 
 class TestEncoding:
@@ -247,7 +242,7 @@ class TestAgainstOracle:
             for theta in ts.members:
                 agreeing = [m for m in aset.members
                             if all(m[v] == theta[v] for v in theta)]
-                if theta == ts.designated:
+                if theta == ts.initial:
                     assert 1 <= len(agreeing) <= 2
                 else:
                     assert len(agreeing) == 1
@@ -279,7 +274,7 @@ def _rows_of(horn_model, phi, backdoor, ts):
             row.update((v, horn_model[copy_atom(v, i, label)]) for v in rest)
             if row not in rows:
                 rows.append(row)
-            if theta == ts.designated and i == 1:
+            if theta == ts.initial and i == 1:
                 designated = row
     return rows, designated
 
@@ -379,7 +374,7 @@ def test_failed_designated_variant_leaves_the_shared_closure_intact():
     result = evaluate_horn_star(phi, ("b",))
     assert result.satisfiable
     assert result.tried == 4 and len(result.theta_set.members) == 2
-    assert result.theta_set.designated == {"b": True}
+    assert result.theta_set.initial == {"b": True}
     _, cnf = list(candidate_encodings(phi, ("b",)))[3]
     members, designated = _rows_of(horn_sat(cnf), phi, ("b",),
                                    result.theta_set)
@@ -511,7 +506,7 @@ def test_reference_encoding_shares_no_code_with_the_solve(monkeypatch):
                    Clause([Lit("b", Mod.STAR, False), Lit("x", Mod.STAR)])],
                   initial=["x"])
     ts, cnf = list(candidate_encodings(phi, ("b",)))[3]
-    assert ts == ThetaSet(({"b": False}, {"b": True}), {"b": True})
+    assert ts == AssignmentSet(({"b": False}, {"b": True}), {"b": True})
     g = global_atom("x")
     copies = [copy_atom("x", i, label) for label in "01" for i in (1, 2)]
     assert cnf.clauses == (
@@ -597,15 +592,15 @@ def _reference_evaluate(phi, backdoor):
                     shared = ((values, heads, counts, occ)
                               if _kernels.horn_forward(heads, counts, occ,
                                                        values, facts)
-                              else None)
+                              is not None else None)
                 if shared is None:
                     continue
                 values, heads, counts, occ = shared
                 values = values[:]
                 units = [base(d, 1) - 1 + slot[v] for v in core.initial
                          if v not in pool[d]]
-                if not _kernels.horn_forward(heads, counts[:], occ, values,
-                                             units):
+                if _kernels.horn_forward(heads, counts[:], occ, values,
+                                         units) is None:
                     continue
                 rows = []
                 for p in combo:
@@ -616,8 +611,8 @@ def _reference_evaluate(phi, backdoor):
                         rows.append(row)
                 aset = AssignmentSet(tuple(rows),
                                      rows[combo.index(d) * c])
-                return EvalResult("SAT", ThetaSet(members, pool[d]), aset,
-                                  from_assignment_set(aset), tried)
+                return EvalResult("SAT", AssignmentSet(members, pool[d]),
+                                  aset, from_assignment_set(aset), tried)
     return EvalResult("UNSAT", tried=tried)
 
 

@@ -112,6 +112,17 @@ class TestConsistentAssignments:
             ConsistentAssignment({("x", Mod.STAR): True,
                                   ("x", Mod.NONE): False})
 
+    def test_equality_and_repr_read_the_values(self):
+        # equal exactly when the values are; the repr lists them in key
+        # order, each as its literal and 0/1
+        values = {("y", Mod.NONE): False, ("x", Mod.STAR): True,
+                  ("x", Mod.NONE): True, ("x", Mod.FUT): True}
+        theta = ConsistentAssignment(values)
+        assert theta == ConsistentAssignment(dict(reversed(values.items())))
+        assert theta != ConsistentAssignment({**values, ("y", Mod.NONE): True})
+        assert theta != values
+        assert repr(theta) == "ConsistentAssignment(x=1, [F]x=1, [*]x=1, y=0)"
+
 
 def formula(clauses, ops={Mod.STAR}, initial=()):
     return SnfFormula(frozenset(ops), tuple(initial), tuple(clauses))

@@ -444,15 +444,17 @@ def test_search_solve_matches_the_flat_kernel():
 def horn_fresh(n, clauses):
     heads, counts, occ, facts = _kernels.horn_index(n, clauses)
     values = [0] * n
-    return _kernels.horn_forward(heads, counts, occ, values, facts), values
+    ok = _kernels.horn_forward(heads, counts, occ, values, facts) is not None
+    return ok, values
 
 
 def test_horn_closure_extends_like_a_fresh_solve():
     # a closure copied and extended by facts must equal solving the clauses
     # plus those facts as unit clauses from scratch, and that minimal model
-    # is the scan's lexicographically first one
+    # is the scan's lexicographically first one; the kernel returns None on
+    # falsum, else exactly the atoms it made true, [] when it sets none
     rng = random.Random(5)
-    n_sat = 0
+    n_sat = n_empty = n_falsum = 0
     for _ in range(400):
         n = rng.randint(1, 8)
         clauses = random_horn_cnf(rng, n)
@@ -467,19 +469,23 @@ def test_horn_closure_extends_like_a_fresh_solve():
 
         heads, counts, occ, start = _kernels.horn_index(n, clauses)
         values = [0] * n
-        if not _kernels.horn_forward(heads, counts, occ, values, start):
+        closed = _kernels.horn_forward(heads, counts, occ, values, start)
+        if closed is None:
             assert not ok
             continue
+        assert sorted(closed) == [a for a in range(n) if values[a]]
         extended = values[:]
-        trail = []
-        assert _kernels.horn_forward(heads, counts[:], occ, extended,
-                                     facts, trail) == ok
+        trail = _kernels.horn_forward(heads, counts[:], occ, extended, facts)
+        assert (trail is not None) == ok
         if ok:
             assert extended == fresh
             # the trail lists exactly the atoms the extension made true
             assert sorted(trail) == [a for a in range(n)
                                      if extended[a] and not values[a]]
-    assert 50 <= n_sat <= 350
+            n_empty += trail == []
+        else:
+            n_falsum += 1
+    assert 50 <= n_sat <= 350 and n_empty >= 20 and n_falsum >= 10
 
 
 def test_runs_without_numpy(tmp_path):
