@@ -24,7 +24,7 @@ from .fileio import (ParseError, format_model_table, format_snf,
 from .formula import (OPERATOR_LETTERS, VAR_NAME_RE, Mod, operator_set,
                       validate_normal_form)
 from .gen import planted_instance
-from .interp import models
+from .interp import first_violation
 from .oracle import star_sat_oracle, window_sat_oracle
 from .propsat import to_dimacs
 from .reductions import FP_HORN, STAR_KROM, threecol_to_fp_horn, threecol_to_star_krom
@@ -178,11 +178,20 @@ def cmd_check_model(args) -> int:
     interp = parse_model_table(_read(args.model))
     if set(interp.left) != set(phi.variables):
         raise ValueError("model variable set does not match the formula")
-    ok = models(interp, phi)
-    _print_report("check-model", "VALID" if ok else "INVALID", t0,
-                  formula=args.formula, model=args.model,
-                  vars=len(phi.variables), clauses=len(phi.clauses))
-    return 0 if ok else 1
+    found = first_violation(interp, phi)
+    stats = dict(formula=args.formula, model=args.model,
+                 vars=len(phi.variables), clauses=len(phi.clauses))
+    if found is None:
+        _print_report("check-model", "VALID", t0, **stats)
+        return 0
+    what, world = found
+    if isinstance(what, str):
+        violated = f"init {what}"
+    else:
+        body = " | ".join(map(str, what)) or "(empty)"
+        violated = f"clause {body} at world {world}"
+    _print_report("check-model", "INVALID", t0, **stats, violated=violated)
+    return 1
 
 
 def cmd_gen(args) -> int:

@@ -37,8 +37,7 @@ the returned set, is the one the plain search returns.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .formula import (SnfFormula, assignment_modalities, check_operators,
                       _local_choices, remove_tautologies)
@@ -47,8 +46,7 @@ HORN = "horn"
 KROM = "krom"
 
 
-@dataclass(frozen=True)
-class ConflictGraph:
+class ConflictGraph(NamedTuple):
     """Undirected graph over the formula variables, kept as its edges in
     search order: self-loops ``(v,)``, which force v into every cover, then
     pairs ``(u, v)`` with u < v, each group in name order."""
@@ -56,8 +54,7 @@ class ConflictGraph:
     edges: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
-class HittingFamily:
+class HittingFamily(NamedTuple):
     """Variable sets (size 1..3) of all 3-literal selections from clauses,
     each a name-sorted tuple, without repeats and in name order."""
 
@@ -73,7 +70,7 @@ def build_horn_conflict_graph(phi: SnfFormula) -> ConflictGraph:
     edges = set()
     for c in phi.clauses:
         # a clause keeps its positive literals in name order
-        pos = [var for var, _, positive in c.literals if positive]
+        pos = [var for var, _, positive in c if positive]
         for a, b in itertools.combinations(pos, 2):
             edges.add((a,) if a == b else (a, b))
     return ConflictGraph(tuple(sorted(sorted(edges), key=len)))
@@ -85,7 +82,7 @@ def build_krom_hitting_family(phi: SnfFormula) -> HittingFamily:
     Expects a tautology-free formula.
     """
     sets = {tuple(sorted({a.var, b.var, d.var})) for c in phi.clauses
-            for a, b, d in itertools.combinations(c.literals, 3)}
+            for a, b, d in itertools.combinations(c, 3)}
     return HittingFamily(tuple(sorted(sets)))
 
 
@@ -236,13 +233,12 @@ def verify_backdoor(phi: SnfFormula, backdoor: Iterable[str],
     satisfied: dict[tuple, bool] = {}  # (modality position, sign) pairs
 
     for c in phi.clauses:
-        lits = c.literals
-        if (len(lits) < 2 or not lits[-2].positive) if horn else len(lits) < 3:
+        if (len(c) < 2 or not c[-2].positive) if horn else len(c) < 3:
             continue
         by_var: dict[str, list] = {}
         rest_pos = 0
         rest_total = 0
-        for var, mod, positive in lits:
+        for var, mod, positive in c:
             if var in back and mod in mod_pos:
                 by_var.setdefault(var, []).append((mod_pos[mod], positive))
             else:

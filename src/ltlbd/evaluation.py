@@ -83,8 +83,7 @@ minimal model's rows are the certificate, a cross-check of the quotient.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .detection import HORN, verify_backdoor
 from .formula import (ConsistentAssignment, Mod, SnfFormula, Clause,
@@ -125,8 +124,7 @@ def _admit(phi: SnfFormula, backdoor: Iterable[str]) -> tuple:
     return core, back
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """The answer of :func:`evaluate_horn_star`.
 
     * ``verdict``: "SAT" or "UNSAT"; the other fields are None on UNSAT.

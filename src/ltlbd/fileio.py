@@ -89,7 +89,7 @@ def parse_snf(text: str) -> SnfFormula:
     costs a lookup and shares the first one's ``Lit``.  A new token gets one
     anchored ``_LIT_RE`` match, whose name group admits exactly the
     ``VAR_NAME`` names.  So the formula is built without
-    ``SnfFormula.__post_init__``: its universe is the names of the tokens
+    ``SnfFormula.__init__``'s checks: its universe is the names of the tokens
     plus the initial facts.  Error columns are computed only when raising.
     """
     operators = None

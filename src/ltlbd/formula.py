@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator, NamedTuple
 
@@ -80,33 +79,34 @@ class Lit(NamedTuple):
 _lit_key = operator.itemgetter(2, 0, 1)
 
 
-@dataclass(frozen=True)
-class Clause:
-    """A disjunction of temporal literals.
+class Clause(tuple):
+    """A disjunction of temporal literals: the tuple of its literals.
 
     Literals are deduplicated and stored in canonical order (negatives first,
     then variable name, then modality), so two clauses with the same literal
-    set compare equal.
+    set compare equal.  A builder that already holds distinct literals in
+    canonical order may wrap them with ``tuple.__new__(Clause, lits)``.
     """
 
-    literals: tuple[Lit, ...]
+    __slots__ = ()
 
-    def __init__(self, literals: Iterable[Lit] = ()):
-        seen = sorted(set(literals), key=_lit_key)
-        object.__setattr__(self, "literals", tuple(seen))
+    def __new__(cls, literals: Iterable[Lit] = ()):
+        return tuple.__new__(cls, sorted(set(literals), key=_lit_key))
 
-    def __iter__(self) -> Iterator[Lit]:
-        return iter(self.literals)
-
-    def __len__(self) -> int:
-        return len(self.literals)
+    @property
+    def literals(self) -> tuple[Lit, ...]:
+        """The clause itself, read as the tuple of its literals."""
+        return self
 
     @property
     def positive_count(self) -> int:
-        return sum(1 for l in self.literals if l.positive)
+        return sum(1 for l in self if l.positive)
 
     def vars(self) -> set[str]:
-        return {l.var for l in self.literals}
+        return {l.var for l in self}
+
+    def __repr__(self) -> str:
+        return f"Clause(literals={tuple.__repr__(self)})"
 
 
 EMPTY_CLAUSE = Clause(())
@@ -119,7 +119,7 @@ def clause_is_horn(c: Clause) -> bool:
 
 def clause_is_krom(c: Clause) -> bool:
     """True iff the clause has at most two (distinct) literals."""
-    return len(c.literals) <= 2
+    return len(c) <= 2
 
 
 def _check_name(name: str) -> None:
@@ -127,39 +127,103 @@ def _check_name(name: str) -> None:
         raise ValueError(f"invalid variable name: {name!r}")
 
 
-@dataclass(frozen=True)
-class SnfFormula:
+def _unchecked(cls, *values):
+    """A ``cls`` record holding ``values`` in field order, built without
+    ``__init__``."""
+    out = object.__new__(cls)
+    out._fill(*values)
+    return out
+
+
+class _Record:
+    """Base of the immutable value types with fields a tuple cannot name.
+
+    A subclass lists its fields in ``__slots__``; its ``__init__`` checks
+    and normalises the arguments, then sets the fields with ``_fill``.
+    Equality (between records of one class) and the hash cover the fields
+    of ``_compared``, by default all of them, so a record holding a dict is
+    unhashable.  ``repr`` shows every field as ``Name(field=value, ...)``.
+    Assigning or deleting a field raises AttributeError; pickling and
+    copying rebuild a record from its fields without running ``__init__``.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_compared" not in cls.__dict__:
+            cls._compared = cls.__slots__
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _unchecked, (type(self),
+                         *(getattr(self, name) for name in self.__slots__))
+
+
+class SnfFormula(_Record):
     """Initial facts plus always-clauses with a declared operator set.
 
     ``operators`` is declared explicitly rather than inferred from the
     clauses: consistency of assignments and backdoor detection depend on the
     operator set even for operators that do not occur.  ``variables`` is the
     variable universe; it defaults to the variables occurring in the formula
-    and is preserved by :func:`reduct` even when occurrences vanish.
+    and is preserved by :func:`reduct` even when occurrences vanish.  It
+    takes no part in equality or the hash.
 
     The canonical FALSE marker is a formula containing one empty clause; the
     canonical TRUE marker has no clauses and no initial facts.
     """
 
-    operators: frozenset[Mod]
-    initial: tuple[str, ...] = ()
-    clauses: tuple[Clause, ...] = ()
-    variables: tuple[str, ...] = field(default=(), compare=False)
+    __slots__ = ("operators", "initial", "clauses", "variables")
+    _compared = __slots__[:3]
 
-    def __post_init__(self):
-        object.__setattr__(self, "operators", operator_set(self.operators))
-        init = tuple(sorted(set(self.initial)))
+    operators: frozenset[Mod]
+    initial: tuple[str, ...]
+    clauses: tuple[Clause, ...]
+    variables: tuple[str, ...]
+
+    def __init__(self, operators: Iterable[Mod],
+                 initial: Iterable[str] = (),
+                 clauses: Iterable[Clause] = (),
+                 variables: Iterable[str] = ()):
+        operators = operator_set(operators)
+        init = tuple(sorted(set(initial)))
         for v in init:
             _check_name(v)
-        object.__setattr__(self, "initial", init)
-        object.__setattr__(self, "clauses", tuple(self.clauses))
+        clauses = tuple(clauses)
         occurring = set(init)
-        for c in self.clauses:
+        for c in clauses:
             occurring.update(c.vars())
-        universe = occurring.union(self.variables)
+        universe = occurring.union(variables)
         for v in universe:
             _check_name(v)
-        object.__setattr__(self, "variables", tuple(sorted(universe)))
+        self._fill(operators, init, clauses, tuple(sorted(universe)))
 
     @property
     def is_false(self) -> bool:
@@ -173,17 +237,12 @@ class SnfFormula:
 def _trusted(operators: frozenset[Mod], initial: tuple[str, ...],
              clauses: tuple[Clause, ...],
              variables: tuple[str, ...]) -> SnfFormula:
-    """An ``SnfFormula`` built without ``__post_init__``: the caller vouches
-    that the fields are what it would compute: a frozenset of temporal
-    operators, the sorted distinct initial names, a tuple of clauses, and a
-    sorted universe that holds every initial and clause variable, all names
-    valid."""
-    out = object.__new__(SnfFormula)
-    object.__setattr__(out, "operators", operators)
-    object.__setattr__(out, "initial", initial)
-    object.__setattr__(out, "clauses", clauses)
-    object.__setattr__(out, "variables", variables)
-    return out
+    """An ``SnfFormula`` built without ``SnfFormula.__init__``'s checks: the
+    caller vouches that the fields are what it would compute: a frozenset
+    of temporal operators, the sorted distinct initial names, a tuple of
+    clauses, and a sorted universe that holds every initial and clause
+    variable, all names valid."""
+    return _unchecked(SnfFormula, operators, initial, clauses, variables)
 
 
 def _derived(phi: SnfFormula, initial: tuple[str, ...],
@@ -191,7 +250,7 @@ def _derived(phi: SnfFormula, initial: tuple[str, ...],
     """``phi`` with other initial facts and clauses, built without
     re-validation: ``initial`` must be a subsequence of ``phi.initial`` and
     every variable of ``clauses`` one of ``phi.variables``.  Then the
-    operators, names and sorted universe that ``SnfFormula.__post_init__``
+    operators, names and sorted universe that ``SnfFormula.__init__``
     would compute are ``phi``'s, so they are kept."""
     return _trusted(phi.operators, initial, clauses, phi.variables)
 
@@ -310,7 +369,8 @@ def reduct(phi: SnfFormula, theta: ConsistentAssignment) -> SnfFormula:
             continue
         if not kept:
             return false_marker
-        new_clauses.append(Clause(kept))
+        # a subsequence of a canonical clause is canonical
+        new_clauses.append(tuple.__new__(Clause, kept))
     return _derived(phi, tuple(new_init), tuple(new_clauses))
 
 
@@ -322,7 +382,7 @@ def _tautological(c: Clause) -> bool:
     # literals sort negatives first, so a clause without a negated
     # always-literal is settled at its first positive literal
     neg_star = set()
-    for var, mod, positive in c.literals:
+    for var, mod, positive in c:
         if not positive:
             if mod is _STAR:
                 neg_star.add(var)
@@ -356,7 +416,7 @@ def _undeclared_literals(phi: SnfFormula) -> Iterator[Lit]:
     """The clause literals whose operator the formula does not declare."""
     allowed = {Mod.NONE, *phi.operators}
     for c in phi.clauses:
-        for lit in c.literals:
+        for lit in c:
             if lit.mod not in allowed:
                 yield lit
 

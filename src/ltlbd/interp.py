@@ -14,9 +14,9 @@ a clause holds iff the OR of its literals' masks is full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
-from .formula import Lit, Mod, SnfFormula, _check_name
+from .formula import Lit, Mod, SnfFormula, _check_name, _Record
 
 # bound once for the per-literal checks: class lookups of enum members are slow
 _NONE, _FUT, _STAR = Mod.NONE, Mod.FUT, Mod.STAR
@@ -36,8 +36,7 @@ def _cells(row) -> WorldAssignment:
     return out
 
 
-@dataclass(frozen=True)
-class FiniteWindowInterpretation:
+class FiniteWindowInterpretation(_Record):
     """Worlds below ``lo`` carry ``left``, worlds above ``hi`` carry
     ``right``, and ``window[z - lo]`` is the assignment at world ``z``.
 
@@ -46,28 +45,32 @@ class FiniteWindowInterpretation:
     ``lo <= start <= hi`` is admissible.
     """
 
+    __slots__ = ("left", "window", "lo", "right", "start")
+
     left: WorldAssignment
     window: tuple[WorldAssignment, ...]
     lo: int
     right: WorldAssignment
-    start: int = 0
+    start: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "window", tuple(map(_cells, self.window)))
-        object.__setattr__(self, "left", _cells(self.left))
-        object.__setattr__(self, "right", _cells(self.right))
-        if not self.window:
+    def __init__(self, left: WorldAssignment, window, lo: int,
+                 right: WorldAssignment, start: int = 0):
+        window = tuple(map(_cells, window))
+        left = _cells(left)
+        right = _cells(right)
+        if not window:
             raise ValueError("window must contain at least one world")
-        if not self.lo <= self.start <= self.hi:
+        if not lo <= start <= lo + len(window) - 1:
             raise ValueError("start world must lie inside the window")
-        keys = set(self.left)
+        keys = set(left)
         for v in keys:
             _check_name(v)
-        for row in self.window:
+        for row in window:
             if set(row) != keys:
                 raise ValueError("all worlds must assign the same variables")
-        if set(self.right) != keys:
+        if set(right) != keys:
             raise ValueError("all worlds must assign the same variables")
+        self._fill(left, window, lo, right, start)
 
     @property
     def hi(self) -> int:
@@ -131,23 +134,29 @@ def _literal_mask(m: FiniteWindowInterpretation, lit: Lit, col: int,
     return mask if lit.positive else mask ^ full
 
 
-def models(m: FiniteWindowInterpretation, phi: SnfFormula) -> bool:
-    """True iff the interpretation satisfies the formula.
+def first_violation(m: FiniteWindowInterpretation,
+                    phi: SnfFormula) -> Optional[tuple]:
+    """What the interpretation falsifies first, or None if it models the
+    formula.
 
-    Initial facts are checked at the start world; every clause is checked at
-    every world from two below the window to two above it, which covers all
-    integers by stabilisation.
+    That is ``(v, m.start)`` for the first initial fact ``v`` that is false
+    at the start world, else ``(clause, world)`` for the first clause in
+    formula order and the lowest world where it fails.  Every clause is
+    checked at every world from two below the window to two above it, which
+    covers all integers by stabilisation.
     """
     missing = set(phi.variables) - set(m.left)
     if missing:
         raise ValueError(f"interpretation lacks variables: {sorted(missing)}")
-    if not all(m.row(m.start)[v] for v in phi.initial):
-        return False
+    at_start = m.row(m.start)
+    for v in phi.initial:
+        if not at_start[v]:
+            return v, m.start
     full = (1 << (len(m.window) + 4)) - 1
     columns, masks = {}, {}
     for clause in phi.clauses:
         union = 0
-        for lit in clause.literals:
+        for lit in clause:
             mask = masks.get(lit)
             if mask is None:
                 col = columns.get(lit.var)
@@ -158,31 +167,38 @@ def models(m: FiniteWindowInterpretation, phi: SnfFormula) -> bool:
             if union == full:
                 break
         else:
-            return False
-    return True
+            zeros = full ^ union
+            return clause, m.lo - 2 + (zeros & -zeros).bit_length() - 1
+    return None
 
 
-@dataclass(frozen=True)
-class AssignmentSet:
+def models(m: FiniteWindowInterpretation, phi: SnfFormula) -> bool:
+    """True iff the interpretation satisfies the formula, that is iff
+    :func:`first_violation` finds nothing."""
+    return first_violation(m, phi) is None
+
+
+class AssignmentSet(_Record):
     """A nonempty set of world assignments with a designated initial one."""
+
+    __slots__ = ("members", "initial")
 
     members: tuple[WorldAssignment, ...]
     initial: WorldAssignment
 
-    def __post_init__(self):
+    def __init__(self, members, initial: WorldAssignment):
         uniq = []
         seen = set()
-        for a in self.members:
+        for a in members:
             key = tuple(sorted(a.items()))
             if key not in seen:
                 seen.add(key)
                 uniq.append(dict(a))
-        object.__setattr__(self, "members", tuple(uniq))
-        object.__setattr__(self, "initial", dict(self.initial))
-        if not self.members:
+        if not uniq:
             raise ValueError("assignment set must be nonempty")
-        if tuple(sorted(self.initial.items())) not in seen:
+        if tuple(sorted(initial.items())) not in seen:
             raise ValueError("designated assignment must belong to the set")
+        self._fill(tuple(uniq), dict(initial))
 
 
 def _bitvec(a: WorldAssignment) -> tuple:

@@ -223,7 +223,7 @@ def window_sat_oracle(phi: SnfFormula,
                 key = lit.mod, lit.var
                 signs[key] = signs.get(key, 0) | (1 if lit.positive else 2)
         if len(c) == 2:
-            a, b = c.literals
+            a, b = c
             if (a.var == b.var and a.mod is none and not a.positive
                     and b.positive):
                 halves[a.var] = halves.get(a.var, 0) | b.mod

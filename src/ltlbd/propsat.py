@@ -15,10 +15,10 @@ directly, without atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from . import _kernels
+from .formula import _Record, _unchecked
 
 
 class Atom(NamedTuple):
@@ -55,23 +55,22 @@ def copy_atom(var: str, index: int, label: str) -> Atom:
 PLit = tuple
 
 
-@dataclass(frozen=True)
-class PropCnf:
+class PropCnf(_Record):
     """A conjunction of clauses; each clause a tuple of signed atoms."""
+
+    __slots__ = ("clauses",)
 
     clauses: tuple[tuple[PLit, ...], ...]
 
     def __init__(self, clauses: Iterable[Iterable[PLit]] = ()):
-        norm = tuple(tuple(dict.fromkeys(tuple(l) for l in c)) for c in clauses)
-        object.__setattr__(self, "clauses", norm)
+        self._fill(tuple(tuple(dict.fromkeys(tuple(l) for l in c))
+                         for c in clauses))
 
     @classmethod
     def from_normal(cls, clauses: tuple) -> "PropCnf":
         """Wraps clauses already in normal form (a tuple of tuples of
         distinct ``(atom, positive)`` pairs) without copying them."""
-        cnf = object.__new__(cls)
-        object.__setattr__(cnf, "clauses", clauses)
-        return cnf
+        return _unchecked(cls, clauses)
 
     def atoms(self) -> list[Atom]:
         seen = {a for c in self.clauses for a, _ in c}

@@ -8,11 +8,11 @@ becomes a finite model, and any model projects back to a proper colouring.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
-from .formula import Clause, Lit, Mod, SnfFormula, _trusted
+from .formula import Clause, Lit, Mod, SnfFormula, _Record, _trusted
 from .interp import FiniteWindowInterpretation, models
 
 STAR_KROM = "star-krom"
@@ -22,26 +22,31 @@ FP_HORN = "fp-horn"
 #: both reductions build a few clauses per vertex.
 REDUCE_VERTEX_LIMIT = 10_000
 
+#: Wraps a tuple of distinct literals already in canonical order as a
+#: ``Clause`` without sorting them again.
+_clause = functools.partial(tuple.__new__, Clause)
 
-@dataclass(frozen=True)
-class Graph:
+
+class Graph(_Record):
     """Undirected graph on vertices 1..n; edges stored with i < j."""
+
+    __slots__ = ("n", "edges")
 
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, edges):
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
         norm = set()
-        for i, j in self.edges:
+        for i, j in edges:
             if i == j:
                 raise ValueError(f"self-loop on vertex {i}")
             a, b = min(i, j), max(i, j)
-            if not 1 <= a < b <= self.n:
-                raise ValueError(f"edge ({i},{j}) outside 1..{self.n}")
+            if not 1 <= a < b <= n:
+                raise ValueError(f"edge ({i},{j}) outside 1..{n}")
             norm.add((a, b))
-        object.__setattr__(self, "edges", frozenset(norm))
+        self._fill(n, frozenset(norm))
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -92,17 +97,20 @@ def threecol_to_star_krom(graph: Graph) -> tuple[SnfFormula, tuple[str, str]]:
     b1, b2 = Lit("b1"), Lit("b2")
     nb1, nb2 = b1.negated(), b2.negated()
     vertices = [_vertex(i) for i in range(1, graph.n + 1)]
-    clauses = [Clause([Lit(v, Mod.STAR, False)]) for v in vertices]
+    clauses = [_clause((Lit(v, Mod.STAR, False),)) for v in vertices]
     at = [None] + [Lit(v) for v in vertices]  # at[i]: vertex i's variable
     names = ["b1", "b2", *vertices]
+    # each clause in canonical order: the negatives (~b1 or ~b2 before
+    # ~[*]e_...), then the positives (b1 < b2 < [*]e_... < v...)
     for i, j in graph.sorted_edges():
         evs = _edge_vars(i, j)
         names += evs
-        for ev, lit1, lit2 in zip(evs, (b1, nb1, b1), (b2, b2, nb2)):
-            clauses.append(Clause([at[i], Lit(ev, Mod.STAR), lit1, lit2]))
-            clauses.append(Clause([at[j], Lit(ev, Mod.STAR, False), lit1,
-                                   lit2]))
-    clauses.append(Clause([nb1, nb2]))
+        for ev, neg, pos in zip(evs, ((), (nb1,), (nb2,)),
+                                ((b1, b2), (b2,), (b1,))):
+            e = Lit(ev, Mod.STAR)
+            clauses.append(_clause((*neg, *pos, e, at[i])))
+            clauses.append(_clause((*neg, e.negated(), *pos, at[j])))
+    clauses.append(_clause((nb1, nb2)))
     phi = _trusted(frozenset({Mod.STAR}), (), tuple(clauses),
                    tuple(sorted(names)))
     return phi, ("b1", "b2")
@@ -137,20 +145,23 @@ def threecol_to_fp_horn(graph: Graph) -> tuple[SnfFormula, tuple[str, ...]]:
     nc1, nc2, nc3 = ncs = [c.negated() for c in cs]
     prime = Lit(prime_var(n))
     nprime = prime.negated()
+    # each clause in canonical order: negatives first, then names in string
+    # order (c... < p<i> < p<i>_prime < s < v...), then modality none, past,
+    # future
     clauses = [
-        Clause([c1, c2, c3]),
-        Clause([nc1, nc2, nc3]),
-        Clause([c1, nc2, nc3]),
-        Clause([nc1, nc2, c3]),
-        Clause([nc1, c2, nc3]),
+        _clause((c1, c2, c3)),
+        _clause((nc1, nc2, nc3)),
+        _clause((nc2, nc3, c1)),
+        _clause((nc1, nc2, c3)),
+        _clause((nc1, nc3, c2)),
     ]
     # vc[i][c - 1]: vertex i has colour c; off[i][c - 1] its negation
     vc = [None] + [[_vc(i, c) for c in (1, 2, 3)] for i in range(1, n + 1)]
     off = [None] + [[Lit(x, none, False) for x in row] for row in vc[1:]]
     for i in range(1, n + 1):
         for x, nx in zip(vc[i], off[i]):
-            clauses.append(Clause([nx, Lit(x, fut)]))
-            clauses.append(Clause([nx, Lit(x, past)]))
+            clauses.append(_clause((nx, Lit(x, fut))))
+            clauses.append(_clause((nx, Lit(x, past))))
     # each marker's literals, by index i: p_i, ~p_i, [F]p_i, ~[F]p_i,
     # [P]p_i and ~[P]p_i
     p = [None] + [_marker(i) for i in range(1, n + 1)]
@@ -161,25 +172,25 @@ def threecol_to_fp_horn(graph: Graph) -> tuple[SnfFormula, tuple[str, ...]]:
     pa = [None] + [Lit(x, past) for x in p[1:]]
     not_pa = [None] + [Lit(x, past, False) for x in p[1:]]
     ns = Lit("s", none, False)
-    clauses.append(Clause([ns, not_at[1]]))
-    clauses.append(Clause([ns, f[1]]))
-    clauses.append(Clause([ns, pa[1]]))
+    clauses.append(_clause((not_at[1], ns)))
+    clauses.append(_clause((ns, f[1])))
+    clauses.append(_clause((ns, pa[1])))
     for i in range(1, n):
-        clauses.append(Clause([not_at[i], not_f[i], f[i + 1]]))
-        clauses.append(Clause([at[i], not_f[i + 1]]))
-    clauses.append(Clause([at[n], not_f[n], prime]))
-    clauses.append(Clause([not_at[n], nprime]))
-    clauses.append(Clause([f[n], nprime]))
-    clauses.append(Clause([nprime, pa[n]]))
+        clauses.append(_clause((not_at[i], not_f[i], f[i + 1])))
+        clauses.append(_clause((not_f[i + 1], at[i])))
+    clauses.append(_clause((not_f[n], at[n], prime)))
+    clauses.append(_clause((not_at[n], nprime)))
+    clauses.append(_clause((nprime, f[n])))
+    clauses.append(_clause((nprime, pa[n])))
     for i in range(2, n + 1):
-        clauses.append(Clause([not_at[i], not_pa[i], pa[i - 1]]))
+        clauses.append(_clause((not_at[i], not_pa[i], pa[i - 1])))
     for i in range(1, n + 1):
         for x, nx, c, nc in zip(vc[i], off[i], cs, ncs):
-            clauses.append(Clause([not_f[i], not_pa[i], nx, c]))
-            clauses.append(Clause([not_f[i], not_pa[i], nc, Lit(x)]))
+            clauses.append(_clause((not_pa[i], not_f[i], nx, c)))
+            clauses.append(_clause((nc, not_pa[i], not_f[i], Lit(x))))
     for i, j in graph.sorted_edges():
         for nx, ny in zip(off[i], off[j]):
-            clauses.append(Clause([nx, ny]))
+            clauses.append(_clause((nx, ny) if nx.var < ny.var else (ny, nx)))
     names = ["c1", "c2", "c3", "s", prime_var(n), *p[1:]]
     names += (x for row in vc[1:] for x in row)
     phi = _trusted(frozenset({fut, past}), ("s",), tuple(clauses),

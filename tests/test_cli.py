@@ -404,7 +404,8 @@ class TestEvaluateAndCheckModel:
         text = model.read_text().replace("world 0: 1", "world 0: 0")
         model.write_text(text)
         assert main(["check-model", simple, str(model)]) == 1
-        capsys.readouterr()
+        assert "violated: init x\nverdict: INVALID\n" in (
+            capsys.readouterr().out)
 
     def test_failure_only_at_a_sentinel_world_invalid(self, tmp_path,
                                                       capsys):
@@ -414,7 +415,29 @@ class TestEvaluateAndCheckModel:
         model = write(tmp_path, "p.model",
                       "vars: x\nleft: 1\nworld 0: 1\nworld 1: 1\nright: 0\n")
         assert main(["check-model", path, model]) == 1
-        assert "verdict: INVALID" in capsys.readouterr().out
+        assert "violated: clause [P]x at world 3\nverdict: INVALID\n" in (
+            capsys.readouterr().out)
+
+    def test_invalid_report_names_the_first_failing_clause(self, tmp_path,
+                                                           capsys):
+        # a | b holds everywhere; ~a | b fails at worlds 3 and 4, and the
+        # empty clause after it at every world
+        path = write(tmp_path, "f.snf", "operators: *\nclause: a | b\n"
+                     "clause: b | ~a\nclause:\n")
+        model = write(tmp_path, "f.model",
+                      "vars: a b\nstart: 2\nleft: 0 1\nworld 2: 1 1\n"
+                      "world 3: 1 0\nright: 1 0\n")
+        assert main(["check-model", path, model]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[:-1] == [
+            "command: check-model", f"formula: {path}", f"model: {model}",
+            "vars: 2", "clauses: 3", "violated: clause ~a | b at world 3",
+            "verdict: INVALID"]
+        empty = write(tmp_path, "e.snf",
+                      "operators: *\nclause: a | b\nclause:\n")
+        assert main(["check-model", empty, model]) == 1
+        assert "violated: clause (empty) at world 0\n" in (
+            capsys.readouterr().out)
 
     def test_variable_mismatch_is_an_input_error(self, simple, tmp_path,
                                                  capsys):
@@ -674,3 +697,5 @@ def test_package_import_loads_no_cli_module():
     loaded = set(done.stdout.split())
     assert "ltlbd.propsat" in loaded
     assert not loaded & {"ltlbd.cli", "ltlbd.fileio", "ltlbd.gen", "argparse"}
+    # nor the value types' former dataclass machinery
+    assert not loaded & {"dataclasses", "inspect"}

@@ -131,7 +131,7 @@ def snf_fields(phi):
 
 
 def slow_copy(phi):
-    """``phi`` rebuilt through ``SnfFormula.__post_init__``."""
+    """``phi`` rebuilt through ``SnfFormula.__init__``."""
     return SnfFormula(frozenset(phi.operators), phi.initial,
                       tuple(Clause(c.literals) for c in phi.clauses))
 

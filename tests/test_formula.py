@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import re
 
@@ -248,12 +250,14 @@ class TestRemoveTautologies:
 
 
 def same_fields(got, slow):
-    """``got`` equals the formula ``SnfFormula.__post_init__`` builds, in
-    every field and field type, the universe included."""
+    """``got`` equals the formula ``SnfFormula.__init__`` builds, in every
+    field and field type, the universe included; its clauses are
+    ``Clause``s, not just tuples that compare equal to them."""
     assert (got.operators, got.initial, got.clauses, got.variables) == (
         slow.operators, slow.initial, slow.clauses, slow.variables)
     for name in ("operators", "initial", "clauses", "variables"):
         assert type(getattr(got, name)) is type(getattr(slow, name)), name
+    assert all(type(c) is Clause for c in got.clauses)
 
 
 class TestDerivedCopies:
@@ -324,3 +328,63 @@ def test_invalid_formula_is_refused(ops, initial, clauses, variables,
                                     message):
     with pytest.raises(ValueError, match=re.escape(message)):
         SnfFormula(frozenset(ops), initial, clauses, variables)
+
+
+#: ``repr`` of the formula that ``value_type_formula`` builds, as printed
+#: when ``SnfFormula`` and ``Clause`` were dataclasses
+PINNED_REPR = (
+    "SnfFormula(operators=frozenset({<Mod.FUT: 2>}), initial=('a',), "
+    "clauses=(Clause(literals=(Lit(var='a', mod=<Mod.NONE: 0>, "
+    "positive=False), Lit(var='b', mod=<Mod.FUT: 2>, positive=True))), "
+    "Clause(literals=())), variables=('a', 'b', 'z'))")
+
+
+def value_type_formula(variables=("z",)):
+    return SnfFormula(frozenset({Mod.FUT}), ("a",),
+                      (Clause([lit("b", Mod.FUT), lit("a", positive=False)]),
+                       Clause([])), variables)
+
+
+class TestValueTypes:
+    def test_repr_is_pinned(self):
+        assert repr(value_type_formula()) == PINNED_REPR
+
+    @pytest.mark.parametrize("value", [
+        value_type_formula(), value_type_formula().clauses[0], EMPTY_CLAUSE],
+        ids=["formula", "clause", "empty-clause"])
+    def test_pickle_and_deepcopy_round_trip(self, value):
+        copies = [pickle.loads(pickle.dumps(value, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for got in copies + [copy.deepcopy(value), copy.copy(value)]:
+            assert type(got) is type(value)
+            assert got == value and repr(got) == repr(value)
+
+    def test_formula_fields_refuse_assignment_and_deletion(self):
+        phi = value_type_formula()
+        for name in ("operators", "initial", "clauses", "variables", "new"):
+            with pytest.raises(AttributeError):
+                setattr(phi, name, ())
+            with pytest.raises(AttributeError):
+                delattr(phi, name)
+        assert repr(phi) == PINNED_REPR
+
+    def test_clause_refuses_assignment(self):
+        c = Clause([lit("a")])
+        for name in ("literals", "new"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, ())
+
+    def test_formula_equality_and_hash_ignore_the_universe(self):
+        wide = value_type_formula(("y", "z"))
+        narrow = value_type_formula(())
+        assert wide.variables != narrow.variables
+        assert wide == narrow and hash(wide) == hash(narrow)
+        assert wide != value_type_formula().clauses  # another type
+        other = SnfFormula(frozenset({Mod.FUT}), (), wide.clauses)
+        assert wide != other
+
+    def test_clause_is_the_tuple_of_its_literals(self):
+        c = Clause([lit("b"), lit("a", positive=False), lit("b")])
+        assert c.literals is c
+        assert c == (lit("a", positive=False), lit("b"))
+        assert hash(c) == hash(tuple(c)) and len(c) == 2

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 
@@ -5,7 +7,8 @@ import pytest
 
 from ltlbd.formula import EMPTY_CLAUSE, Clause, Lit, Mod, SnfFormula
 from ltlbd.interp import (AssignmentSet, FiniteWindowInterpretation,
-                          from_assignment_set, holds_literal, models)
+                          first_violation, from_assignment_set, holds_literal,
+                          models)
 
 
 def interp(cols, lo=0, start=0):
@@ -179,6 +182,18 @@ def reference_models(m, phi):
                     for z in range(m.lo - 2, m.hi + 3)))
 
 
+def reference_first_violation(m, phi):
+    """``first_violation`` through ``reference_holds``."""
+    for v in phi.initial:
+        if not m.row(m.start)[v]:
+            return v, m.start
+    for clause in phi.clauses:
+        for z in range(m.lo - 2, m.hi + 3):
+            if not any(reference_holds(m, z, lit) for lit in clause):
+                return clause, z
+    return None
+
+
 def test_models_matches_wide_window_reference():
     rng = random.Random(8)
     mods = list(Mod)
@@ -201,6 +216,7 @@ def test_models_matches_wide_window_reference():
                          clauses)
         expected = reference_models(m, phi)
         assert models(m, phi) == expected
+        assert first_violation(m, phi) == reference_first_violation(m, phi)
         seen.add((expected, bool(clauses), EMPTY_CLAUSE in clauses))
     # both verdicts, formulas without clauses and with the empty clause
     assert {(True, False, False), (True, True, False), (False, True, True),
@@ -291,3 +307,88 @@ def test_from_assignment_set_star_falsified_by_second_member():
                      (Clause([Lit("x", Mod.STAR, False)]),))
     assert not holds_literal(m, 0, Lit("x", Mod.STAR))
     assert models(m, phi)
+
+
+def test_first_violation_names_a_false_initial_fact():
+    phi = SnfFormula(frozenset({Mod.STAR}), ("x", "y", "z"),
+                     (Clause([Lit("w", Mod.STAR)]),))
+    m = interp({"w": (0, [0, 0], 0), "x": (0, [1, 0], 0),
+                "y": (1, [0, 0], 1), "z": (0, [1, 0], 0)}, lo=-1, start=-1)
+    # the initial facts come before the clauses, and y is the first false
+    assert first_violation(m, phi) == ("y", -1)
+    assert not models(m, phi)
+
+
+def test_first_violation_names_the_first_failing_clause_at_its_lowest_world():
+    holds, fails_late, fails_early = (Clause([Lit("a"), Lit("b")]),
+                                      Clause([Lit("b")]),
+                                      Clause([Lit("a")]))
+    phi = SnfFormula(frozenset({Mod.STAR}), (),
+                     (holds, fails_late, fails_early))
+    m = interp({"a": (1, [0, 1, 1], 1), "b": (1, [1, 0, 1], 1)}, lo=3,
+               start=3)
+    # b fails only at world 4, a only at world 3: formula order decides
+    assert first_violation(m, phi) == (fails_late, 4)
+    assert first_violation(m, SnfFormula(phi.operators, (),
+                                         (holds, fails_early))) == (
+        fails_early, 3)
+    assert first_violation(m, SnfFormula(phi.operators, (), (holds,))) is None
+
+
+@pytest.mark.parametrize("mod,cols,edge", [
+    (Mod.FUT, (0, [1, 1], 1), "lo"), (Mod.PAST, (1, [1, 1], 0), "hi")],
+    ids=["future-at-lo-2", "past-at-hi+2"])
+def test_first_violation_at_an_edge_world(mod, cols, edge):
+    # [F]x fails only at lo - 2, [P]x only at hi + 2
+    m = interp({"x": cols}, lo=5, start=5)
+    clause = Clause([Lit("x", mod)])
+    phi = SnfFormula(frozenset({mod}), (), (clause,))
+    world = m.lo - 2 if edge == "lo" else m.hi + 2
+    assert first_violation(m, phi) == (clause, world)
+    assert first_violation(m, SnfFormula(phi.operators, (), (EMPTY_CLAUSE,))
+                           ) == (EMPTY_CLAUSE, m.lo - 2)
+
+
+def value_types():
+    a0, a1 = {"x": True, "y": False}, {"x": False, "y": False}
+    return [interp({"x": (1, [0, 1], 0), "y": (0, [1, 1], 1)}, lo=-2,
+                   start=-1),
+            AssignmentSet((a1, a0, a1), a0)]
+
+
+@pytest.mark.parametrize("value", value_types(),
+                         ids=["interpretation", "assignment-set"])
+def test_value_types_pickle_and_deepcopy_round_trip(value):
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for got in copies + [copy.deepcopy(value), copy.copy(value)]:
+        assert type(got) is type(value)
+        assert got == value and repr(got) == repr(value)
+
+
+@pytest.mark.parametrize("value", value_types(),
+                         ids=["interpretation", "assignment-set"])
+def test_value_types_refuse_assignment_and_are_unhashable(value):
+    before = repr(value)
+    for name in (*value.__slots__, "new"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == before
+    # they hold dicts, as the frozen dataclasses they replace did
+    with pytest.raises(TypeError):
+        hash(value)
+
+
+def test_value_types_compare_by_fields():
+    m, aset = value_types()
+    assert m == FiniteWindowInterpretation(m.left, m.window, m.lo, m.right,
+                                           m.start)
+    assert m != FiniteWindowInterpretation(m.left, m.window, m.lo, m.right,
+                                           m.start - 1)
+    assert aset == AssignmentSet(aset.members, aset.initial)
+    # members keep their order
+    assert aset != AssignmentSet(aset.members[::-1], aset.initial)
+    assert aset != AssignmentSet(aset.members, aset.members[0])
+    assert m != aset

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -165,3 +167,37 @@ class TestCnfStructure:
         # every clause maps to distinct integer literals within bounds
         for cl in clause_lines:
             assert all(1 <= abs(x) <= 3 for x in cl)
+
+
+class TestCnfValueType:
+    def example(self):
+        return cnf([(A, True), (global_atom("b"), False), (A, True)],
+                   [(copy_atom("b", 2, "01"), True)], [])
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        f = self.example()
+        copies = [pickle.loads(pickle.dumps(f, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for got in copies + [copy.deepcopy(f), copy.copy(f)]:
+            assert type(got) is PropCnf
+            assert got == f and hash(got) == hash(f)
+            assert repr(got) == repr(f)
+
+    def test_clauses_refuse_assignment_and_deletion(self):
+        f = self.example()
+        for name in ("clauses", "new"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, ())
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+        assert len(f) == 3
+
+    def test_equality_reads_the_normalised_clauses(self):
+        f = self.example()
+        assert f.clauses[0] == ((A, True), (global_atom("b"), False))
+        assert f == PropCnf.from_normal(f.clauses)
+        assert f != cnf(*f.clauses[:2])
+        assert f != f.clauses
+        assert repr(cnf([(A, False)])) == (
+            "PropCnf(clauses=(((Atom(kind='plain', var='a', index=0, "
+            "label=''), False),),))")
