@@ -23,7 +23,11 @@ order.  Each encoding's atom layout is therefore its decision order: the
 star encoding numbers the always-atoms first, then rows 1..n+1; the window
 encoding the cells row by row, then the atoms of its modal literals.  Each
 row is over the sorted variables.  Both encodings count their clauses
-before building any.  This module shares no code with backdoor evaluation,
+before building any, and hand every clause as a tuple: a clause's copies in
+every row or world are one ``zip`` over its literals' per-copy atoms, and
+the definitions are zipped from ranges the same way, so no clause is built
+as a list; the search copies only the clauses of three or more literals,
+whose watches move.  This module shares no code with backdoor evaluation,
 which it cross-checks.
 
 The window encoding folds each frozen variable: one whose clauses hold
@@ -57,7 +61,8 @@ witness depends on their values; it keeps the full definitions.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
+from operator import itemgetter, neg
 from typing import Optional
 
 from . import _kernels
@@ -139,7 +144,8 @@ def _check_clause_budget(n_clauses: int) -> None:
 def _columns(phi: SnfFormula, codes):
     """Per clause of ``phi``, the list of its literals' ``codes(lit)``, a
     literal's signed atom in every row or world; ``codes`` runs once per
-    distinct literal.  ``zip(*cols)`` is then the clause in every copy."""
+    distinct literal.  ``zip(*cols)`` is then the clause in every copy, as
+    one tuple per copy."""
     column = {}
     for c in phi.clauses:
         cols = []
@@ -160,22 +166,24 @@ def _star_by_encoding(phi: SnfFormula) -> Optional[FiniteWindowInterpretation]:
         len(phi.clauses) * (n + 1) + len(phi.initial) + n * (n + 2))
     col = {v: i + 1 for i, v in enumerate(variables)}  # signed atom in row 0
     rows = range(1, n + 2)
+    # each variable's signed atoms in rows 1..n+1
+    in_rows = {v: range(n + i, (n + 2) * n + i, n) for v, i in col.items()}
     none = Mod.NONE  # bound once: enum lookups are slow
 
-    def codes(lit) -> list:
-        i = col[lit.var]
-        a = [r * n + i for r in rows] if lit.mod is none else [i] * (n + 1)
-        return a if lit.positive else [-x for x in a]
+    def codes(lit) -> tuple:
+        v = lit.var
+        a = in_rows[v] if lit.mod is none else repeat(col[v], n + 1)
+        return tuple(a) if lit.positive else tuple(map(neg, a))
 
     # every clause in row 1, then every clause in row 2, and so on; a clause
     # without literals is empty in every row
     copies = [zip(*cols) if cols else repeat((), n + 1)
               for cols in _columns(phi, codes)]
-    clauses = [list(g) for row in zip(*copies) for g in row]
-    clauses.extend([n + col[v]] for v in phi.initial)
-    for i in range(n):
-        clauses.extend([-i - 1, r * n + i + 1] for r in rows)
-        clauses.append([i + 1, -(2 + i) * n - i - 1])
+    clauses = list(chain.from_iterable(zip(*copies)))
+    clauses += zip([n + col[v] for v in phi.initial])  # unit clauses
+    for v, i in col.items():
+        clauses += zip(repeat(-i), in_rows[v])
+        clauses.append((i, -(1 + i) * n - i))
     n_atoms = n * (n + 2)
     found, values = _kernels.search_solve(n_atoms, clauses)
     if not found:
@@ -247,37 +255,39 @@ def window_sat_oracle(phi: SnfFormula,
     # the row of each world -3..width+3: the edge rows 0 and n_rows-1 hold
     # every world left and right of the window
     row_of = [0] * 3 + list(range(1, n_rows - 1)) + [n_rows - 1] * 3
+    worlds = row_of[1:-1]  # the row of each evaluation world
 
-    def codes(lit) -> list:
+    def codes(lit) -> tuple:
         """The literal's signed atom at every evaluation world."""
         v = lit.var
         if lit.mod is none or v in frozen:
-            at = cells[v]
-            a = [at[r] for r in row_of[1:-1]]
+            a = map(cells[v].__getitem__, worlds)
         elif lit.mod is star:
-            a = [base[star, v] + 1] * n_worlds
+            a = repeat(base[star, v] + 1, n_worlds)
         else:
             first = base[lit.mod, v] + 1
-            a = list(range(first, first + n_worlds))
-        return a if lit.positive else [-x for x in a]
+            a = range(first, first + n_worlds)
+        return tuple(a) if lit.positive else tuple(map(neg, a))
 
     # each clause at every evaluation world, unbuilt.  Two literals share an
     # atom at one world iff they share it at every world, so keying them by
     # their first atom merges repeated literals (x | [F]x with x frozen is
-    # [a], not [a, a]); a clause with an atom in both signs is valid at
+    # (a,), not (a, a)); a clause with an atom in both signs is valid at
     # every world and dropped; one whose literals all keep their atom (a
     # frozen variable's or an always-atom) is grounded once.  Every other
     # literal's first and last atoms differ.  An atom rarely repeats, so the
     # keyed copy is built only when one does.
+    head, tail = itemgetter(0), itemgetter(-1)
     grounded, n_clauses = [], len(phi.initial)
     for cols in _columns(phi, codes):
-        first = [a[0] for a in cols]
-        if len(set(first)) < len(first):
+        first = tuple(map(head, cols))
+        distinct = set(first)
+        if len(distinct) < len(first):
             cols = list({a[0]: a for a in cols}.values())
-            first = [a[0] for a in cols]
-        if any(-x in first for x in first):
+            first = tuple(map(head, cols))
+        if not distinct.isdisjoint(map(neg, first)):
             continue
-        if all(a[0] == a[-1] for a in cols):
+        if first == tuple(map(tail, cols)):
             grounded.append((first,))
             n_clauses += 1
         else:
@@ -289,33 +299,33 @@ def window_sat_oracle(phi: SnfFormula,
         for key in base))
 
     # the clauses, then the initial facts at world 0, then the definitions
-    clauses = []
-    for g in grounded:
-        clauses += map(list, g)
-    clauses.extend([cells[v][1]] for v in phi.initial)
+    clauses = list(chain.from_iterable(grounded))
+    clauses += zip([cells[v][1] for v in phi.initial])  # unit clauses
 
     for (mod, v), a in base.items():
         sign, at = signs[mod, v], cells[v]
         if mod is star:  # always-atom: conjunction of all rows
             if sign & 1:
-                clauses += [[-a - 1, x] for x in at]
+                clauses += zip(repeat(-a - 1), at)
             if sign & 2:
-                clauses.append([a + 1] + [-x for x in at])
+                clauses.append((a + 1, *map(neg, at)))
             continue
         # future (past) atom at w: v holds at every later (earlier) world;
         # beyond the last (first) evaluation world only the frozen edge
         # remains, so that world's atom has no neighbour to chain to
         step = 1 if mod is Mod.FUT else -1
         atoms = range(a + 1, a + n_worlds + 1)
-        nxt = [at[r] for r in row_of[1 + step:len(row_of) - 1 + step]]
+        nxt = list(map(at.__getitem__,
+                       row_of[1 + step:len(row_of) - 1 + step]))
         end, chained = (-1, slice(-1)) if step > 0 else (0, slice(1, None))
+        here = atoms[chained]
+        there = range(here.start + step, here.stop + step)
         if sign & 1:  # here -> next cell, here -> here +- 1
-            clauses += [[-h, x] for h, x in zip(atoms, nxt)]
-            clauses += [[-h, h + step] for h in atoms[chained]]
+            clauses += zip(map(neg, atoms), nxt)
+            clauses += zip(map(neg, here), there)
         if sign & 2:  # the converse
-            clauses += [[h, -x, -h - step]
-                        for h, x in zip(atoms[chained], nxt[chained])]
-            clauses.append([atoms[end], -nxt[end]])
+            clauses += zip(here, map(neg, nxt[chained]), map(neg, there))
+            clauses.append((atoms[end], -nxt[end]))
 
     found, values = _kernels.search_solve(n_atoms, clauses)
     if not found:

@@ -546,6 +546,31 @@ class TestReduce:
         assert phi.operators == {Mod.FUT, Mod.PAST}
         capsys.readouterr()
 
+    @pytest.mark.parametrize("target, oracle", [
+        ("star-krom", ["--oracle", "star"]),  # 14 variables: the encoding
+        ("fp-horn", ["--oracle", "window", "--window", "5"]),
+    ])
+    def test_solved_reduction_certificate_checks(self, tmp_path, capsys,
+                                                 target, oracle):
+        col = write(tmp_path, "tri.col", TRIANGLE_COL)
+        out = str(tmp_path / "tri.snf")
+        assert main(["reduce", col, "--target", target, "--out", out]) == 0
+        if target == "star-krom":
+            assert len(parse_snf(Path(out).read_text()).variables) == 14
+        assert main(["solve", out, *oracle]) == 0
+        model = str(tmp_path / "tri.model")
+        assert main(["check-model", out, model]) == 0
+        capsys.readouterr()
+
+    def test_k4_star_krom_reduction_is_unsat(self, tmp_path, capsys):
+        col = write(tmp_path, "k4.col", "p edge 4 6\n" + "".join(
+            f"e {i} {j}\n" for i in range(1, 5) for j in range(i + 1, 5)))
+        out = str(tmp_path / "k4.snf")
+        assert main(["reduce", col, "--target", "star-krom", "--out", out]) == 0
+        assert len(parse_snf(Path(out).read_text()).variables) == 24
+        assert main(["solve", out, "--oracle", "star"]) == 1
+        assert "UNSAT" in capsys.readouterr().out
+
     def test_bad_graph_is_input_error(self, tmp_path, capsys):
         col = write(tmp_path, "bad.col", "p edge 2 1\ne 1 1\n")
         assert main(["reduce", col, "--target", "star-krom"]) == 2

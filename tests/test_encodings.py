@@ -167,12 +167,15 @@ def handed(monkeypatch):
 
 
 def assert_handed(handed, expected, solve, monkeypatch):
-    """``solve()`` hands the search exactly ``expected``, and its clause
-    budget is exact: the count passes at the limit and fails one below."""
+    """``solve()`` hands the search exactly ``expected``, clause by clause
+    and in order, each clause a tuple; and its clause budget is exact: the
+    count passes at the limit and fails one below."""
     handed.clear()
     solve()
-    assert handed == [expected]
+    [(n_atoms, got)] = handed
+    assert all(type(c) is tuple for c in got)
     clauses = expected[1]
+    assert (n_atoms, got) == (expected[0], [tuple(c) for c in clauses])
     monkeypatch.setattr(oracle, "ENCODING_CLAUSE_LIMIT", len(clauses) - 1)
     with pytest.raises(ValueError, match="encoding budget exceeded"):
         solve()
