@@ -219,10 +219,15 @@ def verify_backdoor(phi: SnfFormula, backdoor: Iterable[str],
     variable's literals are satisfied by every consistent local choice
     depends only on their (modality, sign) pairs, so it is decided once per
     distinct pattern.
+
+    A string ``backdoor`` is refused, never read as its characters.
     """
     if target not in (HORN, KROM):
         raise ValueError(f"unknown target class: {target}")
     horn = target == HORN
+    if isinstance(backdoor, str):
+        raise ValueError(f"backdoor must be a collection of variable names, "
+                         f"not the string {backdoor!r}")
     back = set(backdoor)
     extra = back - set(phi.variables)
     if extra:

@@ -109,6 +109,9 @@ class BackdoorError(ValueError):
 def _admit(phi: SnfFormula, backdoor: Iterable[str]) -> tuple:
     """The tautology-free core and the sorted backdoor, once admitted."""
     check_operators(phi, (Mod.STAR,))
+    if isinstance(backdoor, str):
+        raise ValueError(f"backdoor must be a collection of variable names, "
+                         f"not the string {backdoor!r}")
     core = remove_tautologies(phi)
     back = tuple(sorted(set(backdoor)))
     unknown = sorted(set(back) - set(core.variables))
@@ -534,9 +537,10 @@ def evaluate_horn_star(phi: SnfFormula, backdoor: Iterable[str],
     short-circuit on the first satisfiable encoding, so the certificate is
     reproducible.  On SAT the certificate is re-checked against the original
     formula.  Before any candidate, in this order, it raises ValueError for
-    a formula outside the always-only fragment, :class:`BackdoorError`
-    unless ``backdoor`` is a strong Horn backdoor of the core, and
-    ValueError for more than :data:`EVAL_BACKDOOR_LIMIT`.
+    a formula outside the always-only fragment or a string ``backdoor``
+    (never read as its characters), :class:`BackdoorError` unless
+    ``backdoor`` is a strong Horn backdoor of the core, and ValueError for
+    more than :data:`EVAL_BACKDOOR_LIMIT`.
 
     ``on_candidate(ts, cnf)`` is replayed after the solve over the first
     ``result.tried`` items of :func:`candidate_encodings`, from the one

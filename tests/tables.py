@@ -1,5 +1,6 @@
 """Shared fixtures: the worked three-vertex example and its model tables,
-and the record of an evaluation result in ``data/eval_corpus.txt``.
+the record of an evaluation result in ``data/eval_corpus.txt``, random
+graphs, and the cover and hitting checks of detection's answers.
 
 The tables transcribe the known models for the proper colouring (1, 2, 3).
 Cells the constructions leave free are 0, except the colour variables on the
@@ -54,3 +55,20 @@ def describe(result) -> dict:
             "rows": [_bits(m) for m in aset.members],
             "initial": _bits(aset.initial),
             "table": format_model_table(result.interpretation)}
+
+
+def random_graph(rng, n):
+    """A graph on n vertices, each of its possible edges drawn with
+    probability 1/2."""
+    pool = list(itertools.combinations(range(1, n + 1), 2))
+    return Graph(n, frozenset(e for e in pool if rng.random() < 0.5))
+
+
+def covers(graph, chosen):
+    chosen = set(chosen)
+    return all(chosen & set(e) for e in graph.edges)
+
+
+def hits(family, chosen):
+    chosen = set(chosen)
+    return all(chosen & set(s) for s in family.sets)

@@ -25,7 +25,8 @@ from ltlbd.oracle import star_sat_oracle, window_sat_oracle
 from ltlbd.propsat import PropCnf, brute_sat, horn_sat, plain_atom, two_sat
 from ltlbd.reductions import (Graph, brute_3col, threecol_to_fp_horn,
                               threecol_to_star_krom)
-from tables import TRIANGLE, TRIANGLE_HORN_TABLE, TRIANGLE_KROM_TABLE
+from tables import (TRIANGLE, TRIANGLE_HORN_TABLE, TRIANGLE_KROM_TABLE,
+                    covers, hits)
 
 
 @contextmanager
@@ -52,16 +53,6 @@ def clause_pool(variables, mods, max_len):
                 out.append(Clause([Lit(v, m, s)
                                    for (v, m), s in zip(combo, signs)]))
     return out
-
-
-def covers(graph, chosen):
-    chosen = set(chosen)
-    return all(chosen & set(e) for e in graph.edges)
-
-
-def hits(family, chosen):
-    chosen = set(chosen)
-    return all(chosen & set(s) for s in family.sets)
 
 
 def subsets_up_to(names, k):

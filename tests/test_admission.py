@@ -4,7 +4,8 @@ outside its operator fragment, and answers on every other formula."""
 import pytest
 from hypothesis import given, note, settings, strategies as st
 
-from ltlbd.detection import detect_horn_backdoor, detect_krom_backdoor
+from ltlbd.detection import (HORN, KROM, detect_horn_backdoor,
+                             detect_krom_backdoor, verify_backdoor)
 from ltlbd.evaluation import candidate_encodings, evaluate_horn_star
 from ltlbd.fileio import parse_snf
 from ltlbd.formula import (TEMPORAL_MODS, Clause, Lit, Mod, SnfFormula,
@@ -64,6 +65,22 @@ def test_candidate_encodings_refuse_what_evaluation_refuses(backdoor):
     with pytest.raises(type(want.value)) as got:
         next(candidate_encodings(phi, backdoor))
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda phi, back: verify_backdoor(phi, back, HORN),
+    lambda phi, back: verify_backdoor(phi, back, KROM),
+    evaluate_horn_star,
+    lambda phi, back: next(candidate_encodings(phi, back)),
+], ids=["verify-horn", "verify-krom", "evaluate", "encodings"])
+@pytest.mark.parametrize("name", ["ab", "x1"])
+def test_a_string_backdoor_is_refused_not_read_as_its_characters(call, name):
+    # read as characters, "ab" would name the variables a and b and "x1"
+    # two unknown ones; the same name in a list is a backdoor
+    phi = parse_snf("operators: *\nclause: ab | x1\nclause: ~a | ~b\n")
+    with pytest.raises(ValueError, match="not the string '" + name):
+        call(phi, name)
+    call(phi, [name])
 
 
 class TestCheckOperators:

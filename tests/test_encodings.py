@@ -21,6 +21,8 @@ from ltlbd.interp import FiniteWindowInterpretation
 from ltlbd.oracle import _star_by_encoding, window_sat_oracle
 from ltlbd.reductions import Graph, threecol_to_fp_horn, threecol_to_star_krom
 
+from tables import random_graph
+
 LIMIT = oracle.ENCODING_CLAUSE_LIMIT
 OPERATOR_SETS = [set(ops) for r in range(4) for ops in
                  itertools.combinations((Mod.PAST, Mod.FUT, Mod.STAR), r)]
@@ -182,11 +184,6 @@ def assert_handed(handed, expected, solve, monkeypatch):
     monkeypatch.setattr(oracle, "ENCODING_CLAUSE_LIMIT", len(clauses))
     solve()
     monkeypatch.setattr(oracle, "ENCODING_CLAUSE_LIMIT", LIMIT)
-
-
-def random_graph(rng, n):
-    pool = list(itertools.combinations(range(1, n + 1), 2))
-    return Graph(n, frozenset(e for e in pool if rng.random() < 0.5))
 
 
 def test_reductions_of_random_graphs(handed, monkeypatch):

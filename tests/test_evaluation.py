@@ -13,13 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import ltlbd
 
-from ltlbd import _kernels, evaluation
+from ltlbd import evaluation
 from ltlbd.detection import HORN, detect_horn_backdoor, verify_backdoor
-from ltlbd.evaluation import (EvalResult, assignments_over,
-                              candidate_encodings, candidate_theta_sets,
-                              encoding_size_bound, evaluate_horn_star,
-                              global_assignment, propositionalize,
-                              relabel_copy)
+from ltlbd.evaluation import (assignments_over, candidate_encodings,
+                              candidate_theta_sets, encoding_size_bound,
+                              evaluate_horn_star, global_assignment,
+                              propositionalize, relabel_copy)
 from ltlbd.fileio import parse_snf
 from ltlbd.formula import (Clause, Lit, Mod, SnfFormula, reduct,
                            remove_tautologies)
@@ -279,6 +278,33 @@ def _rows_of(horn_model, phi, backdoor, ts):
     return rows, designated
 
 
+def check_against_the_definitions(phi, backdoor):
+    """Evaluate ``phi`` through ``backdoor`` and check the answer against
+    the star oracle's verdict and against solving the dumped (r+1)-copy
+    encodings, built from their definition, on their own: on SAT the first
+    ``tried`` dumps are unsatisfiable but the last, which is the answer's
+    candidate and whose least model's rows are its certificate; on UNSAT
+    all n * 2^(n-1) candidates over n = 2^k members were tried."""
+    result = evaluate_horn_star(phi, backdoor)
+    assert result.satisfiable == (star_sat_oracle(phi) is not None)
+    if not result.satisfiable:
+        n = 1 << len(backdoor)
+        assert result.tried == n << n - 1
+        return result
+    assert models(result.interpretation, phi)
+    tried = list(itertools.islice(candidate_encodings(phi, backdoor),
+                                  result.tried))
+    solved = [horn_sat(cnf) for _, cnf in tried]
+    assert tried[-1][0] == result.theta_set
+    assert all(m is None for m in solved[:-1])
+    members, designated = _rows_of(solved[-1], remove_tautologies(phi),
+                                   backdoor, result.theta_set)
+    assert list(result.assignment_set.members) == members
+    assert result.assignment_set.initial == designated
+    assert result.interpretation == from_assignment_set(result.assignment_set)
+    return result
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(always_only_formulas())
 def test_every_candidate_matches_a_from_scratch_solve(phi):
@@ -286,29 +312,16 @@ def test_every_candidate_matches_a_from_scratch_solve(phi):
     # solving each dumped (r+1)-copy encoding on its own answers, in
     # candidate order, down to the certificate's rows; the dumps are built
     # from the encoding's definition and share no code with the solve
-    expected = star_sat_oracle(phi) is not None
     core = remove_tautologies(phi)
     names = sorted(phi.variables)
     for size in range(min(2, len(names)) + 1):
         for chosen in itertools.combinations(names, size):
             if not verify_backdoor(core, chosen, HORN):
                 continue
-            result = evaluate_horn_star(phi, chosen)
-            assert result.satisfiable == expected
-            tried = list(itertools.islice(candidate_encodings(phi, chosen),
-                                          result.tried))
-            solved = [horn_sat(cnf) for _, cnf in tried]
-            if result.satisfiable:
-                assert models(result.interpretation, phi)
-                assert tried[-1][0] == result.theta_set
-                assert all(m is None for m in solved[:-1])
-                members, designated = _rows_of(solved[-1], core, chosen,
-                                               result.theta_set)
-                assert list(result.assignment_set.members) == members
-                assert result.assignment_set.initial == designated
-            else:
-                assert all(m is None for m in solved)
-                assert result.tried == len(list(candidate_theta_sets(chosen)))
+            result = check_against_the_definitions(phi, chosen)
+            if not result.satisfiable:
+                assert all(horn_sat(cnf) is None
+                           for _, cnf in candidate_encodings(phi, chosen))
 
 
 def test_committed_certificates_replay():
@@ -531,91 +544,6 @@ def _unsat_gadget(seed, n_vars, n_clauses, k):
                       phi.clauses + gadget), backdoor
 
 
-def _reference_evaluate(phi, backdoor):
-    """The solve path that evaluation replaced, kept here as a differential
-    reference: per (member, unanimity mask) the :func:`reduct` of the core,
-    coded on the member's copies of one global layout, and per member set
-    one :func:`horn_index` over its concatenated blocks and ties."""
-    core = remove_tautologies(phi)
-    back = tuple(sorted(set(backdoor)))
-    rest = sorted(set(core.variables) - set(back))
-    r, c = len(rest), min(len(rest) + 1, 2)
-    slot = {v: j for j, v in enumerate(rest)}
-    pool = assignments_over(back)
-    n_atoms = r + len(pool) * c * r
-    clause_part = SnfFormula(core.operators, (), core.clauses, core.variables)
-    dead = [any(v in theta and not theta[v] for v in core.initial)
-            for theta in pool]
-
-    def base(p, i):
-        return r + (p * c + i - 1) * r + 1
-
-    blocks = {}
-
-    def block(p, mask, members):
-        if (p, mask) not in blocks:
-            glob = global_assignment(members, back, pool[p])
-            coded = []
-            for i in range(1, c + 1):
-                for clause in reduct(clause_part, glob).clauses:
-                    coded.append([(1 if lit.positive else -1)
-                                  * (base(p, i) + slot[lit.var]
-                                     if lit.mod is Mod.NONE
-                                     else slot[lit.var] + 1)
-                                  for lit in clause])
-            blocks[p, mask] = coded
-        return blocks[p, mask]
-
-    tried = 0
-    for size in range(1, len(pool) + 1):
-        for combo in itertools.combinations(range(len(pool)), size):
-            members = tuple(pool[p] for p in combo)
-            mask = len(pool) - 1
-            for p in combo:
-                mask &= p
-            shared = False
-            for d in combo:
-                tried += 1
-                if dead[d]:
-                    continue
-                if shared is False:
-                    clauses = [cl for p in combo
-                               for cl in block(p, mask, members)]
-                    bases = [base(p, i) for p in combo
-                             for i in range(1, c + 1)]
-                    for j in range(r):
-                        clauses += [[-j - 1, b + j] for b in bases]
-                        clauses.append([j + 1] + [-(b + j) for b in bases])
-                    heads, counts, occ, facts = _kernels.horn_index(n_atoms,
-                                                                    clauses)
-                    values = [0] * n_atoms
-                    shared = ((values, heads, counts, occ)
-                              if _kernels.horn_forward(heads, counts, occ,
-                                                       values, facts)
-                              is not None else None)
-                if shared is None:
-                    continue
-                values, heads, counts, occ = shared
-                values = values[:]
-                units = [base(d, 1) - 1 + slot[v] for v in core.initial
-                         if v not in pool[d]]
-                if _kernels.horn_forward(heads, counts[:], occ, values,
-                                         units) is None:
-                    continue
-                rows = []
-                for p in combo:
-                    for i in range(1, c + 1):
-                        row = dict(pool[p])
-                        row.update(zip(rest, map(bool, values[
-                            base(p, i) - 1:base(p, i) - 1 + r])))
-                        rows.append(row)
-                aset = AssignmentSet(tuple(rows),
-                                     rows[combo.index(d) * c])
-                return EvalResult("SAT", AssignmentSet(members, pool[d]),
-                                  aset, from_assignment_set(aset), tried)
-    return EvalResult("UNSAT", tried=tried)
-
-
 def _differential_pairs():
     """Seeded (formula, backdoor) pairs: every verified backdoor of size
     <= 2 of random formulas, planted instances at k = 0..3 and UNSAT
@@ -639,19 +567,15 @@ def _differential_pairs():
     yield _unsat_gadget(0, 4, 3, 4)
 
 
-def test_solve_matches_the_replaced_reduct_path():
-    # the per-block index and the chaining across blocks close the same
-    # quotient as one horn_index over each set's concatenated blocks, so
-    # the verdict, the certificate and the candidates tried are unchanged;
-    # on UNSAT all n * 2^(n-1) candidates over n = 2^k members are tried
+def test_seeded_pairs_match_the_definition_built_encodings():
+    # the per-block index, the chaining across blocks and the factoring
+    # over designated members must close each candidate's least model, so
+    # the verdict, the certificate and the candidates tried are those of
+    # the dumps solved one by one
     n_pairs = n_sat = 0
     for phi, back in _differential_pairs():
-        got = evaluate_horn_star(phi, back)
-        assert got == _reference_evaluate(phi, back), (phi, back)
-        n = 1 << len(back)
-        assert got.satisfiable or got.tried == n << n - 1
+        n_sat += check_against_the_definitions(phi, back).satisfiable
         n_pairs += 1
-        n_sat += got.satisfiable
     assert n_pairs >= 2000 and 0.2 * n_pairs <= n_sat <= 0.9 * n_pairs
 
 

@@ -182,226 +182,13 @@ def random_horn_cnf(rng, n_atoms, max_clauses=8, max_body=3):
     return clauses
 
 
-def flat_search_solve(n_atoms, clauses, order):
-    """The clause search as it stood with one flat literal array: clause
-    ``c`` at ``lits[starts[c]:starts[c+1]]``, watches as two linked-list
-    nodes per clause (``watch_head`` by literal code 2*atom + sign,
-    ``watch_next`` by node 2*c + slot), reasons as clause indices."""
-    val = [-1] * n_atoms
-    level = [0] * n_atoms
-    reason = [-1] * n_atoms
-    trail = [0] * n_atoms
-    trail_len = 0
-    qhead = 0
-    lev_start = [0] * (n_atoms + 2)
-    cur_level = 0
-
-    watch_head = [-1] * (2 * n_atoms)
-    watch_next = [-1] * (2 * len(clauses))
-    seen = [0] * n_atoms
-
-    # order position of each atom (its first one); atoms outside order sit
-    # past its end and never lower the pointer
-    n_order = len(order)
-    opos = [n_order] * n_atoms
-    for i in range(n_order - 1, -1, -1):
-        opos[order[i]] = i
-    optr = 0
-
-    # copy the clauses into the flat arrays and install watches (literal
-    # code 2*atom, +1 when negative; node 2*c + slot); queue unit clauses,
-    # fail on empty ones
-    lits = []
-    starts = []
-    node = 0
-    for clause in clauses:
-        starts.append(len(lits))
-        lits += clause
-        if len(clause) >= 2:
-            lit = clause[0]
-            code = 2 * lit - 2 if lit > 0 else -2 * lit - 1
-            watch_next[node] = watch_head[code]
-            watch_head[code] = node
-            lit = clause[1]
-            code = 2 * lit - 2 if lit > 0 else -2 * lit - 1
-            watch_next[node + 1] = watch_head[code]
-            watch_head[code] = node + 1
-        elif clause:
-            lit = clause[0]
-            a = lit - 1 if lit > 0 else -lit - 1
-            want = 1 if lit > 0 else 0
-            if val[a] == -1:
-                val[a] = want
-                level[a] = 0
-                reason[a] = node >> 1
-                trail[trail_len] = a
-                trail_len += 1
-            elif val[a] != want:
-                return 0, val
-        else:
-            return 0, val
-        node += 2
-    starts.append(len(lits))
-
-    while True:
-        # propagate to fixpoint
-        confl = -1
-        while qhead < trail_len and confl < 0:
-            a = trail[qhead]
-            qhead += 1
-            fcode = 2 * a + val[a]  # code of the literal this falsifies
-            node = watch_head[fcode]
-            prev = -1
-            while node != -1:
-                nxt = watch_next[node]
-                ci = node >> 1
-                slot = node & 1
-                my_pos = starts[ci] + slot
-                other_pos = starts[ci] + (1 - slot)
-                other = lits[other_pos]
-                if other > 0:
-                    ob, owant = other - 1, 1
-                else:
-                    ob, owant = -other - 1, 0
-                if val[ob] == owant:
-                    prev = node
-                    node = nxt
-                    continue
-                moved = False
-                for k in range(starts[ci] + 2, starts[ci + 1]):
-                    lk = lits[k]
-                    if lk > 0:
-                        kb, kwant = lk - 1, 1
-                    else:
-                        kb, kwant = -lk - 1, 0
-                    if val[kb] == -1 or val[kb] == kwant:
-                        lits[my_pos] = lk
-                        lits[k] = -(a + 1) if val[a] == 1 else (a + 1)
-                        # relink this watch node onto the new literal
-                        if prev == -1:
-                            watch_head[fcode] = nxt
-                        else:
-                            watch_next[prev] = nxt
-                        code = 2 * kb + (0 if kwant == 1 else 1)
-                        watch_next[node] = watch_head[code]
-                        watch_head[code] = node
-                        moved = True
-                        break
-                if moved:
-                    node = nxt
-                    continue
-                if val[ob] == -1:
-                    val[ob] = owant
-                    level[ob] = cur_level
-                    reason[ob] = ci
-                    trail[trail_len] = ob
-                    trail_len += 1
-                else:
-                    confl = ci
-                prev = node
-                node = nxt
-                if confl >= 0:
-                    break
-
-        if confl >= 0:
-            if cur_level == 0:
-                return 0, val
-            # first-UIP conflict analysis
-            learnt = []
-            count = 0
-            btlevel = 0
-            p_atom = -1
-            ci = confl
-            idx = trail_len - 1
-            while True:
-                for k in range(starts[ci], starts[ci + 1]):
-                    lit = lits[k]
-                    b = lit - 1 if lit > 0 else -lit - 1
-                    if b == p_atom or seen[b] == 1 or level[b] == 0:
-                        continue
-                    seen[b] = 1
-                    if level[b] >= cur_level:
-                        count += 1
-                    else:
-                        learnt.append(lit)
-                        if level[b] > btlevel:
-                            btlevel = level[b]
-                while seen[trail[idx]] == 0:
-                    idx -= 1
-                b = trail[idx]
-                idx -= 1
-                seen[b] = 0
-                count -= 1
-                if count == 0:
-                    p_atom = b
-                    break
-                ci = reason[b]
-                p_atom = b
-            uip_lit = -(p_atom + 1) if val[p_atom] == 1 else (p_atom + 1)
-            for lb in learnt:
-                seen[lb - 1 if lb > 0 else -lb - 1] = 0
-
-            # pop back to the backjump level
-            keep = lev_start[btlevel + 1]
-            for i in range(keep, trail_len):
-                b = trail[i]
-                val[b] = -1
-                if opos[b] < optr:
-                    optr = opos[b]
-            trail_len = keep
-            qhead = keep
-            cur_level = btlevel
-
-            # store the learned clause (asserting literal first, then a
-            # literal of the backjump level for the second watch)
-            if len(learnt) > 1:
-                for i, lb in enumerate(learnt):
-                    if level[lb - 1 if lb > 0 else -lb - 1] == btlevel:
-                        learnt[0], learnt[i] = lb, learnt[0]
-                        break
-            ci = len(starts) - 1
-            lits.append(uip_lit)
-            lits.extend(learnt)
-            starts.append(len(lits))
-            watch_next += (-1, -1)
-            if learnt:
-                for slot in range(2):
-                    lit = lits[starts[ci] + slot]
-                    code = 2 * lit - 2 if lit > 0 else -2 * lit - 1
-                    node = 2 * ci + slot
-                    watch_next[node] = watch_head[code]
-                    watch_head[code] = node
-            b = p_atom
-            val[b] = 1 if uip_lit > 0 else 0
-            level[b] = cur_level
-            reason[b] = ci
-            trail[trail_len] = b
-            trail_len += 1
-            continue
-
-        # decide the next unassigned atom in order, value 0 first
-        while optr < n_order and val[order[optr]] != -1:
-            optr += 1
-        if optr == n_order:
-            return 1, val
-        nxt = order[optr]
-        cur_level += 1
-        lev_start[cur_level] = trail_len
-        val[nxt] = 0
-        level[nxt] = cur_level
-        reason[nxt] = -1
-        trail[trail_len] = nxt
-        trail_len += 1
-
-
-def test_search_solve_matches_the_flat_kernel():
-    # the same status and, on SAT, the same values as the flat-array kernel
-    # on small CNFs with repeated literals, a literal next to its negation,
-    # units and empty clauses, and on near-threshold 3-CNFs; the reference
-    # decides in a shuffled order that may repeat an atom, and the search
-    # runs on the clauses with each atom relabelled to its first position
-    # among the distinct atoms of that order; the list and tuple inputs
-    # stay as they were
+def test_search_solve_matches_the_scan():
+    # the same status and, on SAT, the same model as the exhaustive scan on
+    # small CNFs with repeated literals, a literal next to its negation,
+    # units and empty clauses, and on near-threshold 3-CNFs of up to 22
+    # atoms; each atom is relabelled to its first position in a shuffled
+    # order that may repeat an atom; the list and tuple inputs stay as they
+    # were
     rng = random.Random(19)
     cases = []
     for _ in range(9000):
@@ -428,10 +215,10 @@ def test_search_solve_matches_the_flat_kernel():
         status, values = _kernels.search_solve(n, relabelled)
         assert relabelled == snapshot
         assert _kernels.search_solve(n, frozen) == (status, values)
-        expected = flat_search_solve(n, clauses, order)
-        assert status == expected[0]
+        found, mask = _kernels.brute_scan(n, relabelled)
+        assert status == found
         if status:
-            assert [values[rank[a]] for a in range(n)] == expected[1]
+            assert as_mask(values) == mask
         counts[status, any(not c for c in clauses),
                any(len(c) == 1 for c in clauses)] += 1
     sat = counts[1, False, False] + counts[1, False, True]

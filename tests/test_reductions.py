@@ -16,12 +16,8 @@ from ltlbd.reductions import (FP_HORN, REDUCE_VERTEX_LIMIT, STAR_KROM, Graph,
                               brute_3col, coloring_from_model, is_proper,
                               model_from_coloring, threecol_to_fp_horn,
                               threecol_to_star_krom)
-from tables import K4, TRIANGLE, TRIANGLE_HORN_TABLE, TRIANGLE_KROM_TABLE
-
-
-def random_graph(rng, n):
-    pool = list(itertools.combinations(range(1, n + 1), 2))
-    return Graph(n, frozenset(e for e in pool if rng.random() < 0.5))
+from tables import (K4, TRIANGLE, TRIANGLE_HORN_TABLE, TRIANGLE_KROM_TABLE,
+                    random_graph)
 
 
 class TestGraph:
